@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .operators import DEFAULT_TOL
 from .presets import build_preset, list_presets
-from .scenario import ScenarioError, load_scenario, run_scenario
+from .scenario import ScenarioError, load_scenario, run_scenario, spectra_file
 
 ENV_TOL = "GOF_DEFAULT_TOL"
 
@@ -41,8 +40,6 @@ def _parse_args(argv):
                              f"default {DEFAULT_TOL}).")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 when any report carries findings.")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run scenarios concurrently (outputs stay isolated).")
     parser.add_argument("--list-presets", action="store_true",
                         help="print preset names with descriptions and exit.")
     return parser.parse_args(argv)
@@ -60,7 +57,7 @@ def _resolve_tol(cli_value):
     return None
 
 
-def _jobs(args):
+def _scenarios(args):
     for path in args.scenario:
         scenario = load_scenario(path)
         yield Path(path).stem, scenario, Path(path).resolve().parent
@@ -71,15 +68,6 @@ def _jobs(args):
             raise ScenarioError([str(e.args[0])]) from e
         scenario["provenance_preset"] = name
         yield name, scenario, Path.cwd()
-
-
-def _spectra_path(base, label, single):
-    if base is None:
-        return None
-    base = Path(base)
-    if single:
-        return base
-    return base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
 
 
 def _emit(report, out_path):
@@ -104,37 +92,26 @@ def main(argv=None) -> int:
 
     tol = _resolve_tol(args.tol)
     try:
-        jobs = list(_jobs(args))
+        scenarios = list(_scenarios(args))
+        single = len(scenarios) == 1
+        outcomes = [
+            (label, run_scenario(
+                scenario, base_dir=base_dir, tol=tol,
+                spectra_path=None if args.spectra is None
+                else spectra_file(args.spectra, label, single),
+            ))
+            for label, scenario, base_dir in scenarios
+        ]
     except (ScenarioError, OSError) as e:
         problems = e.problems if isinstance(e, ScenarioError) else [str(e)]
         for p in problems:
             print(f"scenario error: {p}", file=sys.stderr)
         return 2
 
-    single = len(jobs) == 1
     out_dir = None
     if args.out and not single:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    def run_one(job):
-        label, scenario, base_dir = job
-        report = run_scenario(
-            scenario, base_dir=base_dir, tol=tol,
-            spectra_path=_spectra_path(args.spectra, label, single),
-        )
-        return label, report
-
-    try:
-        if args.jobs > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(pool.map(run_one, jobs))
-        else:
-            outcomes = [run_one(j) for j in jobs]
-    except ScenarioError as e:
-        for p in e.problems:
-            print(f"scenario error: {p}", file=sys.stderr)
-        return 2
 
     any_findings = False
     for label, report in outcomes:

@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from .operators import (
     is_hyponormal_on_range,
     is_mv_adjointable,
 )
-from .pencil import bisect_max_alpha, bisect_min_beta, kernel_contained
+from .pencil import solve_pencils
 from .signals import MatrixSignal, SignalSpace
 
 __all__ = [
@@ -292,7 +292,6 @@ class OmegaReport:
     upper_exists: bool
     alpha: Optional[float]
     beta: Optional[float]
-    cross_check: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -337,13 +336,6 @@ def omega_characterization(system, theta: SpaceOperator,
     max_dev = float(np.abs(gram - s).max())
 
     t = theta.to_dense()
-    gram_lower = t @ t.conj().T
-    gram_upper = t.conj().T @ t
-    upper_exists = kernel_contained(gram_upper, gram, tol)
-    lower_exists = kernel_contained(gram, gram_lower, tol)
-    alpha = beta = None
-    if lower_exists and float(np.abs(gram_lower).max()) > tol:
-        alpha = bisect_max_alpha(gram, gram_lower)
-    if upper_exists:
-        beta = 0.0 if float(np.abs(gram).max()) <= tol else bisect_min_beta(gram, gram_upper)
-    return OmegaReport(basis_condition, max_dev, lower_exists, upper_exists, alpha, beta)
+    sol = solve_pencils(gram, t @ t.conj().T, t.conj().T @ t, tol)
+    return OmegaReport(basis_condition, max_dev, sol.lower_exists, sol.upper_exists,
+                       sol.alpha, sol.beta)

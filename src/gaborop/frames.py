@@ -13,11 +13,11 @@ operator-controlled two-sided bounds
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
                                 <=  beta * ||T f||^2
 
-are computed as extremal feasible constants of Hermitian pencils: bisection
-is the reporting route and the pseudoinverse/Schur oracle is carried along
-as a cross-check (see :mod:`gaborop.pencil`).  Existence is decided by
-kernel inclusion: a finite upper constant exists iff ker T <= ker S, a
-positive lower constant iff ker S <= ker(adjoint T).
+are extremal feasible constants of Hermitian pencils: a closed form reports
+them, a residual certificate checks each, and bisection is only the test
+oracle (see :mod:`gaborop.pencil`).  Existence is decided by kernel
+inclusion: a finite upper constant exists iff ker T <= ker S, a positive
+lower constant iff ker S <= ker(adjoint T).
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ from .operators import (
     lower_bound_constant,
     operator_norm,
 )
-from .pencil import (
-    alpha_pinv_oracle,
-    beta_pinv_oracle,
-    bisect_max_alpha,
-    bisect_min_beta,
-    kernel_contained,
-)
+from .pencil import KERNEL_RTOL, solve_pencils
 from .signals import MatrixSignal, SignalSpace, modulate, translate
 
 __all__ = [
@@ -228,16 +222,17 @@ class BoundsReport:
             "alpha_opt": self.alpha_opt,
             "beta_opt": self.beta_opt,
             "tight": self.tight,
-            "tolerances": {"existence": self.tolerance, "kernel_rtol": 1e-9},
+            "tolerances": {"existence": self.tolerance, "kernel_rtol": KERNEL_RTOL},
             "cross_check": self.cross_check,
             "spectrum_file": self.spectrum_file,
         }
 
 
 def _tightness(alpha: Optional[float], beta: Optional[float], tol: float) -> bool:
+    """Whether the constants agree to ``tol`` relative, at any scale of the windows."""
     if alpha is None or beta is None:
         return False
-    return abs(beta - alpha) <= tol * max(1.0, abs(beta))
+    return abs(beta - alpha) <= tol * abs(beta)
 
 
 def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
@@ -261,48 +256,30 @@ def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
 def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> BoundsReport:
     """Extremal constants of the operator-controlled two-sided inequality.
 
-    The reported constants come from pencil bisection; the closed-form
-    pseudoinverse/Schur values are recorded under ``cross_check``.
+    The closed-form constants of :func:`gaborop.pencil.solve_pencils` are
+    reported and repeated in ``cross_check`` (``alpha_pinv``/``beta_pinv``)
+    beside their residual certificates (``alpha_certificate``/...).
     """
     family = _as_family(system)
     if theta.space != family.space:
         raise GroupMismatchError("operator does not act on the system's space")
     s = frame_operator(family, as_operator=False)
     t = theta.to_dense()
-    gram_lower = t @ t.conj().T          # controls the lower side
-    gram_upper = t.conj().T @ t          # controls the upper side
-
-    upper_exists = kernel_contained(gram_upper, s, tol)
-    lower_exists = kernel_contained(s, gram_lower, tol)
-
-    alpha = beta = None
+    # T T* controls the lower side, T* T the upper side
+    sol = solve_pencils(s, t @ t.conj().T, t.conj().T @ t, tol)
     cross: dict = {}
-    # a vanishing adjoint gram makes the lower inequality vacuous: any alpha
-    # works, so no finite extremal constant is reported
-    if lower_exists and float(np.abs(gram_lower).max()) > tol:
-        alpha = bisect_max_alpha(s, gram_lower)
-        cross["alpha_pinv"] = alpha_pinv_oracle(s, gram_lower)
-    if upper_exists:
-        if float(np.abs(s).max()) <= tol:
-            beta = 0.0
-            cross["beta_pinv"] = 0.0
-        else:
-            beta = bisect_min_beta(s, gram_upper)
-            cross["beta_pinv"] = beta_pinv_oracle(s, gram_upper)
-
-    eigs = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
+    for name, value in (("alpha", sol.alpha), ("beta", sol.beta)):
+        if value is not None:
+            cross[f"{name}_pinv"] = value
+            cross[f"{name}_certificate"] = sol.certificates[name]
     return BoundsReport(
-        lower_exists=lower_exists,
-        upper_exists=upper_exists,
-        alpha_opt=alpha,
-        beta_opt=beta,
-        tight=lower_exists and upper_exists and _tightness(alpha, beta, tol),
+        lower_exists=sol.lower_exists,
+        upper_exists=sol.upper_exists,
+        alpha_opt=sol.alpha,
+        beta_opt=sol.beta,
+        tight=sol.lower_exists and sol.upper_exists and _tightness(sol.alpha, sol.beta, tol),
         tolerance=tol,
-        spectra={
-            "frame_operator": eigs.tolist(),
-            "lower_gram": np.linalg.eigvalsh(gram_lower).tolist(),
-            "upper_gram": np.linalg.eigvalsh(gram_upper).tolist(),
-        },
+        spectra=sol.spectra,
         cross_check=cross,
     )
 

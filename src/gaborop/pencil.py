@@ -1,67 +1,134 @@
-"""Extremal constants for Hermitian PSD pencils, by bisection and by oracle.
+"""Extremal constants of Hermitian PSD pencils: closed form, certificate, oracle.
 
-Given PSD matrices S and P, the lower-side problem is the largest alpha with
-S - alpha P >= 0 and the upper-side problem the smallest beta with
-beta P - S >= 0.  Both are computed by monotone bisection on the minimum
-eigenvalue of the affine pencil, which stays robust when P (or S) has a
-kernel.  An independent closed-form route through the pseudoinverse square
-root of P is kept alongside as a cross-check; on the lower side the kernel
-of P may couple to S, so that route goes through the Schur complement of S
-onto the range of P (the bare pseudoinverse formula is exact only when the
-coupling blocks vanish, which the upper-side existence condition guarantees).
+For PSD S and P the lower-side constant is the largest alpha with
+S - alpha P >= 0, the upper-side one the smallest beta with beta P - S >= 0.
+:func:`solve_pencils` reports both from one eigendecomposition each of S and
+the two grams, via the closed form of the generalized eigenproblem on the
+range of P (Golub & Van Loan, *Matrix Computations*, 8.7), and certifies each
+constant by the least eigenvalue of the pencil at it and one step past it.
+Bisection on that eigenvalue is the test oracle.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "null_space",
-    "kernel_contained",
+    "PencilSolution",
+    "solve_pencils",
     "bisect_max_alpha",
     "bisect_min_beta",
-    "alpha_pinv_oracle",
-    "beta_pinv_oracle",
 ]
 
 KERNEL_RTOL = 1e-9  # relative eigenvalue threshold for kernel detection
 PSD_SLACK_RTOL = 1e-12
+CERT_SLACK_RTOL = 1e-12  # relative to the larger top eigenvalue of S and c * P
+CERT_STEP = 1e-6
 
 
 def _eigh(h: np.ndarray):
     return np.linalg.eigh((h + h.conj().T) / 2.0)
 
 
-def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
-    """Orthonormal kernel basis of a Hermitian PSD matrix (columns)."""
-    vals, vecs = _eigh(h)
-    top = vals[-1] if vals.size else 0.0
-    cutoff = rtol * max(top, 0.0)
-    return vecs[:, vals <= cutoff]
+def _min_eig(h: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
-def _range_split(h: np.ndarray, rtol: float = KERNEL_RTOL):
-    """(range basis, positive eigenvalues, kernel basis) of a PSD matrix."""
-    vals, vecs = _eigh(h)
-    top = vals[-1] if vals.size else 0.0
-    mask = vals > rtol * max(top, 0.0)
+def _top(vals: np.ndarray) -> float:
+    return max(float(vals[-1]), 0.0) if vals.size else 0.0
+
+
+def _split(vals: np.ndarray, vecs: np.ndarray, rtol: float = KERNEL_RTOL):
+    """(range basis, positive eigenvalues, kernel basis) from an eigendecomposition."""
+    mask = vals > rtol * _top(vals)
     return vecs[:, mask], vals[mask], vecs[:, ~mask]
 
 
-def kernel_contained(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether ker(a) is contained in ker(b), both Hermitian PSD.
+def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
+    """Orthonormal kernel basis of a Hermitian PSD matrix (columns)."""
+    return _split(*_eigh(h), rtol)[2]
 
-    Tested via Rayleigh quotients of b on an orthonormal kernel basis of a,
-    relative to the largest eigenvalue of b.
+
+def _contained(kernel: np.ndarray, b: np.ndarray, b_top: float, tol: float) -> bool:
+    """Whether the Rayleigh quotients of b on ``kernel`` are <= tol * b_top."""
+    if kernel.shape[1] == 0 or b_top <= 0.0:
+        return True  # nothing to contain, or b vanishes
+    return bool(np.real(np.sum(np.conj(kernel) * (b @ kernel), axis=0)).max() <= tol * b_top)
+
+
+def _closed_form(s: np.ndarray, s_top: float, split, lower: bool) -> Optional[float]:
+    """alpha (``lower``) or beta of s against the split p: with W the inverse
+    square root of p on its range, the top eigenvalue of W s W is beta (exact
+    once ker p <= ker s), the least one of W (s / ker p) W is alpha."""
+    q_r, vals_r, q_k = split
+    if q_r.shape[1] == 0:
+        # p = 0: every alpha works; beta is 0 since ker p <= ker s forces s = 0
+        return None if lower else 0.0
+    s_rr = q_r.conj().T @ s @ q_r
+    if lower and q_k.shape[1]:
+        # Schur complement; where s is at rounding level on ker p it has no coupling
+        k_vals, k_vecs = _eigh(q_k.conj().T @ s @ q_k)
+        keep = k_vals > s.shape[0] * np.finfo(float).eps * s_top
+        coupling = q_r.conj().T @ s @ (q_k @ k_vecs[:, keep])
+        s_rr = s_rr - (coupling / k_vals[keep]) @ coupling.conj().T
+    w = 1.0 / np.sqrt(vals_r)
+    eigs = np.linalg.eigvalsh(w[:, None] * (s_rr + s_rr.conj().T) / 2.0 * w[None, :])
+    return max(0.0, float(eigs[0] if lower else eigs[-1]))
+
+
+def _certificate(s: np.ndarray, s_top: float, p: np.ndarray, p_top: float,
+                 const: float, sign: float) -> dict:
+    """The least eigenvalue of sign * (s - c p) at c = const must be >= -slack
+    and, unless const is 0, < 0 at c = const * (1 + sign * CERT_STEP)."""
+    slack = CERT_SLACK_RTOL * max(s_top, const * p_top)
+    at = _min_eig(sign * (s - const * p))
+    past = _min_eig(sign * (s - const * (1.0 + sign * CERT_STEP) * p)) if const > 0 else None
+    return {"min_eig_at": at, "min_eig_past": past, "slack": slack,
+            "holds": bool(at >= -slack and (past is None or past < 0.0))}
+
+
+@dataclass(frozen=True)
+class PencilSolution:
+    """Verdicts, constants (None when absent), ascending spectra of S and both
+    grams, and a certificate per constant keyed ``alpha``/``beta``."""
+
+    lower_exists: bool
+    upper_exists: bool
+    alpha: Optional[float]
+    beta: Optional[float]
+    spectra: dict
+    certificates: dict
+
+
+def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
+                  tol: float = 1e-9) -> PencilSolution:
+    """Both sides of S >= alpha * lower_gram and S <= beta * upper_gram.
+
+    A positive alpha exists iff ker S <= ker lower_gram and a finite beta iff
+    ker upper_gram <= ker S, judged by Rayleigh quotients relative to the
+    top eigenvalue (``tol``).  alpha is None also when lower_gram vanishes.
     """
-    nb = null_space(a)
-    if nb.shape[1] == 0:
-        return True
-    top = float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[-1])
-    if top <= 0.0:
-        return True  # b vanishes
-    quot = np.real(np.einsum("ik,ij,jk->k", np.conj(nb), b, nb))
-    return bool(np.max(quot) <= tol * top)
+    s_vals, s_vecs = _eigh(s)
+    lo_vals, lo_vecs = _eigh(lower_gram)
+    up_vals, up_vecs = _eigh(upper_gram)
+    s_top, lo_top, up_top = _top(s_vals), _top(lo_vals), _top(up_vals)
+    up_split = _split(up_vals, up_vecs)
+    lower_exists = _contained(_split(s_vals, s_vecs)[2], lower_gram, lo_top, tol)
+    upper_exists = _contained(up_split[2], s, s_top, tol)
+    alpha = _closed_form(s, s_top, _split(lo_vals, lo_vecs), True) if lower_exists else None
+    beta = _closed_form(s, s_top, up_split, False) if upper_exists else None
+    certificates = {}
+    if alpha is not None:
+        certificates["alpha"] = _certificate(s, s_top, lower_gram, lo_top, alpha, 1.0)
+    if beta is not None:
+        certificates["beta"] = _certificate(s, s_top, upper_gram, up_top, beta, -1.0)
+    spectra = {"frame_operator": s_vals.tolist(), "lower_gram": lo_vals.tolist(),
+               "upper_gram": up_vals.tolist()}
+    return PencilSolution(lower_exists, upper_exists, alpha, beta, spectra, certificates)
 
 
 def _slack(s: np.ndarray, p: np.ndarray) -> float:
@@ -71,10 +138,6 @@ def _slack(s: np.ndarray, p: np.ndarray) -> float:
         float(np.linalg.eigvalsh(p)[-1]) if p.size else 0.0,
     )
     return PSD_SLACK_RTOL * scale
-
-
-def _min_eig(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
 def bisect_max_alpha(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
@@ -141,38 +204,3 @@ def bisect_min_beta(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
         else:
             lo = mid
     return hi
-
-
-def alpha_pinv_oracle(s: np.ndarray, p: np.ndarray) -> float | None:
-    """Closed-form largest alpha with s - alpha p PSD.
-
-    Equals the minimum eigenvalue of W (S / ker-coupling Schur complement) W
-    on the range of p, W the pseudoinverse square root of p.  Returns None
-    when p has no range.
-    """
-    q_r, vals_r, q_k = _range_split(p)
-    if q_r.shape[1] == 0:
-        return None
-    s_rr = q_r.conj().T @ s @ q_r
-    if q_k.shape[1]:
-        s_rk = q_r.conj().T @ s @ q_k
-        s_kk = q_k.conj().T @ s @ q_k
-        s_rr = s_rr - s_rk @ np.linalg.pinv(s_kk, hermitian=True) @ s_rk.conj().T
-    w = 1.0 / np.sqrt(vals_r)
-    mid = (w[:, None] * s_rr) * w[None, :]
-    return float(np.linalg.eigvalsh((mid + mid.conj().T) / 2.0)[0])
-
-
-def beta_pinv_oracle(s: np.ndarray, p: np.ndarray) -> float | None:
-    """Closed-form smallest beta with beta p - s PSD, assuming ker p <= ker s.
-
-    Under that kernel inclusion the coupling blocks of s vanish and the bare
-    pseudoinverse formula is exact.  Returns None when p has no range.
-    """
-    q_r, vals_r, _ = _range_split(p)
-    if q_r.shape[1] == 0:
-        return None
-    s_rr = q_r.conj().T @ s @ q_r
-    w = 1.0 / np.sqrt(vals_r)
-    mid = (w[:, None] * s_rr) * w[None, :]
-    return float(np.linalg.eigvalsh((mid + mid.conj().T) / 2.0)[-1])

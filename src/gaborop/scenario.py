@@ -46,6 +46,7 @@ __all__ = [
     "load_scenario",
     "validate_scenario",
     "run_scenario",
+    "spectra_file",
 ]
 
 TASKS = (
@@ -472,22 +473,45 @@ def _need(args: dict, key: str, table: dict, what: str):
     return table[name]
 
 
-def _cross_check_findings(label: str, report, tol: float = 1e-6) -> list[str]:
+def _cross_check_findings(label: str, report) -> list[str]:
+    """A finding for every reported constant that fails its residual certificate."""
     findings = []
-    cc = report.cross_check
-    if report.alpha_opt is not None and cc.get("alpha_pinv") is not None:
-        if abs(report.alpha_opt - cc["alpha_pinv"]) > tol * max(1.0, report.alpha_opt):
+    for side, name in (("lower", "alpha"), ("upper", "beta")):
+        cert = report.cross_check.get(f"{name}_certificate")
+        if cert is not None and not cert["holds"]:
             findings.append(
-                f"{label}: bisection/pseudoinverse disagreement on the lower constant "
-                f"({report.alpha_opt} vs {cc['alpha_pinv']})"
-            )
-    if report.beta_opt is not None and cc.get("beta_pinv") is not None:
-        if abs(report.beta_opt - cc["beta_pinv"]) > tol * max(1.0, report.beta_opt):
-            findings.append(
-                f"{label}: bisection/pseudoinverse disagreement on the upper constant "
-                f"({report.beta_opt} vs {cc['beta_pinv']})"
+                f"{label}: the {side} constant fails its residual certificate "
+                f"(min eigenvalue {cert['min_eig_at']} at it, {cert['min_eig_past']} "
+                f"past it, slack {cert['slack']})"
             )
     return findings
+
+
+def _check_cross_references(task: str, args: dict, systems: dict, operators: dict) -> None:
+    """Systems and operators a task pairs must share n; perturbation and sum
+    pairs must also share the window count.  Unknown names are left to the task."""
+    if task == "tight_construct" or args.get("system") not in systems:
+        return  # that construction's operator acts on the requested dimension
+    ref, problems = systems[args["system"]], []
+    for key, name in args.items():
+        table = systems if key.endswith("system") else operators if key.endswith("operator") else {}
+        if not isinstance(name, str) or name not in table:
+            continue
+        if table[name].space.n != ref.space.n:
+            problems.append(f"$.args.{key}: {name!r} has n={table[name].space.n}, "
+                            f"but system {args['system']!r} has n={ref.space.n}")
+        elif key in ("perturbed_system", "second_system") and \
+                len(table[name].windows) != len(ref.windows):
+            problems.append(f"$.args.{key}: {name!r} has {len(table[name].windows)} windows, "
+                            f"but system {args['system']!r} has {len(ref.windows)}")
+    if problems:
+        raise ScenarioError(problems)
+
+
+def spectra_file(base, label: str, single: bool) -> Path:
+    """``base`` for a single spectrum, else ``<stem>_<label><suffix or .csv>`` beside it."""
+    base = Path(base)
+    return base if single else base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
 
 
 def _run_task(scenario: dict, systems: dict, operators: dict, tol: float):
@@ -694,6 +718,7 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
         spec["name"]: _build_operator(group, measure, spec, base_dir)
         for spec in scenario.get("operators", [])
     }
+    _check_cross_references(scenario["task"], scenario.get("args", {}), systems, operators)
     results, findings, provenance, bounds_reports = _run_task(
         scenario, systems, operators, tolerance
     )
@@ -702,12 +727,9 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
 
     spectra_files = {}
     if spectra_path is not None and bounds_reports:
-        base = Path(spectra_path)
         for label, (rep, result_path) in bounds_reports.items():
             eigs = rep.spectra.get("frame_operator", [])
-            name = base if len(bounds_reports) == 1 else base.with_name(
-                f"{base.stem}_{label}{base.suffix or '.csv'}"
-            )
+            name = spectra_file(spectra_path, label, len(bounds_reports) == 1)
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("index,eigenvalue\n")
                 for i, v in enumerate(sorted(eigs)):

@@ -267,7 +267,7 @@ def test_multiple_scenarios_to_directory(tmp_path):
     outdir = tmp_path / "reports"
     assert main([
         "--preset", "exb1", "--preset", "remark-theta0",
-        "--out", str(outdir), "--jobs", "2",
+        "--out", str(outdir),
     ]) == 0
     assert (outdir / "exb1.json").exists()
     assert (outdir / "remark-theta0.json").exists()
@@ -289,3 +289,53 @@ def test_unknown_preset_exits_2(capsys):
 
 def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
+
+
+def test_operator_of_another_size_exits_2(tmp_path, capsys):
+    scenario = build_preset("remark-theta0")
+    scenario["operators"] = [
+        {"name": "selector", "kind": "entry_map", "n": 1, "matrix": [[1]]}
+    ]
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error: $.args.operator: 'selector' has n=1" in err
+
+
+def test_pert_check_window_count_mismatch_exits_2(tmp_path, capsys):
+    scenario = build_preset("pertexa")
+    perturbed = next(s for s in scenario["systems"] if s["name"] == "perturbed")
+    perturbed["windows"] = perturbed["windows"][:1]
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error: $.args.perturbed_system: 'perturbed' has 1 windows" in err
+
+
+def test_missing_operator_file_exits_2(tmp_path, capsys):
+    scenario = build_preset("exper1-negative")
+    scenario["operators"] = [
+        {"name": "projector", "kind": "dense", "n": 2, "data_file": "missing.bin"}
+    ]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    assert "missing.bin" in capsys.readouterr().err
+
+
+def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
+    import gaborop.pencil as pencil
+
+    clean = run_scenario(build_preset("remark-theta0"))
+    cert = clean["results"]["controlled"]["cross_check"]["alpha_certificate"]
+    assert cert["holds"] and cert["min_eig_past"] < 0.0
+    closed_form = pencil._closed_form
+    monkeypatch.setattr(pencil, "_closed_form", lambda s, s_top, split, lower: (
+        1.01 if lower else 1.0) * closed_form(s, s_top, split, lower))
+    out = tmp_path / "report.json"
+    assert main(["--preset", "remark-theta0", "--out", str(out), "--strict"]) == 3
+    assert "the lower constant fails its residual certificate" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert not report["results"]["controlled"]["cross_check"]["alpha_certificate"]["holds"]

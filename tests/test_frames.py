@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaborop import (
     GaborSystem,
@@ -312,3 +314,57 @@ def test_coefficient_lookup():
     label = family.labels[3]
     expected = mv_inner(f, family.members[3])
     assert np.abs(coeffs[label] - expected).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.one_of(st.just("remark-theta0"), st.integers(0, 2**32 - 1)),
+    c=st.floats(1e-6, 1e3),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+@example(case="remark-theta0", c=1e-6, phase=0.0)
+def test_window_scaling_scales_constants(case, c, phase):
+    # windows times c: S scales by |c|^2, the grams stay, so alpha and beta
+    # scale by |c|^2 and no verdict moves, down to tiny windows
+    if case == "remark-theta0":
+        system = column_window_system()
+        theta = selector_op(system.space)
+    else:
+        rng = np.random.default_rng(case)
+        system = random_system(rng)
+        theta = random_entry_op(system.space, rng, ("singular", "general", "invertible")[case % 3])
+    scale = c * np.exp(1j * phase)
+    base = theta_bounds(system, theta)
+    scaled = theta_bounds(system.with_windows([w * scale for w in system.windows]), theta)
+    verdicts = lambda r: (r.lower_exists, r.upper_exists, r.tight,
+                          r.alpha_opt is None, r.beta_opt is None)
+    assert verdicts(scaled) == verdicts(base)
+    for have, want in ((scaled.alpha_opt, base.alpha_opt), (scaled.beta_opt, base.beta_opt)):
+        if want is not None:
+            assert have == pytest.approx(c * c * want, rel=1e-9, abs=0.0)
+    assert all(v["holds"] for k, v in scaled.cross_check.items() if k.endswith("_certificate"))
+    if case == "remark-theta0":
+        assert scaled.tight
+        assert scaled.alpha_opt == pytest.approx(20.0 * c * c, rel=1e-9, abs=0.0)
+        assert scaled.beta_opt == pytest.approx(20.0 * c * c, rel=1e-9, abs=0.0)
+
+
+def test_theta_bounds_eigensolver_budget(monkeypatch):
+    # one eigendecomposition per matrix plus a fixed number of small and
+    # certificate solves, independent of the group size
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(args[0].shape)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts = {}
+    for resolution in (2, 4):
+        system = column_window_system(resolution)
+        theta = selector_op(system.space)
+        calls.clear()
+        rep = theta_bounds(system, theta)
+        assert rep.tight
+        counts[system.space.dim] = len(calls)
+    assert sorted(counts) == [64, 128]
+    assert counts[64] == counts[128] <= 12

@@ -1,15 +1,14 @@
-"""Pencil bisection against the closed-form oracle and kernel inclusion."""
+"""The closed-form pencil solver against the bisection oracle, certificates
+and kernel inclusion."""
 
 import numpy as np
 import pytest
 
 from gaborop.pencil import (
-    alpha_pinv_oracle,
-    beta_pinv_oracle,
     bisect_max_alpha,
     bisect_min_beta,
-    kernel_contained,
     null_space,
+    solve_pencils,
 )
 
 
@@ -23,8 +22,9 @@ def test_identity_pencils():
     s = np.eye(4, dtype=complex)
     assert abs(bisect_max_alpha(s, s) - 1.0) < 1e-10
     assert abs(bisect_min_beta(s, s) - 1.0) < 1e-10
-    assert abs(alpha_pinv_oracle(s, s) - 1.0) < 1e-12
-    assert abs(beta_pinv_oracle(s, s) - 1.0) < 1e-12
+    sol = solve_pencils(s, s, s)
+    assert abs(sol.alpha - 1.0) < 1e-12
+    assert abs(sol.beta - 1.0) < 1e-12
 
 
 def test_reference_pencil_values():
@@ -36,17 +36,18 @@ def test_reference_pencil_values():
     upper_gram = L.conj().T @ L
     assert abs(bisect_max_alpha(s, lower_gram) - 2.5) < 1e-9
     assert abs(bisect_min_beta(s, upper_gram) - 10.0) < 1e-9
-    assert abs(alpha_pinv_oracle(s, lower_gram) - 2.5) < 1e-10
-    assert abs(beta_pinv_oracle(s, upper_gram) - 10.0) < 1e-10
+    sol = solve_pencils(s, lower_gram, upper_gram)
+    assert abs(sol.alpha - 2.5) < 1e-10
+    assert abs(sol.beta - 10.0) < 1e-10
 
 
 def test_coupled_kernel_needs_schur_complement():
     # kernel of p couples to s: the optimum uses the kernel direction, and
-    # the Schur-complement oracle must match the bisection exactly
+    # the Schur-complement closed form must match the bisection exactly
     s = np.array([[1.0, 0.9], [0.9, 1.0]], dtype=complex)
     p = np.diag([1.0, 0.0]).astype(complex)
     alpha_bis = bisect_max_alpha(s, p)
-    alpha_orc = alpha_pinv_oracle(s, p)
+    alpha_orc = solve_pencils(s, p, p).alpha
     assert abs(alpha_bis - 0.19) < 1e-9
     assert abs(alpha_orc - 0.19) < 1e-12
     naive = np.linalg.eigvalsh(s)[0]  # any kernel-blind value differs
@@ -55,32 +56,36 @@ def test_coupled_kernel_needs_schur_complement():
 
 
 def test_bisection_matches_oracle_randomised(rng):
+    # bisection is the oracle for the solver's constants; every constant the
+    # solver reports also passes its own residual certificate
     dim = 6
     for trial in range(50):
         s = _random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
         p = _random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
         # lower side exists iff ker(s) <= ker(p); enforce by projecting p's
         # kernel directions out of s when needed
-        if not kernel_contained(s, p):
+        if not solve_pencils(s, p, p).lower_exists:
             nb = null_space(p)
             proj = np.eye(dim) - nb @ nb.conj().T
             s_low = proj @ s @ proj
         else:
             s_low = s
-        if kernel_contained(s_low, p):
+        sol = solve_pencils(s_low, p, p)
+        if sol.lower_exists:
             a1 = bisect_max_alpha(s_low, p)
-            a2 = alpha_pinv_oracle(s_low, p)
-            assert a2 is not None
-            assert a1 == pytest.approx(a2, abs=1e-7, rel=1e-6)
+            assert sol.alpha is not None
+            assert a1 == pytest.approx(sol.alpha, abs=1e-7, rel=1e-6)
+            assert sol.certificates["alpha"]["holds"]
         # upper side exists iff ker(p) <= ker(s); enforce likewise
         nb = null_space(p)
         proj = np.eye(dim) - nb @ nb.conj().T
         s_up = proj @ s @ proj
-        if kernel_contained(p, s_up):
+        sol = solve_pencils(s_up, p, p)
+        if sol.upper_exists:
             b1 = bisect_min_beta(s_up, p)
-            b2 = beta_pinv_oracle(s_up, p)
-            assert b2 is not None
-            assert b1 == pytest.approx(b2, abs=1e-7, rel=1e-6)
+            assert sol.beta is not None
+            assert b1 == pytest.approx(sol.beta, abs=1e-7, rel=1e-6)
+            assert sol.certificates["beta"]["holds"]
 
 
 def test_bisection_bounds_are_feasible_and_extremal(rng):
@@ -105,19 +110,76 @@ def test_beta_without_finite_constant_raises(rng):
 
 
 def test_kernel_containment_constructions(rng):
+    # ker a <= ker b decides the lower side of a against b and the upper side
+    # of b against a
     dim = 6
     for _ in range(30):
         a = _random_psd(rng, dim, rank=int(rng.integers(1, dim)))
         nb = null_space(a)
         assert nb.shape[1] >= 1
         contained = a @ a + 0.5 * a          # same kernel
-        assert kernel_contained(a, contained)
+        assert solve_pencils(a, contained, contained).lower_exists
+        assert solve_pencils(contained, a, a).upper_exists
         v = nb[:, 0:1]
         violating = contained + v @ v.conj().T
-        assert not kernel_contained(a, violating)
+        assert not solve_pencils(a, violating, violating).lower_exists
+        assert not solve_pencils(violating, a, a).upper_exists
 
 
 def test_null_space_threshold():
     a = np.diag([1.0, 1e-12, 0.0]).astype(complex)
     nb = null_space(a)
     assert nb.shape[1] == 2  # entries below 1e-9 * top count as kernel
+
+
+def test_vanishing_matrices_need_no_special_case():
+    # a zero control gram leaves alpha undefined (every alpha works); a zero
+    # frame operator has beta = 0, certified by feasibility alone
+    s = np.diag([2.0, 1.0]).astype(complex)
+    zero = np.zeros((2, 2), dtype=complex)
+    sol = solve_pencils(s, zero, s)
+    assert sol.lower_exists and sol.alpha is None
+    assert "alpha" not in sol.certificates
+    sol = solve_pencils(zero, s, s)
+    assert not sol.lower_exists and sol.alpha is None
+    assert sol.upper_exists and sol.beta == 0.0
+    assert sol.certificates["beta"] == {
+        "min_eig_at": 0.0, "min_eig_past": None, "slack": 0.0, "holds": True,
+    }
+    sol = solve_pencils(zero, zero, zero)
+    assert sol.upper_exists and sol.beta == 0.0 and sol.alpha is None
+
+
+@pytest.mark.parametrize("which,factor", [
+    ("alpha", 1.01), ("alpha", 0.99), ("beta", 0.99), ("beta", 1.01),
+])
+def test_certificate_rejects_a_corrupted_constant(monkeypatch, which, factor):
+    # too large an alpha (too small a beta) breaks feasibility; too small an
+    # alpha (too large a beta) leaves the step past it feasible
+    import gaborop.pencil as pencil
+
+    L = np.array([[0, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex)
+    s = 10.0 * np.eye(4)
+    exact = solve_pencils(s, L @ L.conj().T, L.conj().T @ L)
+    assert exact.certificates[which]["holds"]
+    closed_form = pencil._closed_form
+    lower = which == "alpha"
+    monkeypatch.setattr(pencil, "_closed_form", lambda s, s_top, split, side: (
+        factor if side == lower else 1.0) * closed_form(s, s_top, split, side))
+    bad = solve_pencils(s, L @ L.conj().T, L.conj().T @ L)
+    assert getattr(bad, which) == pytest.approx(factor * getattr(exact, which))
+    assert not bad.certificates[which]["holds"]
+
+
+def test_schur_complement_ignores_rounding_on_ker_p(rng):
+    # s = proj s proj vanishes on ker p only up to rounding; inverting that
+    # noise in the Schur complement puts alpha off by ~1e-12 relative, past
+    # the slack of its certificate
+    dim = 6
+    for _ in range(1000):
+        s = _random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        p = _random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        nb = null_space(p)
+        proj = np.eye(dim) - nb @ nb.conj().T
+        sol = solve_pencils(proj @ s @ proj, p, p)
+        assert all(cert["holds"] for cert in sol.certificates.values())
