@@ -1,7 +1,8 @@
 """Command-line scenario runner.
 
 Runs bundled presets or JSON scenario files and writes machine-readable
-reports.  Exit codes: 0 completed, 2 scenario/schema error, 3 a strict-mode
+reports.  Exit codes: 0 completed, 2 scenario/schema error (or any other
+``ValueError`` or ``OSError`` while a scenario loads or runs), 3 a strict-mode
 finding (a hypothesis or validity check that should have held but did not).
 """
 
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
             ))
             for label, scenario, base_dir in scenarios
         ]
-    except (ScenarioError, OSError) as e:
+    except (ValueError, OSError) as e:  # ScenarioError is a ValueError
         problems = e.problems if isinstance(e, ScenarioError) else [str(e)]
         for p in problems:
             print(f"scenario error: {p}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .frames import (
     frame_operator,
     ordinary_bounds,
     theta_bounds,
+    valid_bounds,
 )
 from .groups import Subgroup
 from .operators import (
@@ -175,13 +176,7 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
     diag_report = ordinary_bounds(diagonal, tol)
     family = image_system(theta, diagonal)
     image_report = theta_bounds(family, theta, tol)
-    cmp_tol = tol * max(1.0, tightness)
-    lower_valid = image_report.lower_exists and (
-        image_report.alpha_opt is None or tightness <= image_report.alpha_opt + cmp_tol
-    )
-    upper_valid = image_report.upper_exists and (
-        tightness >= (image_report.beta_opt or 0.0) - cmp_tol
-    )
+    lower_valid, upper_valid = valid_bounds(image_report, tightness, tightness, tol)
     return TightConstruction(
         tightness, True, [], diagonal, diag_report, family, image_report,
         lower_valid, upper_valid,
@@ -236,14 +231,8 @@ def check_image_frame(theta: SpaceOperator, system, tol: float = DEFAULT_TOL) ->
     image_report = theta_bounds(family, theta, tol)
     bounds_valid = None
     if source_report.lower_exists:
-        cmp_tol = tol * max(1.0, source_report.beta_opt)
-        bounds_valid = (
-            image_report.lower_exists
-            and image_report.upper_exists
-            and (image_report.alpha_opt is None
-                 or source_report.alpha_opt <= image_report.alpha_opt + cmp_tol)
-            and source_report.beta_opt >= (image_report.beta_opt or 0.0) - cmp_tol
-        )
+        bounds_valid = all(valid_bounds(image_report, source_report.alpha_opt,
+                                        source_report.beta_opt, tol))
     return ImageFrameReport(hypotheses, source_report, image_report, "theta", bounds_valid)
 
 
@@ -271,14 +260,8 @@ def check_composed_image(xi: SpaceOperator, theta: SpaceOperator, system,
     image_report = theta_bounds(family, composed, tol)
     bounds_valid = None
     if source_report.lower_exists and source_report.upper_exists and source_report.alpha_opt is not None:
-        cmp_tol = tol * max(1.0, source_report.beta_opt or 1.0)
-        bounds_valid = (
-            image_report.lower_exists
-            and image_report.upper_exists
-            and (image_report.alpha_opt is None
-                 or source_report.alpha_opt <= image_report.alpha_opt + cmp_tol)
-            and (source_report.beta_opt or 0.0) >= (image_report.beta_opt or 0.0) - cmp_tol
-        )
+        bounds_valid = all(valid_bounds(image_report, source_report.alpha_opt,
+                                        source_report.beta_opt, tol))
     return ImageFrameReport(hypotheses, source_report, image_report, "xi_theta", bounds_valid)
 
 
@@ -320,17 +303,12 @@ def omega_characterization(system, theta: SpaceOperator,
     n = family.space.n
     omega = analysis_matrix(family).conj().T  # signal-space x coefficient-space
 
-    basis_condition = True
-    for mi, member in enumerate(family.members):
-        for a in range(n):
-            for b in range(n):
-                unit = np.zeros((n, n), dtype=np.complex128)
-                unit[a, b] = 1.0
-                expected = member.left_multiply(unit)
-                col = omega[:, (mi * n + a) * n + b]
-                got = MatrixSignal.from_flat(family.space, col)
-                if np.abs(got.values - expected.values).max() > tol:
-                    basis_condition = False
+    # column (m, a, b) of Omega, unflattened, must be E_ab f_m for the matrix unit E_ab
+    got = omega.reshape(family.space.group.order, n, n, len(family), n, n)
+    got = got / np.sqrt(family.space.weight())
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[a, b] = E_ab
+    expected = np.einsum("abpq,mxqr->xprmab", units, family._stack)
+    basis_condition = bool(np.all(np.abs(got - expected) <= tol))
     s = frame_operator(family, as_operator=False)
     gram = omega @ omega.conj().T
     max_dev = float(np.abs(gram - s).max())

@@ -49,6 +49,7 @@ __all__ = [
     "frame_operator",
     "ordinary_bounds",
     "theta_bounds",
+    "valid_bounds",
     "bounded_below_promotion",
 ]
 
@@ -241,7 +242,7 @@ def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
     eigs = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
     alpha = float(eigs[0])
     beta = float(eigs[-1])
-    lower = alpha > tol
+    lower = alpha > tol * beta
     return BoundsReport(
         lower_exists=lower,
         upper_exists=True,
@@ -282,6 +283,18 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
         spectra=sol.spectra,
         cross_check=cross,
     )
+
+
+def valid_bounds(report: BoundsReport, lower: float, upper: float,
+                 tol: float = DEFAULT_TOL) -> tuple[bool, bool]:
+    """(lower_valid, upper_valid): whether ``lower`` and ``upper`` are a lower and
+    an upper bound for the system ``report`` describes, to ``tol * |upper|``."""
+    slack = tol * abs(upper)
+    lower_valid = report.lower_exists and (
+        report.alpha_opt is None or lower <= report.alpha_opt + slack
+    )
+    upper_valid = report.upper_exists and upper >= (report.beta_opt or 0.0) - slack
+    return lower_valid, upper_valid
 
 
 @dataclass(frozen=True)
@@ -328,9 +341,7 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     predicted_lower = ordinary.alpha_opt / (adj_norm * adj_norm)
     predicted_upper = ordinary.beta_opt / (sigma * sigma)
     controlled = theta_bounds(system, theta, tol)
-    cmp_tol = tol * max(1.0, predicted_upper)
-    lower_valid = controlled.lower_exists and predicted_lower <= controlled.alpha_opt + cmp_tol
-    upper_valid = controlled.upper_exists and predicted_upper >= controlled.beta_opt - cmp_tol
+    lower_valid, upper_valid = valid_bounds(controlled, predicted_lower, predicted_upper, tol)
     return PromotionResult(
         True,
         "ok",

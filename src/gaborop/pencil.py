@@ -131,40 +131,26 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
     return PencilSolution(lower_exists, upper_exists, alpha, beta, spectra, certificates)
 
 
-def _slack(s: np.ndarray, p: np.ndarray) -> float:
-    scale = max(
-        1.0,
-        float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0,
-        float(np.linalg.eigvalsh(p)[-1]) if p.size else 0.0,
-    )
-    return PSD_SLACK_RTOL * scale
-
-
 def bisect_max_alpha(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
                      max_iter: int = 200) -> float:
-    """Largest alpha >= 0 with s - alpha p PSD (monotone bisection).
+    """Largest alpha >= 0 with s - alpha p PSD (monotone bisection to relative
+    ``width``).
 
     alpha -> min-eig(s - alpha p) is concave and nonincreasing for PSD p, so
     the feasible set is an interval [0, alpha_opt].
     """
-    slack = _slack(s, p)
-    feasible = lambda a: _min_eig(s - a * p) >= -slack
+    s_top, p_vals = _top(np.linalg.eigvalsh(s)), np.linalg.eigvalsh(p)
+    top_p = _top(p_vals)
+    # slack relative to the larger of s and alpha p: the same test at any scale
+    feasible = lambda a: _min_eig(s - a * p) >= -PSD_SLACK_RTOL * max(s_top, a * top_p)
     if not feasible(0.0):
         return 0.0  # s itself only PSD up to noise; nothing more to gain
-    p_pos = np.linalg.eigvalsh(p)
-    top_p = float(p_pos[-1]) if p_pos.size else 0.0
-    if top_p <= slack:
+    if top_p <= 0.0:
         raise ValueError("pencil degenerate: controlling matrix vanishes")
-    pos = p_pos[p_pos > KERNEL_RTOL * top_p]
-    s_top = float(np.linalg.eigvalsh(s)[-1])
-    hi = s_top / float(pos[0]) + 1.0
-    for _ in range(60):
-        if not feasible(hi):
-            break
-        hi *= 2.0
-    lo = 0.0
+    # s >= alpha p forces alpha * top(p) <= top(s), so twice that is infeasible
+    lo, hi = 0.0, 2.0 * s_top / top_p
     for _ in range(max_iter):
-        if hi - lo <= max(width, width * abs(hi)):
+        if hi - lo <= width * hi:
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -176,27 +162,22 @@ def bisect_max_alpha(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
 
 def bisect_min_beta(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
                     max_iter: int = 200) -> float:
-    """Smallest beta >= 0 with beta p - s PSD (monotone bisection)."""
-    slack = _slack(s, p)
-    feasible = lambda b: _min_eig(b * p - s) >= -slack
+    """Smallest beta >= 0 with beta p - s PSD (monotone bisection to relative
+    ``width``)."""
+    s_top, p_vals = _top(np.linalg.eigvalsh(s)), np.linalg.eigvalsh(p)
+    top_p = _top(p_vals)
+    feasible = lambda b: _min_eig(b * p - s) >= -PSD_SLACK_RTOL * max(s_top, b * top_p)
     if feasible(0.0):
         return 0.0
-    p_pos = np.linalg.eigvalsh(p)
-    top_p = float(p_pos[-1]) if p_pos.size else 0.0
-    if top_p <= slack:
+    if top_p <= 0.0:
         raise ValueError("no finite upper constant: controlling matrix vanishes")
-    pos = p_pos[p_pos > KERNEL_RTOL * top_p]
-    s_top = float(np.linalg.eigvalsh(s)[-1])
-    hi = s_top / float(pos[0]) + 1.0
-    for _ in range(60):
-        if feasible(hi):
-            break
-        hi *= 2.0
-    else:
+    # once ker p <= ker s, beta <= top(s) / (least positive eigenvalue of p)
+    hi = 2.0 * s_top / float(p_vals[p_vals > KERNEL_RTOL * top_p][0])
+    if not feasible(hi):
         raise ValueError("no finite upper constant: kernel of p meets support of s")
     lo = 0.0
     for _ in range(max_iter):
-        if hi - lo <= max(width, width * abs(hi)):
+        if hi - lo <= width * hi:
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import BoundsReport, GaborSystem, frame_operator, theta_bounds
+from .frames import BoundsReport, GaborSystem, frame_operator, theta_bounds, valid_bounds
 from .groups import GroupMismatchError
 from .operators import DEFAULT_TOL, SpaceOperator, lower_bound_constant, operator_norm
 
@@ -198,11 +198,7 @@ def verify_perturbation(system: GaborSystem, perturbed: GaborSystem,
     if lower <= 0:
         return check, PertPrediction(False, lower, upper, None, None, None)
     report = theta_bounds(perturbed, theta, tol)
-    cmp_tol = tol * max(1.0, upper)
-    lower_valid = report.lower_exists and (
-        report.alpha_opt is None or lower <= report.alpha_opt + cmp_tol
-    )
-    upper_valid = report.upper_exists and upper >= (report.beta_opt or 0.0) - cmp_tol
+    lower_valid, upper_valid = valid_bounds(report, lower, upper, tol)
     return check, PertPrediction(True, lower, upper, report, lower_valid, upper_valid)
 
 
@@ -295,9 +291,5 @@ def verify_sum(system: GaborSystem, second: GaborSystem, theta: SpaceOperator,
         [w + v for w, v in zip(system.windows, second.windows)]
     )
     report = theta_bounds(summed, theta, tol)
-    cmp_tol = tol * max(1.0, upper)
-    lower_valid = report.lower_exists and (
-        report.alpha_opt is None or lower <= report.alpha_opt + cmp_tol
-    )
-    upper_valid = report.upper_exists and upper >= (report.beta_opt or 0.0) - cmp_tol
+    lower_valid, upper_valid = valid_bounds(report, lower, upper, tol)
     return check, PertPrediction(lower > 0, lower, upper, report, lower_valid, upper_valid)

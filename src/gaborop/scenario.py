@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from .constructions import (
     omega_characterization,
     tight_theta_frame,
 )
-from .frames import GaborSystem, ordinary_bounds, theta_bounds
+from .frames import GaborSystem, ordinary_bounds, theta_bounds, valid_bounds
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
@@ -49,218 +51,20 @@ __all__ = [
     "spectra_file",
 ]
 
-TASKS = (
-    "ordinary_bounds",
-    "theta_bounds",
-    "hyponormal",
-    "adjointable",
-    "tight_construct",
-    "omega_check",
-    "image_check",
-    "pert_check",
-    "sum_check",
+# The schema files are the one source of the scenario and report formats.
+SCENARIO_SCHEMA, REPORT_SCHEMA = (
+    json.loads((resources.files(__package__) / "schemas" / f"{name}.schema.json")
+               .read_text(encoding="utf-8"))
+    for name in ("scenario", "report")
 )
 
-_COMPLEX_ENTRY = {
-    "oneOf": [
-        {"type": "number"},
-        {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    ]
+# one validator per scenario form, keyed on whether the form names a preset 'source'
+_FORM_VALIDATORS = {
+    "source" in form["properties"]:
+        Draft202012Validator({"$defs": SCENARIO_SCHEMA["$defs"], **form})
+    for form in SCENARIO_SCHEMA["oneOf"]
 }
-
-_SCALAR_WINDOW = {
-    "oneOf": [
-        {"const": 0},
-        {
-            "type": "object",
-            "properties": {
-                "window": {
-                    "enum": ["fourier_indicator", "values", "delta", "zero", "scaled"]
-                },
-                "set": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                "scale": {"type": "number"},
-                "values": {"type": "array", "items": _COMPLEX_ENTRY},
-                "at": {"type": "array", "items": {"type": "integer"}},
-                "of": {"$ref": "#/$defs/scalar_window"},
-            },
-            "required": ["window"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_WINDOW = {
-    "oneOf": [
-        {"$ref": "#/$defs/scalar_window"},
-        {
-            "type": "object",
-            "properties": {
-                "matrix": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"$ref": "#/$defs/scalar_window"}},
-                }
-            },
-            "required": ["matrix"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_LATTICE = {
-    "oneOf": [
-        {"enum": ["full", "trivial"]},
-        {
-            "type": "object",
-            "properties": {
-                "gens": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                }
-            },
-            "required": ["gens"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_AUTOMORPHISM = {
-    "type": "array",
-    "items": {
-        "oneOf": [
-            {"type": "integer"},
-            {"type": "array", "items": {"type": "integer"}},
-        ]
-    },
-}
-
-_GENS = {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}}
-
-_SYSTEM = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "n": {"type": "integer", "minimum": 1},
-        "lattice": _LATTICE,
-        "dual_lattice": _LATTICE,
-        "lattice_gens": _GENS,
-        "dual_lattice_gens": _GENS,
-        "automorphism": _AUTOMORPHISM,
-        "dual_automorphism": _AUTOMORPHISM,
-        "windows": {"type": "array", "items": _WINDOW, "minItems": 0},
-    },
-    "required": ["name", "n", "windows"],
-    "additionalProperties": False,
-}
-
-_OPERATOR = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "kind": {"enum": ["entry_map", "dense", "identity", "zero"]},
-        "n": {"type": "integer", "minimum": 1},
-        "matrix": {"type": "array", "items": {"type": "array", "items": _COMPLEX_ENTRY}},
-        "data_file": {"type": "string"},
-    },
-    "required": ["name", "kind", "n"],
-    "additionalProperties": False,
-}
-
-_COMPACT_FORM = {
-    "type": "object",
-    "properties": {
-        "source": {"type": "string"},
-        "task": {"enum": list(TASKS)},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "args": {"type": "object"},
-        "lambda": {"type": "number", "minimum": 0},
-        "mu": {"type": "number", "minimum": 0},
-        "eta": {"type": "number", "minimum": 0},
-        "use_paper_bounds": {"type": "boolean"},
-    },
-    "required": ["source"],
-    "additionalProperties": False,
-}
-
-_FULL_FORM = {
-    "type": "object",
-    "properties": {
-        "description": {"type": "string"},
-        "task": {"enum": list(TASKS)},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "group": {
-            "type": "object",
-            "properties": {
-                "factors": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
-                "weight_convention": {
-                    "oneOf": [
-                        {"enum": ["torus_like", "counting"]},
-                        {
-                            "type": "object",
-                            "properties": {
-                                "w_group": {"type": "number", "exclusiveMinimum": 0},
-                                "w_dual": {"type": "number", "exclusiveMinimum": 0},
-                            },
-                            "required": ["w_group", "w_dual"],
-                            "additionalProperties": False,
-                        },
-                    ]
-                },
-            },
-            "required": ["factors"],
-            "additionalProperties": False,
-        },
-        "systems": {"type": "array", "items": _SYSTEM},
-        "operators": {"type": "array", "items": _OPERATOR},
-        "args": {"type": "object"},
-    },
-    "required": ["task", "group", "systems"],
-    "additionalProperties": False,
-}
-
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$id": "https://example.invalid/gaborop/scenario.schema.json",
-    "title": "gaborop scenario",
-    "$defs": {"scalar_window": _SCALAR_WINDOW},
-    "oneOf": [_COMPACT_FORM, _FULL_FORM],
-}
-
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$id": "https://example.invalid/gaborop/report.schema.json",
-    "title": "gaborop report",
-    "type": "object",
-    "properties": {
-        "toolkit_version": {"type": "string"},
-        "task": {"enum": list(TASKS)},
-        "tolerance": {"type": "number"},
-        "scenario": {"type": "object"},
-        "results": {"type": "object"},
-        "findings": {"type": "array", "items": {"type": "string"}},
-        "provenance": {"type": "object"},
-        "timing_seconds": {"type": "number"},
-    },
-    "required": [
-        "toolkit_version",
-        "task",
-        "tolerance",
-        "scenario",
-        "results",
-        "findings",
-        "provenance",
-        "timing_seconds",
-    ],
-    "additionalProperties": False,
-}
+_REPORT_VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
 
 
 class ScenarioError(ValueError):
@@ -276,20 +80,22 @@ def validate_scenario(raw: dict) -> None:
 
     The compact and full forms are discriminated on the ``source`` key before
     validating, so errors carry the paths of the actual offending fields
-    instead of a blanket oneOf failure.
+    instead of a blanket oneOf failure.  The full form checks ``args``
+    against the schema of its task.
     """
-    branch = _COMPACT_FORM if "source" in raw else _FULL_FORM
-    schema = {"$defs": {"scalar_window": _SCALAR_WINDOW}, **branch}
-    validator = Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        problems = []
-        for e in errors:
-            path = "$" + "".join(
-                f"[{p}]" if isinstance(p, int) else f".{p}" for p in e.absolute_path
-            )
+    validator = _FORM_VALIDATORS["source" in raw]
+    problems = []
+    for e in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
+        path = "$" + "".join(
+            f"[{p}]" if isinstance(p, int) else f".{p}" for p in e.absolute_path
+        )
+        if e.validator == "required":  # each missing key at its own path
+            problems += [f"{path}.{key}: required property is missing"
+                         for key in e.validator_value if key not in e.instance]
+        else:
             problems.append(f"{path}: {e.message}")
-        raise ScenarioError(problems)
+    if problems:
+        raise ScenarioError(dict.fromkeys(problems))  # a required error repeats per missing key
 
 
 _PRESET_ARG_KEYS = ("lambda", "mu", "eta", "use_paper_bounds")
@@ -514,189 +320,180 @@ def spectra_file(base, label: str, single: bool) -> Path:
     return base if single else base.with_name(f"{base.stem}_{label}{base.suffix or '.csv'}")
 
 
-def _run_task(scenario: dict, systems: dict, operators: dict, tol: float):
-    task = scenario["task"]
-    args = scenario.get("args", {})
-    findings: list[str] = []
-    results: dict = {}
-    provenance: dict = {}
-    bounds_reports: dict = {}   # label -> (BoundsReport, path of its dict in results)
+@dataclass
+class _Outcome:
+    """A task's result: report objects (or dicts of them and plain values)
+    serialised as ``results``, the bounds reports whose spectra may be
+    written, keyed by file label, findings and provenance entries."""
 
-    if task == "ordinary_bounds":
-        wanted = args.get("systems") or list(systems)
-        for name in wanted:
-            if name not in systems:
-                raise ScenarioError([f"$.args.systems: unknown system {name!r}"])
-            rep = ordinary_bounds(systems[name], tol)
-            results[name] = rep.to_json_dict()
-            bounds_reports[name] = (rep, (name,))
+    results: object
+    spectra: dict = field(default_factory=dict)
+    findings: list = field(default_factory=list)
+    provenance: dict = field(default_factory=dict)
 
-    elif task == "theta_bounds":
-        system = _need(args, "system", systems, "system")
-        theta = _need(args, "operator", operators, "operator")
-        ordinary = ordinary_bounds(system, tol)
-        controlled = theta_bounds(system, theta, tol)
-        findings += _cross_check_findings("theta_bounds", controlled)
-        results = {
-            "ordinary": ordinary.to_json_dict(),
-            "controlled": controlled.to_json_dict(),
-            "operator": diagnostics(theta, tol).to_json_dict(),
-        }
-        bounds_reports = {
-            "ordinary": (ordinary, ("ordinary",)),
-            "controlled": (controlled, ("controlled",)),
-        }
 
-    elif task == "hyponormal":
-        theta = _need(args, "operator", operators, "operator")
-        results = {"operator": diagnostics(theta, tol).to_json_dict()}
+def _as_json(value):
+    if isinstance(value, dict):
+        return {key: _as_json(v) for key, v in value.items()}
+    return value.to_json_dict() if hasattr(value, "to_json_dict") else value
 
-    elif task == "adjointable":
-        theta = _need(args, "operator", operators, "operator")
-        results = {"operator": diagnostics(theta, tol).to_json_dict()}
 
-    elif task == "tight_construct":
-        source = _need(args, "source_system", systems, "system")
-        theta = _need(args, "operator", operators, "operator")
-        if source.space.n != 1:
-            raise ScenarioError(["$.args.source_system: source must be scalar (n=1)"])
-        try:
-            source = normalize_to_parseval(source, tol)
-        except ValueError as e:
-            raise ScenarioError([f"$.args.source_system: {e}"]) from e
-        construction = tight_theta_frame(
-            float(args.get("tightness", 1.0)), source, int(args["dimension"]), theta, tol
+def _pinned(args: dict, key: str):
+    """The bound pair under ``key`` when ``use_paper_bounds`` pins it, else None."""
+    return tuple(float(v) for v in args[key]) if args.get("use_paper_bounds") else None
+
+
+def _prediction_findings(task: str, prediction) -> list[str]:
+    findings = []
+    if prediction.lower_valid is False:
+        findings.append(f"{task}: predicted lower bound exceeds the computed optimal one")
+    if prediction.upper_valid is False:
+        findings.append(f"{task}: predicted upper bound undercuts the computed optimal one")
+    return findings
+
+
+def _ordinary_bounds(args, systems, operators, tol) -> _Outcome:
+    reports = {}
+    for name in args.get("systems") or list(systems):
+        if name not in systems:
+            raise ScenarioError([f"$.args.systems: unknown system {name!r}"])
+        reports[name] = ordinary_bounds(systems[name], tol)
+    return _Outcome(reports, reports)
+
+
+def _theta_bounds(args, systems, operators, tol) -> _Outcome:
+    system = _need(args, "system", systems, "system")
+    theta = _need(args, "operator", operators, "operator")
+    ordinary = ordinary_bounds(system, tol)
+    controlled = theta_bounds(system, theta, tol)
+    return _Outcome(
+        {"ordinary": ordinary, "controlled": controlled, "operator": diagnostics(theta, tol)},
+        {"ordinary": ordinary, "controlled": controlled},
+        _cross_check_findings("theta_bounds", controlled),
+    )
+
+
+def _operator_diagnostics(args, systems, operators, tol) -> _Outcome:
+    return _Outcome({"operator": diagnostics(_need(args, "operator", operators, "operator"), tol)})
+
+
+def _tight_construct(args, systems, operators, tol) -> _Outcome:
+    source = _need(args, "source_system", systems, "system")
+    theta = _need(args, "operator", operators, "operator")
+    if source.space.n != 1:
+        raise ScenarioError(["$.args.source_system: source must be scalar (n=1)"])
+    try:
+        source = normalize_to_parseval(source, tol)
+    except ValueError as e:
+        raise ScenarioError([f"$.args.source_system: {e}"]) from e
+    construction = tight_theta_frame(
+        float(args.get("tightness", 1.0)), source, int(args["dimension"]), theta, tol
+    )
+    if not construction.hypothesis_ok:
+        return _Outcome(construction,
+                        findings=[f"tight_construct: {r}" for r in construction.reasons])
+    t, rep = construction.tightness, construction.diagonal_report
+    findings = []
+    if not (rep.tight and all(valid_bounds(rep, t, t, tol))):
+        findings.append(
+            f"tight_construct: diagonal system is not {t}-tight "
+            f"(bounds {rep.alpha_opt}, {rep.beta_opt})"
         )
-        results = construction.to_json_dict()
-        if not construction.hypothesis_ok:
-            findings += [f"tight_construct: {r}" for r in construction.reasons]
-        else:
-            bounds_reports = {
-                "diagonal": (construction.diagonal_report, ("diagonal_report",)),
-                "image": (construction.image_report, ("image_report",)),
-            }
-            t = construction.tightness
-            rep = construction.diagonal_report
-            if not (rep.tight and abs(rep.alpha_opt - t) <= tol * max(1.0, t)):
-                findings.append(
-                    f"tight_construct: diagonal system is not {t}-tight "
-                    f"(bounds {rep.alpha_opt}, {rep.beta_opt})"
-                )
-            if not (construction.lower_valid and construction.upper_valid):
-                findings.append("tight_construct: requested tightness is not a valid bound pair")
+    if not (construction.lower_valid and construction.upper_valid):
+        findings.append("tight_construct: requested tightness is not a valid bound pair")
+    return _Outcome(construction, {"diagonal": rep, "image": construction.image_report},
+                    findings)
 
-    elif task == "omega_check":
-        system = _need(args, "system", systems, "system")
-        theta = _need(args, "operator", operators, "operator")
-        omega = omega_characterization(system, theta, tol)
-        controlled = theta_bounds(system, theta, tol)
-        results = {
-            "omega": omega.to_json_dict(),
-            "controlled": controlled.to_json_dict(),
-            "verdicts_agree": bool(
-                omega.lower_exists == controlled.lower_exists
-                and omega.upper_exists == controlled.upper_exists
-            ),
-        }
-        bounds_reports = {"controlled": (controlled, ("controlled",))}
-        if not omega.basis_condition:
-            findings.append("omega_check: synthesis operator misses the coefficient basis")
-        if omega.max_gram_deviation > 1e-10:
-            findings.append(
-                f"omega_check: Omega Omega^* deviates from the frame operator by "
-                f"{omega.max_gram_deviation}"
-            )
-        if not results["verdicts_agree"]:
-            findings.append("omega_check: existence verdicts disagree with the direct route")
 
-    elif task == "image_check":
-        system = _need(args, "system", systems, "system")
-        outer = _need(args, "operator", operators, "operator")
-        if args.get("inner_operator"):
-            inner = _need(args, "inner_operator", operators, "operator")
-            report = check_composed_image(outer, inner, system, tol)
-        else:
-            report = check_image_frame(outer, system, tol)
-        results = report.to_json_dict()
-        bounds_reports = {
-            "source": (report.source_report, ("source_report",)),
-            "image": (report.image_report, ("image_report",)),
-        }
-        if all(v for k, v in report.hypotheses.items() if isinstance(v, bool)):
-            if report.bounds_valid is False:
-                findings.append(
-                    "image_check: hypotheses hold but the source bounds are not valid "
-                    "for the image family"
-                )
-
-    elif task == "pert_check":
-        system = _need(args, "system", systems, "system")
-        perturbed = _need(args, "perturbed_system", systems, "system")
-        theta = _need(args, "operator", operators, "operator")
-        bounds = None
-        if args.get("use_paper_bounds"):
-            pinned = args.get("paper_bounds")
-            if not pinned:
-                raise ScenarioError(["$.args.paper_bounds: required when use_paper_bounds"])
-            bounds = (float(pinned[0]), float(pinned[1]))
-        check, prediction = verify_perturbation(
-            system, perturbed, theta,
-            float(args.get("lambda", 0.0)), float(args.get("mu", 0.0)),
-            float(args.get("eta", 0.0)), bounds, tol,
+def _omega_check(args, systems, operators, tol) -> _Outcome:
+    system = _need(args, "system", systems, "system")
+    theta = _need(args, "operator", operators, "operator")
+    omega = omega_characterization(system, theta, tol)
+    controlled = theta_bounds(system, theta, tol)
+    agree = bool(omega.lower_exists == controlled.lower_exists
+                 and omega.upper_exists == controlled.upper_exists)
+    findings = []
+    if not omega.basis_condition:
+        findings.append("omega_check: synthesis operator misses the coefficient basis")
+    if omega.max_gram_deviation > 1e-10:
+        findings.append(
+            f"omega_check: Omega Omega^* deviates from the frame operator by "
+            f"{omega.max_gram_deviation}"
         )
-        provenance["bounds_source"] = check.bounds_source
-        results = {"hypothesis": check.to_json_dict(), "prediction": prediction.to_json_dict()}
-        if prediction.perturbed_report is not None:
-            bounds_reports = {
-                "perturbed": (prediction.perturbed_report,
-                              ("prediction", "perturbed_report")),
-            }
-        if check.holds and prediction.applicable:
-            if prediction.lower_valid is False:
-                findings.append(
-                    "pert_check: predicted lower bound exceeds the computed optimal one"
-                )
-            if prediction.upper_valid is False:
-                findings.append(
-                    "pert_check: predicted upper bound undercuts the computed optimal one"
-                )
+    if not agree:
+        findings.append("omega_check: existence verdicts disagree with the direct route")
+    return _Outcome({"omega": omega, "controlled": controlled, "verdicts_agree": agree},
+                    {"controlled": controlled}, findings)
 
-    elif task == "sum_check":
-        system = _need(args, "system", systems, "system")
-        second = _need(args, "second_system", systems, "system")
-        theta = _need(args, "operator", operators, "operator")
-        bounds_first = bounds_second = None
-        if args.get("use_paper_bounds"):
-            bf, bs = args.get("paper_bounds_first"), args.get("paper_bounds_second")
-            if not bf or not bs:
-                raise ScenarioError(
-                    ["$.args.paper_bounds_first/paper_bounds_second: required "
-                     "when use_paper_bounds"]
-                )
-            bounds_first = (float(bf[0]), float(bf[1]))
-            bounds_second = (float(bs[0]), float(bs[1]))
-        check, prediction = verify_sum(system, second, theta, bounds_first, bounds_second, tol)
-        provenance["bounds_source"] = check.bounds_source
-        results = {"hypothesis": check.to_json_dict(), "prediction": prediction.to_json_dict()}
-        if prediction.perturbed_report is not None:
-            bounds_reports = {
-                "summed": (prediction.perturbed_report,
-                           ("prediction", "perturbed_report")),
-            }
-        if check.condition_ok and prediction.applicable:
-            if prediction.lower_valid is False:
-                findings.append(
-                    "sum_check: predicted lower bound exceeds the computed optimal one"
-                )
-            if prediction.upper_valid is False:
-                findings.append(
-                    "sum_check: predicted upper bound undercuts the computed optimal one"
-                )
 
-    else:  # unreachable given schema, kept for safety
-        raise ScenarioError([f"$.task: unknown task {task!r}"])
+def _image_check(args, systems, operators, tol) -> _Outcome:
+    system = _need(args, "system", systems, "system")
+    outer = _need(args, "operator", operators, "operator")
+    if args.get("inner_operator"):
+        inner = _need(args, "inner_operator", operators, "operator")
+        report = check_composed_image(outer, inner, system, tol)
+    else:
+        report = check_image_frame(outer, system, tol)
+    findings = []
+    if all(v for v in report.hypotheses.values() if isinstance(v, bool)) \
+            and report.bounds_valid is False:
+        findings.append(
+            "image_check: hypotheses hold but the source bounds are not valid "
+            "for the image family"
+        )
+    return _Outcome(report, {"source": report.source_report, "image": report.image_report},
+                    findings)
 
-    return results, findings, provenance, bounds_reports
+
+def _pert_check(args, systems, operators, tol) -> _Outcome:
+    system = _need(args, "system", systems, "system")
+    perturbed = _need(args, "perturbed_system", systems, "system")
+    theta = _need(args, "operator", operators, "operator")
+    check, prediction = verify_perturbation(
+        system, perturbed, theta,
+        float(args.get("lambda", 0.0)), float(args.get("mu", 0.0)),
+        float(args.get("eta", 0.0)), _pinned(args, "paper_bounds"), tol,
+    )
+    return _Outcome(
+        {"hypothesis": check, "prediction": prediction},
+        {} if prediction.perturbed_report is None
+        else {"perturbed": prediction.perturbed_report},
+        _prediction_findings("pert_check", prediction)
+        if check.holds and prediction.applicable else [],
+        {"bounds_source": check.bounds_source},
+    )
+
+
+def _sum_check(args, systems, operators, tol) -> _Outcome:
+    system = _need(args, "system", systems, "system")
+    second = _need(args, "second_system", systems, "system")
+    theta = _need(args, "operator", operators, "operator")
+    check, prediction = verify_sum(
+        system, second, theta, _pinned(args, "paper_bounds_first"),
+        _pinned(args, "paper_bounds_second"), tol,
+    )
+    return _Outcome(
+        {"hypothesis": check, "prediction": prediction},
+        {} if prediction.perturbed_report is None
+        else {"summed": prediction.perturbed_report},
+        _prediction_findings("sum_check", prediction)
+        if check.condition_ok and prediction.applicable else [],
+        {"bounds_source": check.bounds_source},
+    )
+
+
+# task name -> handler(args, systems, operators, tol); the schemas' task enums list these keys
+TASKS = {
+    "ordinary_bounds": _ordinary_bounds,
+    "theta_bounds": _theta_bounds,
+    "hyponormal": _operator_diagnostics,
+    "adjointable": _operator_diagnostics,
+    "tight_construct": _tight_construct,
+    "omega_check": _omega_check,
+    "image_check": _image_check,
+    "pert_check": _pert_check,
+    "sum_check": _sum_check,
+}
 
 
 def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
@@ -718,27 +515,21 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
         spec["name"]: _build_operator(group, measure, spec, base_dir)
         for spec in scenario.get("operators", [])
     }
-    _check_cross_references(scenario["task"], scenario.get("args", {}), systems, operators)
-    results, findings, provenance, bounds_reports = _run_task(
-        scenario, systems, operators, tolerance
-    )
+    args = scenario.get("args", {})
+    _check_cross_references(scenario["task"], args, systems, operators)
+    outcome = TASKS[scenario["task"]](args, systems, operators, tolerance)
     if "provenance_preset" in scenario:
-        provenance["preset"] = scenario["provenance_preset"]
+        outcome.provenance["preset"] = scenario["provenance_preset"]
 
     spectra_files = {}
-    if spectra_path is not None and bounds_reports:
-        for label, (rep, result_path) in bounds_reports.items():
-            eigs = rep.spectra.get("frame_operator", [])
-            name = spectra_file(spectra_path, label, len(bounds_reports) == 1)
+    if spectra_path is not None:
+        for label, rep in outcome.spectra.items():
+            name = spectra_file(spectra_path, label, len(outcome.spectra) == 1)
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("index,eigenvalue\n")
-                for i, v in enumerate(sorted(eigs)):
+                for i, v in enumerate(sorted(rep.spectra.get("frame_operator", []))):
                     fh.write(f"{i},{v!r}\n")
-            spectra_files[label] = str(name)
-            target = results
-            for key in result_path:
-                target = target[key]
-            target["spectrum_file"] = str(name)
+            spectra_files[label] = rep.spectrum_file = str(name)
 
     scenario_echo = {k: v for k, v in scenario.items() if k != "provenance_preset"}
     report = {
@@ -746,10 +537,10 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
         "task": scenario["task"],
         "tolerance": tolerance,
         "scenario": scenario_echo,
-        "results": results,
-        "findings": findings,
-        "provenance": {**provenance, "spectra_files": spectra_files},
+        "results": _as_json(outcome.results),
+        "findings": outcome.findings,
+        "provenance": {**outcome.provenance, "spectra_files": spectra_files},
         "timing_seconds": time.perf_counter() - start,
     }
-    Draft202012Validator(REPORT_SCHEMA).validate(report)
+    _REPORT_VALIDATOR.validate(report)
     return report

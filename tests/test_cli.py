@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from gaborop.presets import PRESETS, build_preset, list_presets
 from gaborop.scenario import (
     REPORT_SCHEMA,
     SCENARIO_SCHEMA,
+    TASKS,
     ScenarioError,
     load_scenario,
     run_scenario,
@@ -210,12 +210,14 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     assert json.loads(out.read_text())["tolerance"] == 1e-6
 
 
-def test_schema_files_match_embedded():
-    root = Path(__file__).resolve().parents[1]
-    on_disk = json.loads((root / "schemas" / "scenario.schema.json").read_text())
-    assert on_disk == SCENARIO_SCHEMA
-    on_disk = json.loads((root / "schemas" / "report.schema.json").read_text())
-    assert on_disk == REPORT_SCHEMA
+def test_schema_task_enums_match_task_table():
+    forms = SCENARIO_SCHEMA["oneOf"]
+    for schema in (*forms, REPORT_SCHEMA):
+        assert schema["properties"]["task"]["enum"] == list(TASKS)
+    # the full form picks each task's args schema once
+    full = next(form for form in forms if "allOf" in form)
+    picked = [rule["if"]["properties"]["task"]["const"] for rule in full["allOf"]]
+    assert picked == list(TASKS)
 
 
 def test_all_presets_validate_and_run():
@@ -312,6 +314,33 @@ def test_pert_check_window_count_mismatch_exits_2(tmp_path, capsys):
     assert main(["--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "scenario error: $.args.perturbed_system: 'perturbed' has 1 windows" in err
+
+
+def _drop_dimension(scenario):
+    del scenario["args"]["dimension"]
+
+
+def _zero_second_windows(scenario):
+    second = next(s for s in scenario["systems"] if s["name"] == "second")
+    second["windows"] = [{"matrix": [[0, 0], [0, 0]]} for _ in second["windows"]]
+
+
+@pytest.mark.parametrize("preset,corrupt,message", [
+    ("pertexa", lambda s: s["args"].update({"lambda": -1}), "$.args.lambda: "),
+    ("thm2-tight", _drop_dimension, "$.args.dimension: "),
+    ("thm2-tight", lambda s: s["args"].update({"tightness": "x"}), "$.args.tightness: "),
+    ("pertexa", lambda s: s["args"].update({"use_paper_bounds": True, "paper_bounds": [1]}),
+     "$.args.paper_bounds: "),
+    ("sumexa", _zero_second_windows, "second system needs a positive upper bound"),
+], ids=["negative-lambda", "no-dimension", "text-tightness", "short-paper-bounds",
+        "zero-second-windows"])
+def test_malformed_task_args_exit_2(tmp_path, capsys, preset, corrupt, message):
+    scenario = build_preset(preset)
+    corrupt(scenario)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err
 
 
 def test_missing_operator_file_exits_2(tmp_path, capsys):

@@ -323,9 +323,11 @@ def test_coefficient_lookup():
     phase=st.floats(0.0, 2 * np.pi),
 )
 @example(case="remark-theta0", c=1e-6, phase=0.0)
+@example(case=3, c=1e-6, phase=0.0)  # an ordinary frame
 def test_window_scaling_scales_constants(case, c, phase):
     # windows times c: S scales by |c|^2, the grams stay, so alpha and beta
-    # scale by |c|^2 and no verdict moves, down to tiny windows
+    # scale by |c|^2 and no verdict moves, down to tiny windows; the same
+    # holds for the ordinary bounds
     if case == "remark-theta0":
         system = column_window_system()
         theta = selector_op(system.space)
@@ -334,11 +336,15 @@ def test_window_scaling_scales_constants(case, c, phase):
         system = random_system(rng)
         theta = random_entry_op(system.space, rng, ("singular", "general", "invertible")[case % 3])
     scale = c * np.exp(1j * phase)
+    scaled_system = system.with_windows([w * scale for w in system.windows])
     base = theta_bounds(system, theta)
-    scaled = theta_bounds(system.with_windows([w * scale for w in system.windows]), theta)
+    scaled = theta_bounds(scaled_system, theta)
     verdicts = lambda r: (r.lower_exists, r.upper_exists, r.tight,
                           r.alpha_opt is None, r.beta_opt is None)
     assert verdicts(scaled) == verdicts(base)
+    ordinary, ordinary_scaled = ordinary_bounds(system), ordinary_bounds(scaled_system)
+    assert verdicts(ordinary_scaled) == verdicts(ordinary)
+    assert ordinary_scaled.beta_opt == pytest.approx(c * c * ordinary.beta_opt, rel=1e-9, abs=0.0)
     for have, want in ((scaled.alpha_opt, base.alpha_opt), (scaled.beta_opt, base.beta_opt)):
         if want is not None:
             assert have == pytest.approx(c * c * want, rel=1e-9, abs=0.0)

@@ -57,7 +57,13 @@ def test_coupled_kernel_needs_schur_complement():
 
 def test_bisection_matches_oracle_randomised(rng):
     # bisection is the oracle for the solver's constants; every constant the
-    # solver reports also passes its own residual certificate
+    # solver reports also passes its own residual certificate.  The oracle is
+    # scale-free: S = 2e-11 I against P = I has both constants 2e-11
+    tiny, eye = 2e-11 * np.eye(4, dtype=complex), np.eye(4, dtype=complex)
+    sol = solve_pencils(tiny, eye, eye)
+    assert sol.alpha == pytest.approx(2e-11, rel=1e-12, abs=0.0)
+    assert bisect_max_alpha(tiny, eye) == pytest.approx(sol.alpha, rel=1e-9, abs=0.0)
+    assert bisect_min_beta(tiny, eye) == pytest.approx(sol.beta, rel=1e-9, abs=0.0)
     dim = 6
     for trial in range(50):
         s = _random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
