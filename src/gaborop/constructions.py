@@ -24,6 +24,7 @@ from .frames import (
     BoundsReport,
     GaborSystem,
     VectorFamily,
+    _as_family,
     analysis_matrix,
     frame_operator,
     ordinary_bounds,
@@ -189,8 +190,7 @@ def image_system(op: SpaceOperator, system) -> VectorFamily:
     Images are generally no longer lattice-generated, so the result is a
     plain vector family sharing the frame machinery.
     """
-    family = system.family() if isinstance(system, GaborSystem) else system
-    return family.transformed(op)
+    return _as_family(system).transformed(op)
 
 
 @dataclass
@@ -297,8 +297,6 @@ def omega_characterization(system, theta: SpaceOperator,
     exactly), compares Omega Omega^* against the frame operator entrywise,
     and extracts extremal constants from the pencil of Omega Omega^*.
     """
-    from .frames import _as_family
-
     family = _as_family(system)
     n = family.space.n
     omega = analysis_matrix(family).conj().T  # signal-space x coefficient-space
@@ -307,7 +305,7 @@ def omega_characterization(system, theta: SpaceOperator,
     got = omega.reshape(family.space.group.order, n, n, len(family), n, n)
     got = got / np.sqrt(family.space.weight())
     units = np.eye(n * n).reshape(n, n, n, n)  # units[a, b] = E_ab
-    expected = np.einsum("abpq,mxqr->xprmab", units, family._stack)
+    expected = np.einsum("abpq,mxqr->xprmab", units, family.array)
     basis_condition = bool(np.all(np.abs(got - expected) <= tol))
     s = frame_operator(family, as_operator=False)
     gram = omega @ omega.conj().T

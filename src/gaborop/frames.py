@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import Automorphism, GroupMismatchError, Subgroup
+from .groups import Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates
 from .operators import (
     DEFAULT_TOL,
     SpaceOperator,
@@ -35,7 +35,7 @@ from .operators import (
     operator_norm,
 )
 from .pencil import KERNEL_RTOL, solve_pencils
-from .signals import MatrixSignal, SignalSpace, modulate, translate
+from .signals import MatrixSignal, SignalSpace, _roll
 
 __all__ = [
     "GaborSystem",
@@ -55,35 +55,34 @@ __all__ = [
 
 
 class VectorFamily:
-    """A finite family of matrix signals sharing one space.
+    """A finite family of matrix signals sharing one space, stored as one array.
 
-    ``labels`` names each member (for Gabor systems the (l, k, m) triple);
-    members are kept in a fixed order so coefficient layouts are
-    reproducible.
+    ``array`` has shape (members, |G|, n, n).  ``labels`` names each member
+    (for Gabor systems the (l, k, m) triple); members are kept in a fixed
+    order so coefficient layouts are reproducible.
     """
 
-    def __init__(self, space: SignalSpace, members: Sequence[MatrixSignal],
-                 labels: Optional[Sequence] = None):
-        for f in members:
-            if f.space != space or f.dual:
-                raise GroupMismatchError("family member does not live in the given space")
+    def __init__(self, space: SignalSpace, array, labels: Optional[Sequence] = None):
+        arr = np.asarray(array, dtype=np.complex128)
+        if arr.ndim != 4 or arr.shape[1:] != (space.group.order, space.n, space.n):
+            raise GroupMismatchError("family array does not live in the given space")
         self.space = space
-        self.members = tuple(members)
-        self.labels = tuple(labels) if labels is not None else tuple(range(len(members)))
-        if len(self.labels) != len(self.members):
+        self.array = arr.view()  # read-only view; the caller's array stays writable
+        self.array.flags.writeable = False
+        self.labels = tuple(labels) if labels is not None else tuple(range(len(arr)))
+        if len(self.labels) != len(arr):
             raise ValueError("labels and members differ in length")
-        self._stack = (
-            np.stack([f.values for f in members])
-            if members
-            else np.zeros((0, space.group.order, space.n, space.n), dtype=np.complex128)
-        )
+
+    @property
+    def members(self) -> tuple[MatrixSignal, ...]:
+        return tuple(MatrixSignal(self.space, values) for values in self.array)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.array)
 
     def transformed(self, op: SpaceOperator) -> "VectorFamily":
         """The family of images under ``op`` (labels preserved)."""
-        return VectorFamily(self.space, [op.apply(f) for f in self.members], self.labels)
+        return VectorFamily(self.space, op.apply_array(self.array), self.labels)
 
     def __repr__(self):
         return f"<family of {len(self)} signals on {self.space.group!r}, n={self.space.n}>"
@@ -117,14 +116,19 @@ class GaborSystem:
 
     def family(self) -> VectorFamily:
         """All modulated translates, in (window, translation, modulation) order."""
-        members, labels = [], []
-        for l, w in enumerate(self.windows):
-            for k in self.lattice:
-                shifted = translate(w, self.automorphism(k))
-                for m in self.dual_lattice:
-                    members.append(modulate(shifted, self.dual_automorphism(m)))
-                    labels.append((l, k.coords, m.coords))
-        return VectorFamily(self.space, members, labels)
+        group = self.space.group
+        # the reshape gives zero windows their (0, |G|, n, n) shape
+        windows = np.array([w.values for w in self.windows], dtype=np.complex128).reshape(
+            len(self.windows), group.order, self.space.n, self.space.n)
+        shifted = np.stack([_roll(windows, group, self.automorphism(k).coords)
+                            for k in self.lattice], axis=1)
+        etas = np.array([self.dual_automorphism(m).coords for m in self.dual_lattice],
+                        dtype=np.int64)
+        phases = _characters(group, etas[:, None, :], _coordinates(group))  # (|Gamma|, |G|)
+        array = shifted[:, :, None] * phases[:, :, None, None]
+        labels = [(l, k.coords, m.coords) for l in range(len(self.windows))
+                  for k in self.lattice for m in self.dual_lattice]
+        return VectorFamily(self.space, array.reshape((-1,) + windows.shape[1:]), labels)
 
     def with_windows(self, windows: Sequence[MatrixSignal]) -> "GaborSystem":
         return GaborSystem(
@@ -165,7 +169,7 @@ def analysis(system, f: MatrixSignal) -> CoefficientSequence:
     if f.space != family.space or f.dual:
         raise GroupMismatchError("signal does not match the system's space")
     w = family.space.weight()
-    coeffs = w * np.einsum("xir,mxjr->mij", f.values, np.conj(family._stack))
+    coeffs = w * np.einsum("xir,mxjr->mij", f.values, np.conj(family.array))
     return CoefficientSequence(family.labels, coeffs)
 
 
@@ -174,7 +178,7 @@ def synthesis(system, coeffs: CoefficientSequence) -> MatrixSignal:
     family = _as_family(system)
     if coeffs.labels != family.labels:
         raise ValueError("coefficient index set does not match the family")
-    values = np.einsum("mij,mxjk->xik", coeffs.array, family._stack)
+    values = np.einsum("mij,mxjk->xik", coeffs.array, family.array)
     return MatrixSignal(family.space, values)
 
 
@@ -187,7 +191,7 @@ def analysis_matrix(system) -> np.ndarray:
     family = _as_family(system)
     n = family.space.n
     w = family.space.weight()
-    conj_stack = np.sqrt(w) * np.conj(family._stack)  # (m, x, j, r)
+    conj_stack = np.sqrt(w) * np.conj(family.array)  # (m, x, j, r)
     a = np.einsum("ip,mxjr->mijxpr", np.eye(n), conj_stack)
     return a.reshape(len(family) * n * n, family.space.dim)
 
@@ -332,7 +336,7 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     bounds; both predictions are checked against the computed extremal ones.
     """
     sigma = lower_bound_constant(theta)
-    if sigma <= tol:
+    if sigma <= tol * operator_norm(theta):
         return PromotionResult(False, "operator is not bounded below")
     ordinary = ordinary_bounds(system, tol)
     if not ordinary.lower_exists:

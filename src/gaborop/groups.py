@@ -11,7 +11,6 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -93,21 +92,6 @@ class FiniteAbelianGroup:
             idx = idx * n + c
         return idx
 
-    def element_at(self, index: int) -> "GroupElement":
-        return GroupElement(self, self._coords_at(index))
-
-    def dual_element_at(self, index: int) -> "DualElement":
-        return DualElement(self, self._coords_at(index))
-
-    def _coords_at(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.order:
-            raise IndexError(f"element index {index} out of range for order {self.order}")
-        coords = []
-        for n in reversed(self.factors):
-            index, c = divmod(index, n)
-            coords.append(c)
-        return tuple(reversed(coords))
-
     def __repr__(self):
         return "Z" + "xZ".join(str(n) for n in self.factors)
 
@@ -180,24 +164,26 @@ def character_value(gamma: DualElement, x: GroupElement) -> complex:
         raise GroupMismatchError("character_value expects (DualElement, GroupElement)")
     if gamma.group != x.group:
         raise GroupMismatchError("character and point belong to different groups")
-    return _character_phase(gamma.group, gamma.coords, x.coords)
+    return complex(_characters(gamma.group, gamma.coords, x.coords))
 
 
-def _character_phase(group: FiniteAbelianGroup, gcoords, xcoords) -> complex:
-    # exact rational phase: sum_i g_i x_i * (L/N_i) mod L, L = lcm of factors
-    L = math.lcm(*group.factors)
-    k = sum(g * x * (L // n) for g, x, n in zip(gcoords, xcoords, group.factors)) % L
-    if k == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * cmath.pi * k / L)
+def _coordinates(group: FiniteAbelianGroup) -> np.ndarray:
+    """Coordinates of every element in canonical order, shape (|G|, rank)."""
+    return np.indices(group.factors).reshape(group.rank, -1).T
 
 
-def _pairing_is_trivial(gamma: _Element, x: _Element) -> bool:
-    # exact integer test: sum_i g_i x_i / N_i is an integer
-    group = gamma.group
-    L = math.lcm(*group.factors)
-    k = sum(g * c * (L // n) for g, c, n in zip(gamma.coords, x.coords, group.factors))
-    return k % L == 0
+def _characters(group: FiniteAbelianGroup, gamma, x) -> np.ndarray:
+    """Character values over integer coordinate arrays (coordinate axis last).
+
+    ``gamma`` and ``x`` broadcast against each other.  The phase is the exact
+    integer k = sum_i gamma_i x_i (L / N_i) mod L, L the lcm of the factors,
+    so a trivial pairing (k == 0) gives exactly 1 and no other pairing does.
+    """
+    factors = np.asarray(group.factors, dtype=np.int64)
+    lcm = math.lcm(*group.factors)
+    prod = np.asarray(gamma, dtype=np.int64) * np.asarray(x, dtype=np.int64) % factors
+    k = (prod * (lcm // factors)).sum(axis=-1) % lcm
+    return np.exp(2j * np.pi * k / lcm)
 
 
 class Subgroup:
@@ -295,16 +281,17 @@ def annihilator(lattice: Subgroup) -> Subgroup:
     versa; |lattice| * |annihilator| = |G| always.
     """
     group = lattice.group
-    if lattice.dual:
-        candidates = group.elements()
-    else:
-        candidates = group.dual_elements()
-    members = [c for c in candidates if all(_pairing_is_trivial(c, x) for x in lattice)]
+    coords = _coordinates(group)
+    trivial = np.ones(group.order, dtype=bool)
+    for g in lattice.generators:  # trivial on the subgroup iff trivial on its generators
+        trivial &= _characters(group, coords, g.coords) == 1
+    side = GroupElement if lattice.dual else DualElement
+    members = [side(group, tuple(c)) for c in coords[trivial].tolist()]
     result = Subgroup.__new__(Subgroup)
     result.group = group
     result.dual = not lattice.dual
     result.generators = tuple(members)
-    result.members = tuple(sorted(members))
+    result.members = tuple(members)
     result._member_set = frozenset(members)
     assert len(lattice) * len(result) == group.order
     return result
@@ -422,45 +409,24 @@ class MeasurePair:
         return cls(1.0, 1.0 / group.order, group.order)
 
 
-class _CharacterTable:
-    """Cached |G| x |G| table  T[gamma_index, x_index] = character value."""
-
-    _cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    @classmethod
-    def get(cls, group: FiniteAbelianGroup) -> np.ndarray:
-        tab = cls._cache.get(group.factors)
-        if tab is None:
-            n = group.order
-            tab = np.empty((n, n), dtype=np.complex128)
-            elems = list(group.elements())
-            duals = list(group.dual_elements())
-            for gi, g in enumerate(duals):
-                for xi, x in enumerate(elems):
-                    tab[gi, xi] = _character_phase(group, g.coords, x.coords)
-            tab.flags.writeable = False
-            cls._cache[group.factors] = tab
-        return tab
-
-
-def character_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """Read-only table of all character values, indexed (dual, primal)."""
-    return _CharacterTable.get(group)
+def _transform(signal, fft, norm: str = "backward") -> np.ndarray:
+    # the factor axes of G are the leading axes of the reshaped values
+    group = signal.space.group
+    grid = signal.values.reshape(group.factors + signal.values.shape[1:])
+    return fft(grid, axes=tuple(range(group.rank)), norm=norm).reshape(signal.values.shape)
 
 
 def fourier(signal):
     """Fourier transform of a matrix signal, entrywise.
 
     ``fhat(gamma) = w_G * sum_x f(x) * conj(character_value(gamma, x))``.
-    Returns a signal on the dual side.  Direct O(|G|^2) evaluation.
+    Returns a signal on the dual side.  One FFT over the factor axes.
     """
     from .signals import MatrixSignal  # cycle kept local to the transform pair
 
     if signal.dual:
         raise GroupMismatchError("fourier expects a signal on the primal side")
-    tab = character_table(signal.space.group)
-    w = signal.space.measure.w_group
-    values = w * np.einsum("gx,xij->gij", np.conj(tab), signal.values)
+    values = signal.space.measure.w_group * _transform(signal, np.fft.fftn)
     return MatrixSignal(signal.space, values, dual=True)
 
 
@@ -470,7 +436,6 @@ def inverse_fourier(signal):
 
     if not signal.dual:
         raise GroupMismatchError("inverse_fourier expects a signal on the dual side")
-    tab = character_table(signal.space.group)
-    w = signal.space.measure.w_dual
-    values = w * np.einsum("gx,gij->xij", tab, signal.values)
+    # norm="forward" leaves the inverse sum unscaled
+    values = signal.space.measure.w_dual * _transform(signal, np.fft.ifftn, norm="forward")
     return MatrixSignal(signal.space, values, dual=False)

@@ -100,12 +100,17 @@ class SpaceOperator:
     def apply(self, f: MatrixSignal) -> MatrixSignal:
         if f.space != self.space or f.dual:
             raise GroupMismatchError("signal does not live in this operator's space")
-        n = self.space.n
+        return MatrixSignal(self.space, self.apply_array(f.values))
+
+    def apply_array(self, values: np.ndarray) -> np.ndarray:
+        """Images of a stack of signal values, shape (..., |G|, n, n), in one product."""
+        shape = values.shape
         if self.kind == "entry_map":
-            flat_vals = f.values.reshape(f.values.shape[0], n * n)
-            out = flat_vals @ self.entry_matrix.T
-            return MatrixSignal(self.space, out.reshape(f.values.shape))
-        return MatrixSignal.from_flat(self.space, self.dense_matrix @ f.flatten())
+            flat = values.reshape(shape[:-2] + (self.space.n * self.space.n,))
+            return (flat @ self.entry_matrix.T).reshape(shape)
+        # the sqrt(w) scale of flattened coordinates cancels
+        flat = values.reshape(shape[:-3] + (self.space.dim,))
+        return (flat @ self.dense_matrix.T).reshape(shape)
 
     def __call__(self, f: MatrixSignal) -> MatrixSignal:
         return self.apply(f)
@@ -205,57 +210,25 @@ def is_hyponormal_on_range(op: SpaceOperator, range_of: SpaceOperator,
     return min_eig >= -tol, min_eig
 
 
-def _entry_apply(L: np.ndarray, a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return (L @ a.reshape(-1)).reshape(n, n)
-
-
 def is_mv_adjointable(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     """Whether the trace adjoint also serves as a matrix-pairing adjoint.
 
-    Checks mv_inner(T e_i, e_j) == mv_inner(e_i, adjoint(T) e_j) over the
-    basis of matrix units at single group points; by sesquilinearity this
-    settles the identity for all signals.
+    Checking mv_inner(T e_i, e_j) == mv_inner(e_i, adjoint(T) e_j) over the
+    matrix units at single points (which settles it for all signals by
+    sesquilinearity) says that T acts by right multiplication: six-indexed
+    as M[z, p, d, y, a, b] (output point and entry, input point and entry),
+    M = delta(p, a) R[z, d, y, b].  So the entries with p != a and the
+    pairwise spread over p of the entries with p == a must all be at most
+    ``tol * max(1, max|M|)``.  An entry map is the one-point case.
     """
     n = op.space.n
-    if op.kind == "entry_map":
-        L = op.entry_matrix
-        Ls = L.conj().T
-        scale = max(1.0, float(np.abs(L).max()))
-        for a in range(n):
-            for b in range(n):
-                ea = np.zeros((n, n), dtype=np.complex128)
-                ea[a, b] = 1.0
-                ta = _entry_apply(L, ea)
-                for c in range(n):
-                    for d in range(n):
-                        eb = np.zeros((n, n), dtype=np.complex128)
-                        eb[c, d] = 1.0
-                        lhs = ta @ eb.conj().T
-                        rhs = ea @ _entry_apply(Ls, eb).conj().T
-                        if np.abs(lhs - rhs).max() > tol * scale:
-                            return False
-        return True
-    return _dense_mv_adjointable(op, tol)
-
-
-def _dense_mv_adjointable(op: SpaceOperator, tol: float) -> bool:
-    # Condition in index form, derived from mv_inner on the point-mass basis:
-    # M six-indexed as M6[z,p,d,y,a,b] must satisfy
-    #   M6[z,p,d,y,a,b] * delta(q,c) == M6[z,c,d,y,q,b] * delta(p,a)
-    # for all indices; checked blockwise per source point z.
-    g = op.space.group.order
-    n = op.space.n
-    m6 = op.to_dense().reshape(g, n, n, g, n, n)
-    eye = np.eye(n)
-    scale = max(1.0, float(np.abs(m6).max()))
-    for z in range(g):
-        blk = m6[z]  # [p, d, y, a, b]
-        lhs = np.einsum("pdyab,qc->pdyabqc", blk, eye)
-        rhs = np.einsum("cdyqb,pa->pdyabqc", blk, eye)
-        if np.abs(lhs - rhs).max() > tol * scale:
-            return False
-    return True
+    m = op._rep()
+    points = m.shape[0] // (n * n)
+    m6 = m.reshape(points, n, n, points, n, n)
+    off_diagonal = np.abs(m6 * (1.0 - np.eye(n))[:, None, None, :, None]).max()
+    diagonal = np.diagonal(m6, axis1=1, axis2=4)  # [z, d, y, b, p]
+    spread = np.abs(diagonal[..., :, None] - diagonal[..., None, :]).max()
+    return bool(max(off_diagonal, spread) <= tol * max(1.0, float(np.abs(m).max())))
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,8 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
     used (the report records which).
     """
     m_o = lower_bound_constant(theta.adjoint())
-    if m_o <= tol:
+    theta_norm = operator_norm(theta)
+    if m_o <= tol * theta_norm:
         return PertCheck(None, False, False, False, None, False, "n/a")
     if bounds is not None:
         gamma_o, delta_o = bounds
@@ -141,7 +142,7 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
             return PertCheck(None, True, False, False, None, False, "computed")
         gamma_o, delta_o = rep.alpha_opt, rep.beta_opt
         source = "computed"
-    hyp = PertHypothesis(lam, mu, eta, gamma_o, delta_o, m_o, operator_norm(theta))
+    hyp = PertHypothesis(lam, mu, eta, gamma_o, delta_o, m_o, theta_norm)
 
     s = frame_operator(system, as_operator=False)
     d = frame_operator(_difference_system(system, perturbed), as_operator=False)
@@ -256,16 +257,17 @@ def check_sum_hypothesis(system: GaborSystem, second: GaborSystem,
         bounds_second = (gamma_2, rep2.beta_opt)
     gamma_1, delta_1 = bounds_first
     gamma_2, delta_2 = bounds_second
-    if delta_2 is None or delta_2 <= tol:
+    if delta_2 is None or delta_2 <= 0:
         raise ValueError("second system needs a positive upper bound (zero windows rejected)")
     m_o = lower_bound_constant(theta.adjoint())
-    if m_o <= tol:
+    theta_norm = operator_norm(theta)
+    if m_o <= tol * theta_norm:
         return SumCheck(False, False, None, None, gamma_1, delta_1, gamma_2, delta_2,
-                        m_o, operator_norm(theta), source)
+                        m_o, theta_norm, source)
     lhs = float(np.sqrt(gamma_1 / delta_2))
-    rhs = operator_norm(theta) / m_o
+    rhs = theta_norm / m_o
     return SumCheck(True, lhs > rhs, lhs, rhs, gamma_1, delta_1, gamma_2, delta_2,
-                    m_o, operator_norm(theta), source)
+                    m_o, theta_norm, source)
 
 
 def sum_predicted_bounds(gamma_1: float, delta_1: float, delta_2: float,

@@ -21,7 +21,8 @@ from .groups import (
     GroupElement,
     GroupMismatchError,
     MeasurePair,
-    character_table,
+    _characters,
+    _coordinates,
 )
 
 __all__ = [
@@ -187,18 +188,20 @@ def frobenius_norm(f: MatrixSignal) -> float:
     return float(np.sqrt(w) * np.linalg.norm(f.values))
 
 
+def _roll(values: np.ndarray, group: FiniteAbelianGroup, shift) -> np.ndarray:
+    """Values of shape (..., |G|, n, n) moved x -> values(x - shift) over the factor axes."""
+    lead = values.shape[:-3]
+    grid = values.reshape(lead + group.factors + values.shape[-2:])
+    axes = tuple(range(len(lead), len(lead) + group.rank))
+    return np.roll(grid, shift, axis=axes).reshape(values.shape)
+
+
 def translate(f: MatrixSignal, a) -> MatrixSignal:
     """Shift x -> f(x - a); an isometry."""
     expected = DualElement if f.dual else GroupElement
     if not isinstance(a, expected) or a.group != f.space.group:
         raise GroupMismatchError("translation amount lives on the wrong side")
-    group = f.space.group
-    order = group.order
-    perm = np.empty(order, dtype=np.intp)
-    same = group.dual_element_at if f.dual else group.element_at
-    for xi in range(order):
-        perm[xi] = (same(xi) - a).index
-    return MatrixSignal(f.space, f.values[perm], dual=f.dual)
+    return MatrixSignal(f.space, _roll(f.values, f.space.group, a.coords), dual=f.dual)
 
 
 def modulate(f: MatrixSignal, eta) -> MatrixSignal:
@@ -210,6 +213,6 @@ def modulate(f: MatrixSignal, eta) -> MatrixSignal:
     expected = GroupElement if f.dual else DualElement
     if not isinstance(eta, expected) or eta.group != f.space.group:
         raise GroupMismatchError("modulation label lives on the wrong side")
-    tab = character_table(f.space.group)
-    phases = tab[:, eta.index] if f.dual else tab[eta.index, :]
+    group = f.space.group
+    phases = _characters(group, eta.coords, _coordinates(group))
     return MatrixSignal(f.space, phases[:, None, None] * f.values, dual=f.dual)

@@ -52,6 +52,44 @@ def oracle_fourier(signal: MatrixSignal) -> np.ndarray:
     return out
 
 
+def oracle_family(system: GaborSystem):
+    """(array, labels) of every modulated translate, by coordinate arithmetic.
+
+    Member (l, k, m) is x -> chi_{B m}(x) g_l(x - A k) with A and B the
+    automorphism matrices, in (window, translation, modulation) order.
+    """
+    group = system.space.group
+    factors = group.factors
+    n = system.space.n
+
+    def index(coords):
+        idx = 0
+        for c, size in zip(coords, factors):
+            idx = idx * size + c % size
+        return idx
+
+    def image(matrix, coords):
+        return [sum(int(matrix[i][j]) * coords[j] for j in range(len(coords))) % factors[i]
+                for i in range(len(coords))]
+
+    members, labels = [], []
+    for l, window in enumerate(system.windows):
+        for k in system.lattice:
+            shift = image(system.automorphism.matrix, k.coords)
+            for m in system.dual_lattice:
+                eta = image(system.dual_automorphism.matrix, m.coords)
+                values = np.zeros((group.order, n, n), dtype=np.complex128)
+                for x in group.elements():
+                    source = index([c - s for c, s in zip(x.coords, shift)])
+                    phase = oracle_character(factors, eta, x.coords)
+                    for i in range(n):
+                        for j in range(n):
+                            values[index(x.coords), i, j] = phase * window.values[source, i, j]
+                members.append(values)
+                labels.append((l, k.coords, m.coords))
+    return np.array(members).reshape(-1, group.order, n, n), labels
+
+
 def oracle_mv_inner(f: MatrixSignal, g: MatrixSignal) -> np.ndarray:
     n = f.space.n
     w = f.space.weight(f.dual)

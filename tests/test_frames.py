@@ -6,23 +6,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaborop import (
+    Automorphism,
+    FiniteAbelianGroup,
     GaborSystem,
     MatrixSignal,
+    MeasurePair,
+    SignalSpace,
     SpaceOperator,
     Subgroup,
     analysis,
     analysis_matrix,
     bounded_below_promotion,
+    check_pert_hypothesis,
+    check_sum_hypothesis,
     frame_operator,
+    modulate,
     mv_inner,
     ordinary_bounds,
     synthesis,
     theta_bounds,
     trace_inner,
+    translate,
 )
 from helpers import (
     column_window_system,
     flip_op,
+    oracle_family,
     oracle_frame_operator,
     oracle_frame_sum,
     pert_theta_op,
@@ -46,6 +55,26 @@ def test_family_enumeration_order():
     assert labels[1] == (0, (0,), (8,))
     assert labels[2] == (0, (2,), (0,))
     assert labels == sorted(labels)
+
+
+def test_family_matches_oracle_on_product_group(rng):
+    # a two-factor group, proper lattices and non-identity automorphisms on
+    # both sides, against member-by-member coordinate arithmetic
+    group = FiniteAbelianGroup((4, 6))
+    space = SignalSpace(group, 2, MeasurePair.torus_like(group))
+    lattice = Subgroup(group, [group.element([1, 2])])
+    dual_lattice = Subgroup(group, [group.dual_element([2, 0]), group.dual_element([0, 3])])
+    assert 1 < len(lattice) < group.order and 1 < len(dual_lattice) < group.order
+    system = GaborSystem(
+        space, (random_signal(space, rng), random_signal(space, rng)), lattice, dual_lattice,
+        Automorphism(group, [[1, 2], [3, 1]]), Automorphism(group, [[3, 2], [3, 5]], dual=True),
+    )
+    family = system.family()
+    array, labels = oracle_family(system)
+    assert list(family.labels) == labels
+    assert family.array.shape == array.shape == (2 * 12 * 4, 24, 2, 2)
+    assert np.abs(family.array - array).max() < 1e-12
+    assert np.array_equal(np.stack([f.values for f in family.members]), family.array)
 
 
 def test_analysis_zero_signal():
@@ -374,3 +403,83 @@ def test_theta_bounds_eigensolver_budget(monkeypatch):
         counts[system.space.dim] = len(calls)
     assert sorted(counts) == [64, 128]
     assert counts[64] == counts[128] <= 12
+
+
+def _unitary_move(case, shift, move):
+    rng = np.random.default_rng(case)
+    system = random_system(rng)
+    theta = random_entry_op(system.space, rng, ("singular", "general", "invertible")[case % 3])
+    group = system.space.group
+    if move == "translate":
+        a = group.element([shift])
+        moved = system.with_windows([translate(w, a) for w in system.windows])
+    else:
+        eta = group.dual_element([shift])
+        moved = system.with_windows([modulate(w, eta) for w in system.windows])
+    return system, moved, theta
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=st.integers(0, 2**32 - 1), shift=st.integers(0, 47),
+       move=st.sampled_from(["translate", "modulate"]))
+def test_moving_windows_keeps_bounds(case, shift, move):
+    # translating or modulating every window conjugates S by a unitary that
+    # commutes with every entry map, so no constant or verdict moves
+    system, moved, theta = _unitary_move(case, shift, move)
+    verdicts = lambda r: (r.lower_exists, r.upper_exists, r.tight,
+                          r.alpha_opt is None, r.beta_opt is None)
+    for bounds in (ordinary_bounds, lambda s: theta_bounds(s, theta)):
+        base, after = bounds(system), bounds(moved)
+        assert verdicts(after) == verdicts(base)
+        scale = abs(base.beta_opt or 0.0) + abs(base.alpha_opt or 0.0)
+        for have, want in ((after.alpha_opt, base.alpha_opt), (after.beta_opt, base.beta_opt)):
+            if want is not None:
+                assert have == pytest.approx(want, rel=1e-9, abs=1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.one_of(st.just("phi"), st.integers(0, 2**32 - 1)),
+    c=st.floats(1e-6, 1e3),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+@example(case="phi", c=1e-10, phase=0.0)
+def test_operator_scaling_scales_constants(case, c, phase):
+    # T times c: T T* and T* T scale by |c|^2, so alpha and beta scale by
+    # 1/|c|^2, and the bounded-below tests (relative to ||T||) keep every
+    # verdict, down to 1e-10 * I on a tight frame
+    if case == "phi":
+        system = phi_system(2, 1)
+        theta = SpaceOperator.identity(system.space)
+    else:
+        rng = np.random.default_rng(case)
+        system = random_system(rng)
+        theta = random_entry_op(system.space, rng, ("singular", "general", "invertible")[case % 3])
+    scale = c * np.exp(1j * phase)
+    scaled_theta = SpaceOperator.from_entry_map(system.space, scale * theta.entry_matrix)
+    verdicts = lambda r: (r.lower_exists, r.upper_exists, r.tight,
+                          r.alpha_opt is None, r.beta_opt is None)
+    base, scaled = theta_bounds(system, theta), theta_bounds(system, scaled_theta)
+    assert verdicts(scaled) == verdicts(base)
+    for have, want in ((scaled.alpha_opt, base.alpha_opt), (scaled.beta_opt, base.beta_opt)):
+        if want is not None:
+            assert have == pytest.approx(want / (c * c), rel=1e-9, abs=0.0)
+    promotion = bounded_below_promotion(system, theta)
+    promotion_scaled = bounded_below_promotion(system, scaled_theta)
+    assert ((promotion_scaled.hypothesis_ok, promotion_scaled.reason,
+             promotion_scaled.lower_valid, promotion_scaled.upper_valid)
+            == (promotion.hypothesis_ok, promotion.reason,
+                promotion.lower_valid, promotion.upper_valid))
+    pert = check_pert_hypothesis(system, system, theta, 0.0, 0.0, 0.0)
+    pert_scaled = check_pert_hypothesis(system, system, scaled_theta, 0.0, 0.0, 0.0)
+    assert ((pert_scaled.bounded_below_ok, pert_scaled.holds)
+            == (pert.bounded_below_ok, pert.holds))
+    if base.upper_exists and base.beta_opt:
+        total = check_sum_hypothesis(system, system, theta)
+        total_scaled = check_sum_hypothesis(system, system, scaled_theta)
+        assert ((total_scaled.bounded_below_ok, total_scaled.condition_ok)
+                == (total.bounded_below_ok, total.condition_ok))
+    if case == "phi":
+        assert promotion_scaled.hypothesis_ok and scaled.tight
+        assert promotion_scaled.lower_valid and promotion_scaled.upper_valid
+        assert scaled.alpha_opt == pytest.approx(8.0 / (c * c), rel=1e-9, abs=0.0)

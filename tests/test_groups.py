@@ -188,6 +188,26 @@ def test_fourier_shift_identities(rng):
         ).max() < 1e-10
 
 
+def test_transforms_and_shifts_stay_small_at_4096():
+    # no |G| x |G| table: each operation holds O(|G|) memory (the signal
+    # itself is 64 KB here, a character table would be 268 MB)
+    import tracemalloc
+
+    g = FiniteAbelianGroup((4096,))
+    space = SignalSpace(g, 1, MeasurePair.torus_like(g))
+    f = MatrixSignal(space, np.arange(4096.0).reshape(4096, 1, 1))
+    tracemalloc.start()
+    try:
+        fhat = fourier(f)
+        inverse_fourier(fhat)
+        translate(f, g.element([5]))
+        modulate(f, g.dual_element([7]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_automorphism_identity_and_unit():
     from gaborop import apply_automorphism
 

@@ -132,6 +132,22 @@ def test_right_multiplication_always_adjointable(space, rng):
         assert np.abs(op.apply(f).values - f.values @ m).max() < 1e-12
 
 
+def test_dense_right_multiplication_by_varying_kernel(space, rng):
+    # (T f)(z) = sum_y f(y) R(z, y) with a kernel varying across points:
+    # M[z, p, d, y, a, b] = delta(p, a) R[z, d, y, b] is adjointable, and
+    # 1e-6 of noise breaks the index condition well above the tolerance
+    g, n = space.group.order, space.n
+    kernel = rng.standard_normal((g, n, g, n)) + 1j * rng.standard_normal((g, n, g, n))
+    m6 = np.einsum("pa,zdyb->zpdyab", np.eye(n), kernel)
+    op = SpaceOperator.from_dense(space, m6.reshape(space.dim, space.dim))
+    assert is_mv_adjointable(op)
+    f = random_signal(space, rng)
+    expected = np.einsum("ypb,zdyb->zpd", f.values, kernel)
+    assert np.abs(op.apply(f).values - expected).max() < 1e-10
+    noise = 1e-6 * rng.standard_normal((space.dim, space.dim))
+    assert not is_mv_adjointable(SpaceOperator.from_dense(space, op.to_dense() + noise))
+
+
 def test_entry_map_dense_duality(space, rng):
     for op in (selector_op(space), pert_theta_op(space), random_entry_op(space, rng)):
         dense = SpaceOperator.from_dense(space, op.to_dense())

@@ -238,6 +238,17 @@ def test_sum_rejects_zero_second_system(setup):
         check_sum_hypothesis(setup["system"], zero_system, setup["theta"])
 
 
+def test_sum_accepts_small_second_system(setup):
+    # second windows times 1e-6: delta_2 ~ 4e-13 is small but positive, so
+    # the condition is checked and holds, and the predicted bounds are valid
+    small = setup["second"].with_windows([w * 1e-6 for w in setup["second"].windows])
+    check, prediction = verify_sum(setup["system"], small, setup["theta"])
+    assert check.delta_2 == pytest.approx(4e-13, rel=1e-9)
+    assert check.bounded_below_ok and check.condition_ok
+    assert prediction.applicable
+    assert prediction.lower_valid and prediction.upper_valid
+
+
 def test_sum_hypothesis_fails_without_lower_bound(setup):
     check = check_sum_hypothesis(
         setup["system"], setup["second"], selector_op(setup["system"].space)
