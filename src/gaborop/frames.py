@@ -7,7 +7,11 @@ lattice (composed with an automorphism) and modulations over a dual lattice
 not lattice-generated (images under operators) share all the analysis,
 synthesis and bound machinery through :class:`VectorFamily`.
 
-Ordinary bounds are the extreme eigenvalues of the frame operator.  The
+Ordinary bounds are the extreme eigenvalues of the frame operator.  For a
+Gabor system the frame operator is block-diagonal over the cosets of the
+annihilator of the modulation group (Walnut's representation), and an entry
+map acts pointwise, so bounds under an entry map (or none) are computed on
+those blocks; any other family or operator is one dense block.  The
 operator-controlled two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
@@ -23,7 +27,7 @@ lower constant iff ker S <= ker(adjoint T).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .operators import (
     lower_bound_constant,
     operator_norm,
 )
-from .pencil import KERNEL_RTOL, solve_pencils
+from .pencil import KERNEL_RTOL, _hermitian, solve_pencils
 from .signals import MatrixSignal, SignalSpace, _roll
 
 __all__ = [
@@ -206,6 +210,67 @@ def frame_operator(system, as_operator: bool = True):
     return SpaceOperator.from_dense(family.space, s)
 
 
+class _Blocks(NamedTuple):
+    """The frame operator as the diagonal blocks of a block-diagonal matrix."""
+
+    route: str          # "walnut" (coset blocks) or "dense" (one block)
+    index: np.ndarray   # (B, d) flat indices of each block
+    s: np.ndarray       # (B, d, d) the blocks
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.route, "blocks": len(self.s), "block_dim": self.s.shape[-1]}
+
+
+def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
+    """The frame operator of ``system`` as blocks on which ``theta`` also splits.
+
+    For a Gabor system with lattice translations A and modulation group Gamma,
+    summing the modulations gives S(y, x) = w |Gamma| sum_{l, a} g_l(y - a)^T
+    conj(g_l(x - a)) (times I_n on the row index) when x - y lies in the
+    annihilator of Gamma, and 0 otherwise (Walnut 1992).  So S is
+    block-diagonal over the |Gamma| cosets, each block is built straight from
+    the windows, and an entry map (or no operator) splits over the same
+    blocks.  A family or a dense operator gives one dense block.
+    """
+    if theta is not None and theta.space != system.space:
+        raise GroupMismatchError("operator does not act on the system's space")
+    if not isinstance(system, GaborSystem) or (theta is not None and theta.kind != "entry_map"):
+        s = frame_operator(system, as_operator=False)
+        return _Blocks("dense", np.arange(len(s))[None], s[None])
+    group, n = system.space.group, system.space.n
+    # a coset is the set of points where every modulation generator takes the
+    # same exact phase, so equal labels are bit-equal character values; the
+    # trivial character keeps the key list nonempty
+    gens = np.array([(0,) * group.rank] + [system.dual_automorphism(m).coords
+                                           for m in system.dual_lattice.generators],
+                    dtype=np.int64)
+    labels = _characters(group, gens[:, None, :], _coordinates(group))  # (gens, |G|)
+    points = np.lexsort(labels).reshape(len(system.dual_lattice), -1)  # (B, c), stable
+    blocks, c = points.shape
+    windows = np.array([w.values for w in system.windows], dtype=np.complex128).reshape(
+        len(system.windows), group.order, n, n)
+    shifted = np.stack([_roll(windows, group, system.automorphism(k).coords)
+                        for k in system.lattice], axis=1)  # (L, |A|, |G|, n, n)
+    # h[b, (l, a, q), (i, r)] = g_l(x_bi - a)[q, r] for the points x_bi of coset b
+    h = shifted[:, :, points].transpose(2, 0, 1, 4, 3, 5).reshape(blocks, -1, c * n)
+    k = system.space.weight() * len(system.dual_lattice) * (np.swapaxes(h, 1, 2) @ h.conj())
+    # S[(x_i, p, r), (x_j, t, s)] = delta(p, t) K(x_i, x_j)[r, s]
+    s = np.einsum("birjs,pt->biprjts", k.reshape(blocks, c, n, c, n), np.eye(n))
+    index = points[:, :, None] * (n * n) + np.arange(n * n)
+    return _Blocks("walnut", index.reshape(blocks, -1), s.reshape(blocks, c * n * n, c * n * n))
+
+
+def _operator_grams(theta: SpaceOperator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T T*, T* T) on one block of size ``dim``: kron(I, M M*) and kron(I, M* M)
+    for an entry map M, the dense products otherwise."""
+    if theta.kind == "entry_map":
+        m = theta.entry_matrix
+        eye = np.eye(dim // len(m))
+        return np.kron(eye, m @ m.conj().T), np.kron(eye, m.conj().T @ m)
+    t = theta.to_dense()
+    return t @ t.conj().T, t.conj().T @ t
+
+
 @dataclass
 class BoundsReport:
     """Existence flags and extremal constants of a frame inequality."""
@@ -219,6 +284,7 @@ class BoundsReport:
     spectra: dict = field(default_factory=dict)
     cross_check: dict = field(default_factory=dict)
     spectrum_file: Optional[str] = None
+    route: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,6 +296,7 @@ class BoundsReport:
             "tolerances": {"existence": self.tolerance, "kernel_rtol": KERNEL_RTOL},
             "cross_check": self.cross_check,
             "spectrum_file": self.spectrum_file,
+            "route": self.route,
         }
 
 
@@ -242,8 +309,11 @@ def _tightness(alpha: Optional[float], beta: Optional[float], tol: float) -> boo
 
 def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
     """Extreme eigenvalues of the frame operator; frame iff the least one is positive."""
-    s = frame_operator(system, as_operator=False)
-    eigs = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
+    return _ordinary_report(_frame_blocks(system), tol)
+
+
+def _ordinary_report(blocks: _Blocks, tol: float) -> BoundsReport:
+    eigs = np.sort(np.linalg.eigvalsh(_hermitian(blocks.s)), axis=None)
     alpha = float(eigs[0])
     beta = float(eigs[-1])
     lower = alpha > tol * beta
@@ -255,6 +325,7 @@ def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
         tight=lower and _tightness(alpha, beta, tol),
         tolerance=tol,
         spectra={"frame_operator": eigs.tolist()},
+        route=blocks.to_json_dict(),
     )
 
 
@@ -263,15 +334,15 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
 
     The closed-form constants of :func:`gaborop.pencil.solve_pencils` are
     reported and repeated in ``cross_check`` (``alpha_pinv``/``beta_pinv``)
-    beside their residual certificates (``alpha_certificate``/...).
+    beside their residual certificates (``alpha_certificate``/...); ``route``
+    says whether the coset blocks or the dense matrix were solved.
     """
-    family = _as_family(system)
-    if theta.space != family.space:
-        raise GroupMismatchError("operator does not act on the system's space")
-    s = frame_operator(family, as_operator=False)
-    t = theta.to_dense()
+    return _theta_report(_frame_blocks(system, theta), theta, tol)
+
+
+def _theta_report(blocks: _Blocks, theta: SpaceOperator, tol: float) -> BoundsReport:
     # T T* controls the lower side, T* T the upper side
-    sol = solve_pencils(s, t @ t.conj().T, t.conj().T @ t, tol)
+    sol = solve_pencils(blocks.s, *_operator_grams(theta, blocks.s.shape[-1]), tol)
     cross: dict = {}
     for name, value in (("alpha", sol.alpha), ("beta", sol.beta)):
         if value is not None:
@@ -286,6 +357,7 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
         tolerance=tol,
         spectra=sol.spectra,
         cross_check=cross,
+        route=blocks.to_json_dict(),
     )
 
 
@@ -338,13 +410,14 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     sigma = lower_bound_constant(theta)
     if sigma <= tol * operator_norm(theta):
         return PromotionResult(False, "operator is not bounded below")
-    ordinary = ordinary_bounds(system, tol)
+    blocks = _frame_blocks(system, theta)  # one build serves both reports
+    ordinary = _ordinary_report(blocks, tol)
     if not ordinary.lower_exists:
         return PromotionResult(False, "system is not an ordinary frame", ordinary=ordinary)
     adj_norm = operator_norm(theta.adjoint())
     predicted_lower = ordinary.alpha_opt / (adj_norm * adj_norm)
     predicted_upper = ordinary.beta_opt / (sigma * sigma)
-    controlled = theta_bounds(system, theta, tol)
+    controlled = _theta_report(blocks, theta, tol)
     lower_valid, upper_valid = valid_bounds(controlled, predicted_lower, predicted_upper, tol)
     return PromotionResult(
         True,

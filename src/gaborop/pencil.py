@@ -6,6 +6,10 @@ S - alpha P >= 0, the upper-side one the smallest beta with beta P - S >= 0.
 the two grams, via the closed form of the generalized eigenproblem on the
 range of P (Golub & Van Loan, *Matrix Computations*, 8.7), and certifies each
 constant by the least eigenvalue of the pencil at it and one step past it.
+S may be given as the stack of diagonal blocks of a block-diagonal matrix
+whose grams repeat one block; every step then runs batched over the stack,
+and every threshold is taken relative to the top eigenvalue over all blocks,
+so each block is judged as it is inside the whole matrix.
 Bisection on that eigenvalue is the test oracle.
 """
 
@@ -30,22 +34,32 @@ CERT_SLACK_RTOL = 1e-12  # relative to the larger top eigenvalue of S and c * P
 CERT_STEP = 1e-6
 
 
+def _hermitian(h: np.ndarray) -> np.ndarray:
+    return (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
+
+
 def _eigh(h: np.ndarray):
-    return np.linalg.eigh((h + h.conj().T) / 2.0)
+    return np.linalg.eigh(_hermitian(h))
 
 
 def _min_eig(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
+    """Least eigenvalue of a Hermitian matrix or over a stack of them."""
+    return float(np.linalg.eigvalsh(_hermitian(h))[..., 0].min())
 
 
 def _top(vals: np.ndarray) -> float:
-    return max(float(vals[-1]), 0.0) if vals.size else 0.0
+    return max(float(vals.max()), 0.0) if vals.size else 0.0
+
+
+def _kernel(vals: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
+    """Mask of the eigenvalues at kernel level, relative to the top one over all blocks."""
+    return vals <= rtol * _top(vals)
 
 
 def _split(vals: np.ndarray, vecs: np.ndarray, rtol: float = KERNEL_RTOL):
     """(range basis, positive eigenvalues, kernel basis) from an eigendecomposition."""
-    mask = vals > rtol * _top(vals)
-    return vecs[:, mask], vals[mask], vecs[:, ~mask]
+    kernel = _kernel(vals, rtol)
+    return vecs[:, ~kernel], vals[~kernel], vecs[:, kernel]
 
 
 def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
@@ -53,31 +67,37 @@ def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
     return _split(*_eigh(h), rtol)[2]
 
 
-def _contained(kernel: np.ndarray, b: np.ndarray, b_top: float, tol: float) -> bool:
-    """Whether the Rayleigh quotients of b on ``kernel`` are <= tol * b_top."""
-    if kernel.shape[1] == 0 or b_top <= 0.0:
-        return True  # nothing to contain, or b vanishes
-    return bool(np.real(np.sum(np.conj(kernel) * (b @ kernel), axis=0)).max() <= tol * b_top)
+def _contained(vecs: np.ndarray, kernel: np.ndarray, b: np.ndarray, b_top: float,
+               tol: float) -> bool:
+    """Whether the Rayleigh quotients of b on the eigenvector columns ``vecs``
+    marked ``kernel`` are <= tol * b_top (either side may be a block stack)."""
+    if b_top <= 0.0 or not kernel.any():
+        return True  # b vanishes, or nothing to contain
+    quotients = np.real(np.sum(np.conj(vecs) * (b @ vecs), axis=-2))
+    return bool(np.max(quotients, where=kernel, initial=-np.inf) <= tol * b_top)
 
 
 def _closed_form(s: np.ndarray, s_top: float, split, lower: bool) -> Optional[float]:
-    """alpha (``lower``) or beta of s against the split p: with W the inverse
-    square root of p on its range, the top eigenvalue of W s W is beta (exact
-    once ker p <= ker s), the least one of W (s / ker p) W is alpha."""
+    """alpha (``lower``) or beta of the block stack s against the split p: with
+    W the inverse square root of p on its range, the top eigenvalue of W s W
+    over all blocks is beta (exact once ker p <= ker s), the least one of
+    W (s / ker p) W is alpha."""
     q_r, vals_r, q_k = split
     if q_r.shape[1] == 0:
         # p = 0: every alpha works; beta is 0 since ker p <= ker s forces s = 0
         return None if lower else 0.0
     s_rr = q_r.conj().T @ s @ q_r
     if lower and q_k.shape[1]:
-        # Schur complement; where s is at rounding level on ker p it has no coupling
+        # Schur complement; where s is at rounding level on ker p it has no
+        # coupling (the level is that of the whole matrix, of size s.size / d)
         k_vals, k_vecs = _eigh(q_k.conj().T @ s @ q_k)
-        keep = k_vals > s.shape[0] * np.finfo(float).eps * s_top
-        coupling = q_r.conj().T @ s @ (q_k @ k_vecs[:, keep])
-        s_rr = s_rr - (coupling / k_vals[keep]) @ coupling.conj().T
+        keep = k_vals > s.size // s.shape[-1] * np.finfo(float).eps * s_top
+        coupling = q_r.conj().T @ s @ q_k @ k_vecs
+        inverse = np.divide(1.0, k_vals, out=np.zeros_like(k_vals), where=keep)
+        s_rr = s_rr - (coupling * inverse[..., None, :]) @ np.swapaxes(coupling.conj(), -1, -2)
     w = 1.0 / np.sqrt(vals_r)
-    eigs = np.linalg.eigvalsh(w[:, None] * (s_rr + s_rr.conj().T) / 2.0 * w[None, :])
-    return max(0.0, float(eigs[0] if lower else eigs[-1]))
+    eigs = np.linalg.eigvalsh(w[:, None] * _hermitian(s_rr) * w[None, :])
+    return max(0.0, float(eigs[..., 0].min() if lower else eigs[..., -1].max()))
 
 
 def _certificate(s: np.ndarray, s_top: float, p: np.ndarray, p_top: float,
@@ -108,26 +128,32 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
                   tol: float = 1e-9) -> PencilSolution:
     """Both sides of S >= alpha * lower_gram and S <= beta * upper_gram.
 
-    A positive alpha exists iff ker S <= ker lower_gram and a finite beta iff
-    ker upper_gram <= ker S, judged by Rayleigh quotients relative to the
-    top eigenvalue (``tol``).  alpha is None also when lower_gram vanishes.
+    ``s`` is one (d, d) matrix or a (B, d, d) stack of the diagonal blocks of
+    a block-diagonal S; each (d, d) gram stands for the block-diagonal matrix
+    repeating it B times.  A positive alpha exists iff ker S <= ker lower_gram
+    and a finite beta iff ker upper_gram <= ker S, judged by Rayleigh
+    quotients relative to the top eigenvalue (``tol``).  alpha is None also
+    when lower_gram vanishes.  The spectra hold all B * d eigenvalues.
     """
+    s = np.asarray(s)
+    s = s.reshape((-1,) + s.shape[-2:])
     s_vals, s_vecs = _eigh(s)
     lo_vals, lo_vecs = _eigh(lower_gram)
     up_vals, up_vecs = _eigh(upper_gram)
     s_top, lo_top, up_top = _top(s_vals), _top(lo_vals), _top(up_vals)
-    up_split = _split(up_vals, up_vecs)
-    lower_exists = _contained(_split(s_vals, s_vecs)[2], lower_gram, lo_top, tol)
-    upper_exists = _contained(up_split[2], s, s_top, tol)
+    lower_exists = _contained(s_vecs, _kernel(s_vals), lower_gram, lo_top, tol)
+    upper_exists = _contained(up_vecs, _kernel(up_vals), s, s_top, tol)
     alpha = _closed_form(s, s_top, _split(lo_vals, lo_vecs), True) if lower_exists else None
-    beta = _closed_form(s, s_top, up_split, False) if upper_exists else None
+    beta = _closed_form(s, s_top, _split(up_vals, up_vecs), False) if upper_exists else None
     certificates = {}
     if alpha is not None:
         certificates["alpha"] = _certificate(s, s_top, lower_gram, lo_top, alpha, 1.0)
     if beta is not None:
         certificates["beta"] = _certificate(s, s_top, upper_gram, up_top, beta, -1.0)
-    spectra = {"frame_operator": s_vals.tolist(), "lower_gram": lo_vals.tolist(),
-               "upper_gram": up_vals.tolist()}
+    blocks = len(s)
+    spectra = {"frame_operator": np.sort(s_vals, axis=None).tolist(),
+               "lower_gram": np.repeat(lo_vals, blocks).tolist(),
+               "upper_gram": np.repeat(up_vals, blocks).tolist()}
     return PencilSolution(lower_exists, upper_exists, alpha, beta, spectra, certificates)
 
 

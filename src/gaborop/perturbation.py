@@ -21,7 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import BoundsReport, GaborSystem, frame_operator, theta_bounds, valid_bounds
+from .frames import (
+    BoundsReport,
+    GaborSystem,
+    _frame_blocks,
+    _operator_grams,
+    _theta_report,
+    theta_bounds,
+    valid_bounds,
+)
 from .groups import GroupMismatchError
 from .operators import DEFAULT_TOL, SpaceOperator, lower_bound_constant, operator_norm
 
@@ -125,31 +133,32 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
 
     The domination hypothesis is verified as one PSD condition
     D <= lam S + mu T T^* + eta T^* T on the flattened space, D the frame
-    operator of the difference system.  ``bounds`` pins (gamma_o, delta_o)
-    externally; otherwise the computed extremal constants of the source are
-    used (the report records which).
+    operator of the difference system, on the blocks where S splits.
+    ``bounds`` pins (gamma_o, delta_o) externally; otherwise the computed
+    extremal constants of the source are used (the report records which).
     """
     m_o = lower_bound_constant(theta.adjoint())
     theta_norm = operator_norm(theta)
     if m_o <= tol * theta_norm:
         return PertCheck(None, False, False, False, None, False, "n/a")
+    source_blocks = _frame_blocks(system, theta)  # serves the bounds and the domination test
     if bounds is not None:
         gamma_o, delta_o = bounds
         source = "paper_pinned"
     else:
-        rep = theta_bounds(system, theta, tol)
+        rep = _theta_report(source_blocks, theta, tol)
         if not (rep.lower_exists and rep.upper_exists and rep.alpha_opt):
             return PertCheck(None, True, False, False, None, False, "computed")
         gamma_o, delta_o = rep.alpha_opt, rep.beta_opt
         source = "computed"
     hyp = PertHypothesis(lam, mu, eta, gamma_o, delta_o, m_o, theta_norm)
 
-    s = frame_operator(system, as_operator=False)
-    d = frame_operator(_difference_system(system, perturbed), as_operator=False)
-    t = theta.to_dense()
-    rhs = lam * s + mu * (t @ t.conj().T) + eta * (t.conj().T @ t)
-    margin = float(np.linalg.eigvalsh(rhs - d)[0])
-    scale = max(1.0, float(np.linalg.eigvalsh(rhs)[-1]))
+    # the difference system has the source's lattices, hence its blocks
+    d = _frame_blocks(_difference_system(system, perturbed), theta).s
+    lower_gram, upper_gram = _operator_grams(theta, d.shape[-1])
+    rhs = lam * source_blocks.s + mu * lower_gram + eta * upper_gram
+    margin = float(np.linalg.eigvalsh(rhs - d)[..., 0].min())
+    scale = max(1.0, float(np.linalg.eigvalsh(rhs)[..., -1].max()))
     difference_ok = margin >= -tol * scale
     ratio_ok = hyp.ratio_ok()
     return PertCheck(hyp, True, ratio_ok, difference_ok, margin,

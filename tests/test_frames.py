@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaborop import (
@@ -483,3 +483,133 @@ def test_operator_scaling_scales_constants(case, c, phase):
         assert promotion_scaled.hypothesis_ok and scaled.tight
         assert promotion_scaled.lower_valid and promotion_scaled.upper_valid
         assert scaled.alpha_opt == pytest.approx(8.0 / (c * c), rel=1e-9, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Walnut coset blocks against the dense route
+
+_Z46_AUTOMORPHISMS = ([[3, 0], [0, 1]], [[1, 0], [0, 5]], [[1, 2], [3, 1]], [[3, 2], [3, 5]])
+
+
+def _walnut_case(factors, seed):
+    """A random system on Z_N or Z4xZ6: lattices from random generators,
+    non-identity automorphisms on both sides, some zero windows, and an entry
+    map that is general, rank-deficient or a 0/1 selector."""
+    rng = np.random.default_rng(seed)
+    group = FiniteAbelianGroup(factors)
+    n = int(rng.integers(1, 3))
+    space = SignalSpace(group, n, MeasurePair.torus_like(group))
+
+    def subgroup(dual):
+        make = group.dual_element if dual else group.element
+        gens = [make([int(rng.integers(0, f)) for f in factors])
+                for _ in range(int(rng.integers(0, 3)))]
+        return Subgroup(group, gens, dual=dual)
+
+    def automorphism(dual):
+        if len(factors) == 2:
+            return Automorphism(group, _Z46_AUTOMORPHISMS[int(rng.integers(0, 4))], dual=dual)
+        units = [u for u in range(2, factors[0]) if np.gcd(u, factors[0]) == 1]
+        return Automorphism(group, [int(rng.choice(units))], dual=dual)
+
+    windows = tuple(space.zero_signal() if rng.random() < 0.25 else random_signal(space, rng)
+                    for _ in range(int(rng.integers(0, 3))))
+    system = GaborSystem(space, windows, subgroup(False), subgroup(True),
+                         automorphism(False), automorphism(True))
+    kind = ("general", "singular", "selector")[int(rng.integers(0, 3))]
+    if kind == "selector":
+        theta = SpaceOperator.from_entry_map(space, np.diag(rng.integers(0, 2, n * n)))
+    else:
+        theta = random_entry_op(space, rng, kind)
+    return system, theta
+
+
+def _assert_same_report(blocked, dense):
+    verdicts = lambda r: (r.lower_exists, r.upper_exists, r.tight,
+                          r.alpha_opt is None, r.beta_opt is None)
+    assert verdicts(blocked) == verdicts(dense)
+    assert blocked.route["name"] == "walnut" and dense.route["name"] == "dense"
+    for have, want in ((blocked.alpha_opt, dense.alpha_opt), (blocked.beta_opt, dense.beta_opt)):
+        if want is not None:
+            assert have == pytest.approx(want, rel=1e-9, abs=1e-12 * abs(dense.beta_opt or 0.0))
+    for report in (blocked, dense):
+        assert all(v["holds"] for k, v in report.cross_check.items() if k.endswith("_certificate"))
+    assert blocked.spectra.keys() == dense.spectra.keys()
+    for name, values in dense.spectra.items():
+        scale = max(1.0, abs(values[-1])) if values else 1.0
+        assert np.allclose(blocked.spectra[name], values, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(factors=st.sampled_from([(8,), (12,), (4, 6)]), seed=st.integers(0, 2**32 - 1))
+def test_walnut_route_matches_dense_route(factors, seed):
+    # the family of a Gabor system takes the dense route; the system itself
+    # the coset blocks: the same verdicts, constants and spectra
+    system, theta = _walnut_case(factors, seed)
+    order = system.space.group.order
+    assume(len(system.lattice) < order and len(system.dual_lattice) < order)
+    _assert_same_report(theta_bounds(system, theta), theta_bounds(system.family(), theta))
+    _assert_same_report(ordinary_bounds(system), ordinary_bounds(system.family()))
+
+
+@pytest.mark.parametrize("factors,seed", [((8,), 1), ((12,), 2), ((4, 6), 3), ((4, 6), 4)])
+def test_walnut_identity(factors, seed):
+    # the dense frame operator vanishes off the coset blocks and equals the
+    # block stack on them
+    from gaborop.frames import _frame_blocks
+
+    for system in (_walnut_case(factors, seed)[0], swap_window_system(4)):
+        dense = frame_operator(system, as_operator=False)
+        blocks = _frame_blocks(system)
+        top = np.abs(dense).max()
+        assert sorted(blocks.index.ravel().tolist()) == list(range(system.space.dim))
+        on_block = (blocks.index[:, :, None], blocks.index[:, None, :])
+        off_block = np.ones(dense.shape, dtype=bool)
+        off_block[on_block] = False
+        assert np.abs(dense[off_block]).max(initial=0.0) <= 1e-13 * top
+        assert np.abs(dense[on_block] - blocks.s).max() <= 1e-13 * top
+        assert len(blocks.s) == len(system.dual_lattice)
+
+
+def test_route_is_reported():
+    from gaborop.presets import build_preset
+    from gaborop.scenario import run_scenario
+
+    results = run_scenario(build_preset("remark-theta0", resolution=4))["results"]
+    walnut = {"name": "walnut", "blocks": 4, "block_dim": 32}
+    assert results["controlled"]["route"] == walnut
+    assert results["ordinary"]["route"] == walnut
+    system = swap_window_system()
+    dense = SpaceOperator.from_dense(system.space, pert_theta_op(system.space).to_dense())
+    rep = theta_bounds(system, dense)
+    assert rep.to_json_dict()["route"] == {"name": "dense", "blocks": 1,
+                                           "block_dim": system.space.dim}
+    assert rep.alpha_opt == pytest.approx(2.5, rel=1e-12)
+
+
+def test_walnut_route_scales_to_4096(monkeypatch):
+    # D = 4096 (|G| = 1024, n = 2): no solver sees more than one 32 x 32 block
+    # (batch axes aside), and nothing dense is built; one dense D x D complex
+    # matrix alone is 268 MB
+    import tracemalloc
+
+    system = swap_window_system(128)
+    theta = pert_theta_op(system.space)
+    assert system.space.dim == 4096
+    shapes = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(args[0]))
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    tracemalloc.start()
+    try:
+        rep = theta_bounds(system, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.route == {"name": "walnut", "blocks": 128, "block_dim": 32}
+    assert rep.alpha_opt == pytest.approx(2.5, rel=1e-9)
+    assert rep.beta_opt == pytest.approx(10.0, rel=1e-9)
+    assert shapes and max(max(shape[-2:]) for shape in shapes) <= 32
+    assert peak < 64 * 2**20
