@@ -102,12 +102,13 @@ def scalar_parseval_system(group, measure=None, lattice: Subgroup | None = None,
 
 
 def is_parseval(system, tol: float = DEFAULT_TOL) -> bool:
+    """Tight with constant 1; the scale of both residuals is 1 by definition."""
     report = ordinary_bounds(system, tol)
     return (
         report.tight
         and report.lower_exists
-        and abs(report.alpha_opt - 1.0) <= tol * 10
-        and abs(report.beta_opt - 1.0) <= tol * 10
+        and abs(report.alpha_opt - 1.0) <= tol
+        and abs(report.beta_opt - 1.0) <= tol
     )
 
 
@@ -308,7 +309,8 @@ def omega_characterization(system, theta: SpaceOperator,
     got = got / np.sqrt(family.space.weight())
     units = np.eye(n * n).reshape(n, n, n, n)  # units[a, b] = E_ab
     expected = np.einsum("abpq,mxqr->xprmab", units, family.array)
-    basis_condition = bool(np.all(np.abs(got - expected) <= tol))
+    scale = np.abs(family.array).max(initial=0.0)  # the largest family entry
+    basis_condition = bool(np.all(np.abs(got - expected) <= tol * scale))
     blocks = _frame_blocks(system, theta)
     gram = omega @ omega.conj().T
     on_block = (blocks.index[:, :, None], blocks.index[:, None, :])

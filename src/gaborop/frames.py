@@ -18,10 +18,10 @@ operator-controlled two-sided bounds
                                 <=  beta * ||T f||^2
 
 are extremal feasible constants of Hermitian pencils: a closed form reports
-them, a residual certificate checks each, and bisection is only the test
-oracle (see :mod:`gaborop.pencil`).  Existence is decided by kernel
-inclusion: a finite upper constant exists iff ker T <= ker S, a positive
-lower constant iff ker S <= ker(adjoint T).
+them and a residual certificate checks each (see :mod:`gaborop.pencil`;
+bisection, the test oracle, lives in ``tests/helpers.py``).  Existence is
+decided by kernel inclusion: a finite upper constant exists iff
+ker T <= ker S, a positive lower constant iff ker S <= ker(adjoint T).
 """
 
 from __future__ import annotations
@@ -309,11 +309,15 @@ def _tightness(alpha: Optional[float], beta: Optional[float], tol: float) -> boo
 
 def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
     """Extreme eigenvalues of the frame operator; frame iff the least one is positive."""
-    return _ordinary_report(_frame_blocks(system), tol)
+    blocks = _frame_blocks(system)
+    eigs = np.linalg.eigvalsh(_hermitian(blocks.s))
+    return _ordinary_report(eigs, blocks.to_json_dict(), tol)
 
 
-def _ordinary_report(blocks: _Blocks, tol: float) -> BoundsReport:
-    eigs = np.sort(np.linalg.eigvalsh(_hermitian(blocks.s)), axis=None)
+def _ordinary_report(eigs, route: dict, tol: float) -> BoundsReport:
+    """The ordinary report from the eigenvalues of the frame operator (any
+    order or block layout) and the route that produced them."""
+    eigs = np.sort(eigs, axis=None)
     alpha = float(eigs[0])
     beta = float(eigs[-1])
     lower = alpha > tol * beta
@@ -325,7 +329,7 @@ def _ordinary_report(blocks: _Blocks, tol: float) -> BoundsReport:
         tight=lower and _tightness(alpha, beta, tol),
         tolerance=tol,
         spectra={"frame_operator": eigs.tolist()},
-        route=blocks.to_json_dict(),
+        route=route,
     )
 
 
@@ -411,7 +415,8 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     if sigma <= tol * operator_norm(theta):
         return PromotionResult(False, "operator is not bounded below")
     blocks = _frame_blocks(system, theta)  # one build serves both reports
-    ordinary = _ordinary_report(blocks, tol)
+    ordinary = _ordinary_report(np.linalg.eigvalsh(_hermitian(blocks.s)),
+                                blocks.to_json_dict(), tol)
     if not ordinary.lower_exists:
         return PromotionResult(False, "system is not an ordinary frame", ordinary=ordinary)
     adj_norm = operator_norm(theta.adjoint())

@@ -15,6 +15,15 @@ space is automatically normal (the self-commutator is PSD with zero trace,
 hence zero).  The hyponormality checker still performs the PSD test on
 adjoint(T) @ T - T @ adjoint(T); genuinely hyponormal-but-not-normal
 operators require an infinite-dimensional space and cannot occur here.
+
+Tolerance rule (every check in the package, with ``DEFAULT_TOL`` below as
+the default ``tol``): a residual is negligible when it is at most ``tol``
+times the norm of the quantities it is built from, so no verdict moves when
+windows or operators are rescaled.  A commutator ab - ba is measured against
+||a|| ||b||, a self-commutator against ||T||^2, an entrywise comparison
+against the largest entry compared, and a PSD margin against the top
+eigenvalue of the matrix it is taken on.  Operator norms of entry maps are
+taken on the n^2 x n^2 matrix, never on the dense expansion.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ __all__ = [
     "DEFAULT_TOL",
 ]
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # the ``tol`` of the tolerance rule in the module docstring
 
 
 class SpaceOperator:
@@ -149,14 +158,15 @@ def compose(outer: SpaceOperator, inner: SpaceOperator) -> SpaceOperator:
 
 
 def commutes(a: SpaceOperator, b: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ||ab - ba|| <= tol in operator norm."""
+    """Whether ||ab - ba|| <= tol ||a|| ||b|| in operator norm."""
     if a.space != b.space:
         raise GroupMismatchError("operators act on different spaces")
     if a.kind == b.kind == "entry_map":
         am, bm = a.entry_matrix, b.entry_matrix
     else:
         am, bm = a.to_dense(), b.to_dense()
-    return float(np.linalg.norm(am @ bm - bm @ am, ord=2)) <= tol
+    residual = float(np.linalg.norm(am @ bm - bm @ am, ord=2))
+    return residual <= tol * operator_norm(a) * operator_norm(b)
 
 
 def operator_norm(op: SpaceOperator) -> float:
@@ -181,12 +191,13 @@ def is_hyponormal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> tuple[bool, fl
     Equivalent to ||adjoint(T) f|| <= ||T f|| for every signal.
     """
     min_eig = float(np.linalg.eigvalsh(_self_commutator(op))[0])
-    return min_eig >= -tol, min_eig
+    return min_eig >= -tol * operator_norm(op) ** 2, min_eig
 
 
 def is_normal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     """Self-commutator vanishes; in this finite setting equals hyponormality."""
-    return float(np.linalg.norm(_self_commutator(op), ord=2)) <= tol
+    residual = float(np.linalg.norm(_self_commutator(op), ord=2))
+    return residual <= tol * operator_norm(op) ** 2
 
 
 def is_hyponormal_on_range(op: SpaceOperator, range_of: SpaceOperator,
@@ -197,9 +208,11 @@ def is_hyponormal_on_range(op: SpaceOperator, range_of: SpaceOperator,
     Q span Ran(range_of).  The restriction-to-an-invariant-subspace reading
     is not used; this compression is the documented interpretation.
     """
+    from .pencil import KERNEL_RTOL  # pencil imports DEFAULT_TOL from here
+
     m = range_of.to_dense()
     u, s, _ = np.linalg.svd(m)
-    cutoff = (s[0] * 1e-9) if s.size and s[0] > 0 else np.inf
+    cutoff = (s[0] * KERNEL_RTOL) if s.size and s[0] > 0 else np.inf
     q = u[:, s > cutoff]
     if q.shape[1] == 0:
         return True, 0.0  # zero range: nothing to violate
@@ -207,7 +220,7 @@ def is_hyponormal_on_range(op: SpaceOperator, range_of: SpaceOperator,
     comm = k.conj().T @ k - k @ k.conj().T
     restricted = q.conj().T @ comm @ q
     min_eig = float(np.linalg.eigvalsh(restricted)[0])
-    return min_eig >= -tol, min_eig
+    return min_eig >= -tol * operator_norm(op) ** 2, min_eig
 
 
 def is_mv_adjointable(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
@@ -219,7 +232,7 @@ def is_mv_adjointable(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     as M[z, p, d, y, a, b] (output point and entry, input point and entry),
     M = delta(p, a) R[z, d, y, b].  So the entries with p != a and the
     pairwise spread over p of the entries with p == a must all be at most
-    ``tol * max(1, max|M|)``.  An entry map is the one-point case.
+    ``tol * max|M|``.  An entry map is the one-point case.
     """
     n = op.space.n
     m = op._rep()
@@ -228,7 +241,7 @@ def is_mv_adjointable(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     off_diagonal = np.abs(m6 * (1.0 - np.eye(n))[:, None, None, :, None]).max()
     diagonal = np.diagonal(m6, axis1=1, axis2=4)  # [z, d, y, b, p]
     spread = np.abs(diagonal[..., :, None] - diagonal[..., None, :]).max()
-    return bool(max(off_diagonal, spread) <= tol * max(1.0, float(np.abs(m).max())))
+    return bool(max(off_diagonal, spread) <= tol * float(np.abs(m).max()))
 
 
 @dataclass(frozen=True)
@@ -253,9 +266,10 @@ class OperatorDiagnostics:
 
 def diagnostics(op: SpaceOperator, tol: float = DEFAULT_TOL) -> OperatorDiagnostics:
     hypo, min_eig = is_hyponormal(op, tol)
+    sv = np.linalg.svd(op._rep(), compute_uv=False)  # the norm and the lower bound at once
     return OperatorDiagnostics(
-        operator_norm=operator_norm(op),
-        lower_bound=lower_bound_constant(op),
+        operator_norm=float(sv[0]),
+        lower_bound=float(sv[-1]),
         is_hyponormal=hypo,
         is_mv_adjointable=is_mv_adjointable(op, tol),
         self_commutator_min_eig=min_eig,

@@ -1,4 +1,4 @@
-"""Extremal constants of Hermitian PSD pencils: closed form, certificate, oracle.
+"""Extremal constants of Hermitian PSD pencils: closed form and certificate.
 
 For PSD S and P the lower-side constant is the largest alpha with
 S - alpha P >= 0, the upper-side one the smallest beta with beta P - S >= 0.
@@ -10,7 +10,8 @@ S may be given as the stack of diagonal blocks of a block-diagonal matrix
 whose grams repeat one block; every step then runs batched over the stack,
 and every threshold is taken relative to the top eigenvalue over all blocks,
 so each block is judged as it is inside the whole matrix.
-Bisection on that eigenvalue is the test oracle.
+Bisection on the least eigenvalue of the pencil is the test oracle; it
+lives in ``tests/helpers.py``, not in the library.
 """
 
 from __future__ import annotations
@@ -20,16 +21,15 @@ from typing import Optional
 
 import numpy as np
 
+from .operators import DEFAULT_TOL
+
 __all__ = [
     "null_space",
     "PencilSolution",
     "solve_pencils",
-    "bisect_max_alpha",
-    "bisect_min_beta",
 ]
 
 KERNEL_RTOL = 1e-9  # relative eigenvalue threshold for kernel detection
-PSD_SLACK_RTOL = 1e-12
 CERT_SLACK_RTOL = 1e-12  # relative to the larger top eigenvalue of S and c * P
 CERT_STEP = 1e-6
 
@@ -125,7 +125,7 @@ class PencilSolution:
 
 
 def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
-                  tol: float = 1e-9) -> PencilSolution:
+                  tol: float = DEFAULT_TOL) -> PencilSolution:
     """Both sides of S >= alpha * lower_gram and S <= beta * upper_gram.
 
     ``s`` is one (d, d) matrix or a (B, d, d) stack of the diagonal blocks of
@@ -155,59 +155,3 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
                "lower_gram": np.repeat(lo_vals, blocks).tolist(),
                "upper_gram": np.repeat(up_vals, blocks).tolist()}
     return PencilSolution(lower_exists, upper_exists, alpha, beta, spectra, certificates)
-
-
-def bisect_max_alpha(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
-                     max_iter: int = 200) -> float:
-    """Largest alpha >= 0 with s - alpha p PSD (monotone bisection to relative
-    ``width``).
-
-    alpha -> min-eig(s - alpha p) is concave and nonincreasing for PSD p, so
-    the feasible set is an interval [0, alpha_opt].
-    """
-    s_top, p_vals = _top(np.linalg.eigvalsh(s)), np.linalg.eigvalsh(p)
-    top_p = _top(p_vals)
-    # slack relative to the larger of s and alpha p: the same test at any scale
-    feasible = lambda a: _min_eig(s - a * p) >= -PSD_SLACK_RTOL * max(s_top, a * top_p)
-    if not feasible(0.0):
-        return 0.0  # s itself only PSD up to noise; nothing more to gain
-    if top_p <= 0.0:
-        raise ValueError("pencil degenerate: controlling matrix vanishes")
-    # s >= alpha p forces alpha * top(p) <= top(s), so twice that is infeasible
-    lo, hi = 0.0, 2.0 * s_top / top_p
-    for _ in range(max_iter):
-        if hi - lo <= width * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def bisect_min_beta(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
-                    max_iter: int = 200) -> float:
-    """Smallest beta >= 0 with beta p - s PSD (monotone bisection to relative
-    ``width``)."""
-    s_top, p_vals = _top(np.linalg.eigvalsh(s)), np.linalg.eigvalsh(p)
-    top_p = _top(p_vals)
-    feasible = lambda b: _min_eig(b * p - s) >= -PSD_SLACK_RTOL * max(s_top, b * top_p)
-    if feasible(0.0):
-        return 0.0
-    if top_p <= 0.0:
-        raise ValueError("no finite upper constant: controlling matrix vanishes")
-    # once ker p <= ker s, beta <= top(s) / (least positive eigenvalue of p)
-    hi = 2.0 * s_top / float(p_vals[p_vals > KERNEL_RTOL * top_p][0])
-    if not feasible(hi):
-        raise ValueError("no finite upper constant: kernel of p meets support of s")
-    lo = 0.0
-    for _ in range(max_iter):
-        if hi - lo <= width * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -158,8 +158,7 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
     lower_gram, upper_gram = _operator_grams(theta, d.shape[-1])
     rhs = lam * source_blocks.s + mu * lower_gram + eta * upper_gram
     margin = float(np.linalg.eigvalsh(rhs - d)[..., 0].min())
-    scale = max(1.0, float(np.linalg.eigvalsh(rhs)[..., -1].max()))
-    difference_ok = margin >= -tol * scale
+    difference_ok = margin >= -tol * float(np.linalg.eigvalsh(rhs)[..., -1].max())
     ratio_ok = hyp.ratio_ok()
     return PertCheck(hyp, True, ratio_ok, difference_ok, margin,
                      ratio_ok and difference_ok, source)

@@ -28,7 +28,7 @@ from .constructions import (
     omega_characterization,
     tight_theta_frame,
 )
-from .frames import GaborSystem, ordinary_bounds, theta_bounds, valid_bounds
+from .frames import GaborSystem, _ordinary_report, ordinary_bounds, theta_bounds, valid_bounds
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
@@ -364,8 +364,9 @@ def _ordinary_bounds(args, systems, operators, tol) -> _Outcome:
 def _theta_bounds(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
-    ordinary = ordinary_bounds(system, tol)
     controlled = theta_bounds(system, theta, tol)
+    # S is built and decomposed once: the ordinary report reads its spectrum
+    ordinary = _ordinary_report(controlled.spectra["frame_operator"], controlled.route, tol)
     return _Outcome(
         {"ordinary": ordinary, "controlled": controlled, "operator": diagnostics(theta, tol)},
         {"ordinary": ordinary, "controlled": controlled},
@@ -415,7 +416,7 @@ def _omega_check(args, systems, operators, tol) -> _Outcome:
     findings = []
     if not omega.basis_condition:
         findings.append("omega_check: synthesis operator misses the coefficient basis")
-    if omega.max_gram_deviation > 1e-10:
+    if omega.max_gram_deviation > tol * controlled.spectra["frame_operator"][-1]:
         findings.append(
             f"omega_check: Omega Omega^* deviates from the frame operator by "
             f"{omega.max_gram_deviation}"

@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# one policy for every property test: no deadline, and the same examples on
+# every run (no randomness, no example database); tests set only max_examples
+settings.register_profile("gaborop", deadline=None, derandomize=True, database=None)
+settings.load_profile("gaborop")
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 Oracles are deliberately written as explicit loops over group elements and
 matrix entries (cmath phases, scalar accumulation) so they share no code
-path with the package's vectorised implementations.
+path with the package's vectorised implementations.  The pencil oracle is
+monotone bisection on the least eigenvalue of the pencil.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gaborop import (
     FiniteAbelianGroup,
@@ -21,6 +23,7 @@ from gaborop import (
     Subgroup,
     inverse_fourier,
 )
+from gaborop.pencil import KERNEL_RTOL
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -139,6 +142,73 @@ def oracle_frame_operator(members, space: SignalSpace) -> np.ndarray:
     return out
 
 
+PSD_SLACK_RTOL = 1e-12  # bisection's PSD slack, relative to the larger of s and c p
+
+
+def _top(vals: np.ndarray) -> float:
+    return max(float(vals[-1]), 0.0) if vals.size else 0.0
+
+
+def _psd(h: np.ndarray, slack: float) -> bool:
+    """Whether the least eigenvalue of the Hermitian part of h is >= -slack."""
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]) >= -slack
+
+
+def bisect_max_alpha(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
+                     max_iter: int = 200) -> float:
+    """Largest alpha >= 0 with s - alpha p PSD (monotone bisection to relative
+    ``width``).
+
+    alpha -> min-eig(s - alpha p) is concave and nonincreasing for PSD p, so
+    the feasible set is an interval [0, alpha_opt].
+    """
+    s_top, top_p = _top(np.linalg.eigvalsh(s)), _top(np.linalg.eigvalsh(p))
+    # slack relative to the larger of s and alpha p: the same test at any scale
+    feasible = lambda a: _psd(s - a * p, PSD_SLACK_RTOL * max(s_top, a * top_p))
+    if not feasible(0.0):
+        return 0.0  # s itself only PSD up to noise; nothing more to gain
+    if top_p <= 0.0:
+        raise ValueError("pencil degenerate: controlling matrix vanishes")
+    # s >= alpha p forces alpha * top(p) <= top(s), so twice that is infeasible
+    lo, hi = 0.0, 2.0 * s_top / top_p
+    for _ in range(max_iter):
+        if hi - lo <= width * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def bisect_min_beta(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
+                    max_iter: int = 200) -> float:
+    """Smallest beta >= 0 with beta p - s PSD (monotone bisection to relative
+    ``width``)."""
+    s_top, p_vals = _top(np.linalg.eigvalsh(s)), np.linalg.eigvalsh(p)
+    top_p = _top(p_vals)
+    feasible = lambda b: _psd(b * p - s, PSD_SLACK_RTOL * max(s_top, b * top_p))
+    if feasible(0.0):
+        return 0.0
+    if top_p <= 0.0:
+        raise ValueError("no finite upper constant: controlling matrix vanishes")
+    # once ker p <= ker s, beta <= top(s) / (least positive eigenvalue of p)
+    hi = 2.0 * s_top / float(p_vals[p_vals > KERNEL_RTOL * top_p][0])
+    if not feasible(hi):
+        raise ValueError("no finite upper constant: kernel of p meets support of s")
+    lo = 0.0
+    for _ in range(max_iter):
+        if hi - lo <= width * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -252,6 +322,9 @@ def pert_theta_op(space: SignalSpace) -> SpaceOperator:
 
 # ---------------------------------------------------------------------------
 # randomisation
+
+# log-uniform scale factors in [1e-6, 1e6]
+LOG_SCALES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 
 
 def random_signal(space: SignalSpace, rng: np.random.Generator, dual: bool = False) -> MatrixSignal:

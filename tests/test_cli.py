@@ -368,3 +368,29 @@ def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
     assert "the lower constant fails its residual certificate" in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert not report["results"]["controlled"]["cross_check"]["alpha_certificate"]["holds"]
+
+
+@pytest.mark.parametrize("name", ["remark-theta0", "exper1-negative"])
+def test_theta_bounds_task_builds_s_once(monkeypatch, name):
+    # the ordinary report reads the spectrum of the controlled one: one build
+    # (and one decomposition) of S per report, the same constants as the
+    # ordinary_bounds task on that system
+    from gaborop import frames
+
+    calls = []
+
+    def counted(*args, _build=frames._frame_blocks, **kwargs):
+        calls.append(args)
+        return _build(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "_frame_blocks", counted)
+    ordinary = run_scenario(build_preset(name))["results"]["ordinary"]
+    assert len(calls) == 1
+    scenario = build_preset(name)
+    scenario["task"], scenario["args"] = "ordinary_bounds", {"systems": ["main"]}
+    want = run_scenario(scenario)["results"]["main"]
+    assert ordinary["route"] == want["route"]
+    for key in ("lower_exists", "upper_exists", "tight"):
+        assert ordinary[key] == want[key]
+    for key in ("alpha_opt", "beta_opt"):
+        assert ordinary[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12 * want["beta_opt"])

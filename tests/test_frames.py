@@ -19,6 +19,7 @@ from gaborop import (
     bounded_below_promotion,
     check_pert_hypothesis,
     check_sum_hypothesis,
+    diagnostics,
     frame_operator,
     modulate,
     mv_inner,
@@ -28,9 +29,13 @@ from gaborop import (
     trace_inner,
     translate,
 )
+from gaborop.operators import DEFAULT_TOL, is_normal
+from gaborop.scenario import TASKS
 from helpers import (
+    LOG_SCALES,
     column_window_system,
     flip_op,
+    oracle_character,
     oracle_family,
     oracle_frame_operator,
     oracle_frame_sum,
@@ -345,21 +350,35 @@ def test_coefficient_lookup():
     assert np.abs(coeffs[label] - expected).max() < 1e-12
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def _omega_check(system, theta):
+    """(basis condition, verdicts agree, findings) of the omega_check task."""
+    outcome = TASKS["omega_check"]({"system": "main", "operator": "theta"},
+                                   {"main": system}, {"theta": theta}, DEFAULT_TOL)
+    omega = outcome.results["omega"]
+    return omega.basis_condition, outcome.results["verdicts_agree"], outcome.findings
+
+
+@settings(max_examples=30)
 @given(
-    case=st.one_of(st.just("remark-theta0"), st.integers(0, 2**32 - 1)),
-    c=st.floats(1e-6, 1e3),
+    case=st.one_of(st.sampled_from(["remark-theta0", "omega-check"]),
+                   st.integers(0, 2**32 - 1)),
+    c=LOG_SCALES,
     phase=st.floats(0.0, 2 * np.pi),
 )
 @example(case="remark-theta0", c=1e-6, phase=0.0)
 @example(case=3, c=1e-6, phase=0.0)  # an ordinary frame
+@example(case="omega-check", c=1e3, phase=0.0)  # a gram deviation of 5.6e-9 is rounding here
+@example(case="omega-check", c=1e5, phase=0.0)
 def test_window_scaling_scales_constants(case, c, phase):
     # windows times c: S scales by |c|^2, the grams stay, so alpha and beta
-    # scale by |c|^2 and no verdict moves, down to tiny windows; the same
-    # holds for the ordinary bounds
+    # scale by |c|^2 and no verdict moves, from tiny to huge windows; the same
+    # holds for the ordinary bounds, and the omega check raises no finding
     if case == "remark-theta0":
         system = column_window_system()
         theta = selector_op(system.space)
+    elif case == "omega-check":
+        system = swap_window_system()
+        theta = pert_theta_op(system.space)
     else:
         rng = np.random.default_rng(case)
         system = random_system(rng)
@@ -378,6 +397,7 @@ def test_window_scaling_scales_constants(case, c, phase):
         if want is not None:
             assert have == pytest.approx(c * c * want, rel=1e-9, abs=0.0)
     assert all(v["holds"] for k, v in scaled.cross_check.items() if k.endswith("_certificate"))
+    assert _omega_check(scaled_system, theta) == _omega_check(system, theta) == (True, True, [])
     if case == "remark-theta0":
         assert scaled.tight
         assert scaled.alpha_opt == pytest.approx(20.0 * c * c, rel=1e-9, abs=0.0)
@@ -405,7 +425,37 @@ def test_theta_bounds_eigensolver_budget(monkeypatch):
     assert counts[64] == counts[128] <= 12
 
 
+def _relabelled(system, matrix):
+    """``system`` relabelled by the automorphism U of its group: windows
+    g(U^-1 x), translations composed with U, and modulations composed with
+    the dual map V for which chi_{V gamma}(U y) = chi_gamma(y)."""
+    group = system.space.group
+    u = Automorphism(group, matrix)
+    points = list(group.elements())
+    images = [u(y) for y in points]
+
+    def dual_image(gamma):
+        return next(eta.coords for eta in group.dual_elements()
+                    if all(abs(oracle_character(group.factors, eta.coords, uy.coords)
+                               - oracle_character(group.factors, gamma, y.coords)) < 1e-9
+                           for y, uy in zip(points, images)))
+
+    v = np.array([dual_image(e) for e in np.eye(group.rank, dtype=int).tolist()]).T
+    windows = []
+    for w in system.windows:
+        values = np.empty_like(w.values)
+        values[[uy.index for uy in images]] = w.values
+        windows.append(MatrixSignal(system.space, values))
+    return GaborSystem(system.space, tuple(windows), system.lattice, system.dual_lattice,
+                       Automorphism(group, u.matrix @ system.automorphism.matrix),
+                       Automorphism(group, v @ system.dual_automorphism.matrix, dual=True))
+
+
 def _unitary_move(case, shift, move):
+    if move == "relabel":
+        # on Z4 x Z6, where automorphisms move subgroups
+        system, theta = _walnut_case((4, 6), case)
+        return system, _relabelled(system, _Z46_AUTOMORPHISMS[shift % 4]), theta
     rng = np.random.default_rng(case)
     system = random_system(rng)
     theta = random_entry_op(system.space, rng, ("singular", "general", "invertible")[case % 3])
@@ -419,12 +469,14 @@ def _unitary_move(case, shift, move):
     return system, moved, theta
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(case=st.integers(0, 2**32 - 1), shift=st.integers(0, 47),
-       move=st.sampled_from(["translate", "modulate"]))
+       move=st.sampled_from(["translate", "modulate", "relabel"]))
+@example(case=5, shift=3, move="relabel")  # fails if V is dropped from the dual side
 def test_moving_windows_keeps_bounds(case, shift, move):
-    # translating or modulating every window conjugates S by a unitary that
-    # commutes with every entry map, so no constant or verdict moves
+    # translating or modulating every window, or relabelling the group by an
+    # automorphism, conjugates S by a unitary that commutes with every entry
+    # map, so no constant or verdict moves
     system, moved, theta = _unitary_move(case, shift, move)
     verdicts = lambda r: (r.lower_exists, r.upper_exists, r.tight,
                           r.alpha_opt is None, r.beta_opt is None)
@@ -437,20 +489,40 @@ def test_moving_windows_keeps_bounds(case, shift, move):
                 assert have == pytest.approx(want, rel=1e-9, abs=1e-12 * scale)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def _scaling_operator(case, space):
+    """A normal entry map with eigenvalues 1..4, or a right multiplication
+    with 1e-6 relative noise (not adjointable)."""
+    rng = np.random.default_rng(7)
+    if case == "normal":
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        return SpaceOperator.from_entry_map(space, q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.conj().T)
+    right = SpaceOperator.right_multiplication(space, rng.standard_normal((2, 2))).entry_matrix
+    noise = 1e-6 * np.abs(right).max() * rng.standard_normal((4, 4))
+    return SpaceOperator.from_entry_map(space, right + noise)
+
+
+@settings(max_examples=30)
 @given(
-    case=st.one_of(st.just("phi"), st.integers(0, 2**32 - 1)),
-    c=st.floats(1e-6, 1e3),
+    case=st.one_of(st.sampled_from(["phi", "normal", "noisy-right"]),
+                   st.integers(0, 2**32 - 1)),
+    c=LOG_SCALES,
     phase=st.floats(0.0, 2 * np.pi),
 )
 @example(case="phi", c=1e-10, phase=0.0)
+@example(case=1, c=1e-6, phase=0.0)  # a general 4x4 map stays not hyponormal
+@example(case="normal", c=1e6, phase=0.0)  # a normal one stays hyponormal
+@example(case="noisy-right", c=1e-6, phase=0.0)  # 1e-6 relative noise stays not adjointable
 def test_operator_scaling_scales_constants(case, c, phase):
     # T times c: T T* and T* T scale by |c|^2, so alpha and beta scale by
     # 1/|c|^2, and the bounded-below tests (relative to ||T||) keep every
-    # verdict, down to 1e-10 * I on a tight frame
+    # verdict, down to 1e-10 * I on a tight frame; so do the operator's own
+    # diagnostics (relative to ||T||^2 and to its largest entry)
     if case == "phi":
         system = phi_system(2, 1)
         theta = SpaceOperator.identity(system.space)
+    elif case in ("normal", "noisy-right"):
+        system = swap_window_system()
+        theta = _scaling_operator(case, system.space)
     else:
         rng = np.random.default_rng(case)
         system = random_system(rng)
@@ -464,6 +536,9 @@ def test_operator_scaling_scales_constants(case, c, phase):
     for have, want in ((scaled.alpha_opt, base.alpha_opt), (scaled.beta_opt, base.beta_opt)):
         if want is not None:
             assert have == pytest.approx(want / (c * c), rel=1e-9, abs=0.0)
+    operator_verdicts = lambda t: (diagnostics(t).is_hyponormal,
+                                   diagnostics(t).is_mv_adjointable, is_normal(t))
+    assert operator_verdicts(scaled_theta) == operator_verdicts(theta)
     promotion = bounded_below_promotion(system, theta)
     promotion_scaled = bounded_below_promotion(system, scaled_theta)
     assert ((promotion_scaled.hypothesis_ok, promotion_scaled.reason,
@@ -479,6 +554,9 @@ def test_operator_scaling_scales_constants(case, c, phase):
         total_scaled = check_sum_hypothesis(system, system, scaled_theta)
         assert ((total_scaled.bounded_below_ok, total_scaled.condition_ok)
                 == (total.bounded_below_ok, total.condition_ok))
+    if case in ("normal", "noisy-right"):
+        assert operator_verdicts(scaled_theta) == {"normal": (True, False, True),
+                                                   "noisy-right": (False, False, False)}[case]
     if case == "phi":
         assert promotion_scaled.hypothesis_ok and scaled.tight
         assert promotion_scaled.lower_valid and promotion_scaled.upper_valid
@@ -540,7 +618,7 @@ def _assert_same_report(blocked, dense):
         assert np.allclose(blocked.spectra[name], values, rtol=0.0, atol=1e-12 * scale)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(factors=st.sampled_from([(8,), (12,), (4, 6)]), seed=st.integers(0, 2**32 - 1))
 def test_walnut_route_matches_dense_route(factors, seed):
     # the family of a Gabor system takes the dense route; the system itself
