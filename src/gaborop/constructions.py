@@ -300,6 +300,11 @@ def omega_characterization(system, theta: SpaceOperator,
     and extracts extremal constants from the pencil of Omega Omega^* on the
     blocks of the frame operator.
     """
+    return _omega_report(system, _frame_blocks(system, theta), theta, tol)
+
+
+def _omega_report(system, blocks, theta: SpaceOperator, tol: float) -> OmegaReport:
+    """The Omega report against the frame-operator blocks of ``system`` under ``theta``."""
     family = _as_family(system)
     n = family.space.n
     omega = analysis_matrix(family).conj().T  # signal-space x coefficient-space
@@ -311,7 +316,6 @@ def omega_characterization(system, theta: SpaceOperator,
     expected = np.einsum("abpq,mxqr->xprmab", units, family.array)
     scale = np.abs(family.array).max(initial=0.0)  # the largest family entry
     basis_condition = bool(np.all(np.abs(got - expected) <= tol * scale))
-    blocks = _frame_blocks(system, theta)
     gram = omega @ omega.conj().T
     on_block = (blocks.index[:, :, None], blocks.index[:, None, :])
     gram_blocks = gram[on_block]

@@ -31,7 +31,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates
+from .groups import (Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates,
+                     _cosets, _positions, annihilator)
 from .operators import (
     DEFAULT_TOL,
     SpaceOperator,
@@ -39,7 +40,7 @@ from .operators import (
     operator_norm,
 )
 from .pencil import KERNEL_RTOL, _hermitian, solve_pencils
-from .signals import MatrixSignal, SignalSpace, _roll
+from .signals import MatrixSignal, SignalSpace
 
 __all__ = [
     "GaborSystem",
@@ -121,24 +122,30 @@ class GaborSystem:
     def family(self) -> VectorFamily:
         """All modulated translates, in (window, translation, modulation) order."""
         group = self.space.group
-        # the reshape gives zero windows their (0, |G|, n, n) shape
-        windows = np.array([w.values for w in self.windows], dtype=np.complex128).reshape(
-            len(self.windows), group.order, self.space.n, self.space.n)
-        shifted = np.stack([_roll(windows, group, self.automorphism(k).coords)
-                            for k in self.lattice], axis=1)
-        etas = np.array([self.dual_automorphism(m).coords for m in self.dual_lattice],
-                        dtype=np.int64)
+        etas = self.dual_automorphism.apply(self.dual_lattice.coords)
         phases = _characters(group, etas[:, None, :], _coordinates(group))  # (|Gamma|, |G|)
+        shifted = _translates(self)
         array = shifted[:, :, None] * phases[:, :, None, None]
-        labels = [(l, k.coords, m.coords) for l in range(len(self.windows))
-                  for k in self.lattice for m in self.dual_lattice]
-        return VectorFamily(self.space, array.reshape((-1,) + windows.shape[1:]), labels)
+        ks, ms = self.lattice.coords.tolist(), self.dual_lattice.coords.tolist()
+        labels = [(l, tuple(k), tuple(m)) for l in range(len(self.windows)) for k in ks for m in ms]
+        return VectorFamily(self.space, array.reshape((-1,) + shifted.shape[2:]), labels)
 
     def with_windows(self, windows: Sequence[MatrixSignal]) -> "GaborSystem":
         return GaborSystem(
             self.space, tuple(windows), self.lattice, self.dual_lattice,
             self.automorphism, self.dual_automorphism,
         )
+
+
+def _translates(system: GaborSystem) -> np.ndarray:
+    """g_l(x - A k) for every window l, lattice point k and point x, shape
+    (L, |lattice|, |G|, n, n): one gather at the positions of x - A k."""
+    group, n = system.space.group, system.space.n
+    # the reshape gives zero windows their (0, |G|, n, n) shape
+    windows = np.array([w.values for w in system.windows], dtype=np.complex128).reshape(
+        len(system.windows), group.order, n, n)
+    shifts = system.automorphism.apply(system.lattice.coords)
+    return windows[:, _positions(group, _coordinates(group) - shifts[:, None, :])]
 
 
 def _as_family(obj) -> VectorFamily:
@@ -238,21 +245,12 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
         s = frame_operator(system, as_operator=False)
         return _Blocks("dense", np.arange(len(s))[None], s[None])
     group, n = system.space.group, system.space.n
-    # a coset is the set of points where every modulation generator takes the
-    # same exact phase, so equal labels are bit-equal character values; the
-    # trivial character keeps the key list nonempty
-    gens = np.array([(0,) * group.rank] + [system.dual_automorphism(m).coords
-                                           for m in system.dual_lattice.generators],
-                    dtype=np.int64)
-    labels = _characters(group, gens[:, None, :], _coordinates(group))  # (gens, |G|)
-    points = np.lexsort(labels).reshape(len(system.dual_lattice), -1)  # (B, c), stable
+    modulations = Subgroup(group, [system.dual_automorphism(m)
+                                   for m in system.dual_lattice.generators], dual=True)
+    points = _cosets(annihilator(modulations))  # (B, c)
     blocks, c = points.shape
-    windows = np.array([w.values for w in system.windows], dtype=np.complex128).reshape(
-        len(system.windows), group.order, n, n)
-    shifted = np.stack([_roll(windows, group, system.automorphism(k).coords)
-                        for k in system.lattice], axis=1)  # (L, |A|, |G|, n, n)
     # h[b, (l, a, q), (i, r)] = g_l(x_bi - a)[q, r] for the points x_bi of coset b
-    h = shifted[:, :, points].transpose(2, 0, 1, 4, 3, 5).reshape(blocks, -1, c * n)
+    h = _translates(system)[:, :, points].transpose(2, 0, 1, 4, 3, 5).reshape(blocks, -1, c * n)
     k = system.space.weight() * len(system.dual_lattice) * (np.swapaxes(h, 1, 2) @ h.conj())
     # S[(x_i, p, r), (x_j, t, s)] = delta(p, t) K(x_i, x_j)[r, s]
     s = np.einsum("birjs,pt->biprjts", k.reshape(blocks, c, n, c, n), np.eye(n))

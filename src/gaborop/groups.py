@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -78,19 +77,14 @@ class FiniteAbelianGroup:
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements in canonical (lexicographic coordinate) order."""
-        for coords in product(*(range(n) for n in self.factors)):
-            yield GroupElement(self, coords)
+        return map(self.element, _coordinates(self).tolist())
 
     def dual_elements(self) -> Iterator["DualElement"]:
-        for coords in product(*(range(n) for n in self.factors)):
-            yield DualElement(self, coords)
+        return map(self.dual_element, _coordinates(self).tolist())
 
     def index_of(self, elem: "_Element") -> int:
         """Position of ``elem`` in canonical order (mixed-radix value)."""
-        idx = 0
-        for c, n in zip(elem.coords, self.factors):
-            idx = idx * n + c
-        return idx
+        return int(_positions(self, elem.coords))
 
     def __repr__(self):
         return "Z" + "xZ".join(str(n) for n in self.factors)
@@ -187,10 +181,9 @@ def _characters(group: FiniteAbelianGroup, gamma, x) -> np.ndarray:
 
 
 class Subgroup:
-    """Subgroup stored as an explicit sorted member list.
-
-    Members are all :class:`GroupElement` or all :class:`DualElement`; the
-    ``dual`` flag records which side the subgroup lives on.
+    """Subgroup stored as ``coords``, the (order, rank) array of its members in
+    canonical order.  Members are all :class:`GroupElement` or all
+    :class:`DualElement`; the ``dual`` flag records which side it lives on.
     """
 
     def __init__(
@@ -211,88 +204,106 @@ class Subgroup:
         self.group = group
         self.dual = inferred if generators else bool(dual)
         self.generators = tuple(generators)
-        self.members = self._close(group, self.generators, self.dual)
-        self._member_set = frozenset(self.members)
-        if group.order % len(self.members) != 0:
+        # the span is the coset of 0: the points whose least coset member is 0
+        least = _coset_minima(group, [g.coords for g in generators])
+        self.coords = _coordinates(group)[least == 0]
+        self.coords.flags.writeable = False
+        if group.order % len(self.coords) != 0:
             raise AssertionError("subgroup order does not divide group order")
 
-    @staticmethod
-    def _close(group, generators, dual) -> tuple[_Element, ...]:
-        zero = group.dual_zero() if dual else group.zero()
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in generators:
-                    for b in (a + g, a - g):
-                        if b not in seen:
-                            seen.add(b)
-                            nxt.append(b)
-            frontier = nxt
-        return tuple(sorted(seen))
+    @property
+    def members(self) -> tuple[_Element, ...]:
+        side = DualElement if self.dual else GroupElement
+        return tuple(side(self.group, tuple(c)) for c in self.coords.tolist())
 
     @classmethod
     def full(cls, group: FiniteAbelianGroup, dual: bool = False) -> "Subgroup":
-        gens = [group.dual_element(c) if dual else group.element(c) for c in _unit_coords(group)]
-        return cls(group, gens, dual=dual)
+        make = group.dual_element if dual else group.element
+        units = np.eye(group.rank, dtype=np.int64).tolist()
+        return cls(group, [make(u) for u, n in zip(units, group.factors) if n > 1], dual=dual)
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup, dual: bool = False) -> "Subgroup":
         return cls(group, (), dual=dual)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.coords)
 
     def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, elem):
-        return elem in self._member_set
+        side = DualElement if self.dual else GroupElement
+        return (isinstance(elem, side) and elem.group == self.group
+                and bool((self.coords == elem.coords).all(axis=1).any()))
 
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
             and self.group == other.group
             and self.dual == other.dual
-            and self._member_set == other._member_set
+            and np.array_equal(self.coords, other.coords)
         )
 
     def __hash__(self):
-        return hash((self.group.factors, self.dual, self._member_set))
+        return hash((self.group.factors, self.dual, self.coords.tobytes()))
 
     def __repr__(self):
         side = "dual " if self.dual else ""
         return f"<{side}subgroup of {self.group!r}, order {len(self)}>"
 
 
-def _unit_coords(group: FiniteAbelianGroup):
-    for i, n in enumerate(group.factors):
-        if n > 1:
-            coords = [0] * group.rank
-            coords[i] = 1
-            yield tuple(coords)
+def _positions(group: FiniteAbelianGroup, coords) -> np.ndarray:
+    """Canonical positions of integer coordinates (coordinate axis last), taken mod the factors."""
+    coords = np.asarray(coords)
+    axes = tuple(coords[..., i] for i in range(group.rank))
+    return np.ravel_multi_index(axes, group.factors, mode="wrap")
+
+
+def _coset_minima(group: FiniteAbelianGroup, shifts, least=None) -> np.ndarray:
+    """For every point x, the least canonical position in x + <shifts>, starting
+    from ``least`` (the minima over a smaller subgroup) when given.  Each shift s
+    is folded in by doubling: after j rounds the minimum runs over x + {0, s, ...,
+    (2^j - 1) s}, and a round that changes nothing has reached x + <s>, so a
+    shift of order r costs about log2(r) rounds of |G|-sized work."""
+    least = np.arange(group.order) if least is None else least
+    for shift in shifts:
+        step = _positions(group, _coordinates(group) + shift)  # x -> x + shift
+        while True:
+            nxt = np.minimum(least, least[step])
+            if np.array_equal(nxt, least):
+                break
+            least, step = nxt, step[step]  # x -> x + 2 * shift
+    return least
+
+
+def _cosets(subgroup: Subgroup) -> np.ndarray:
+    """Canonical positions of the points of every coset, shape (B, |subgroup|):
+    a stable sort of the exact labels "least position in the coset" lists the
+    cosets by their least member, each row in canonical order."""
+    least = _coset_minima(subgroup.group, [g.coords for g in subgroup.generators])
+    return np.argsort(least, kind="stable").reshape(-1, len(subgroup))
 
 
 def annihilator(lattice: Subgroup) -> Subgroup:
     """Characters (resp. points) pairing trivially with every member.
 
     For a primal subgroup the result is the dual-side annihilator and vice
-    versa; |lattice| * |annihilator| = |G| always.
+    versa; |lattice| * |annihilator| = |G| always.  The result is generated
+    by at most log2|G| elements.
     """
     group = lattice.group
     coords = _coordinates(group)
     trivial = np.ones(group.order, dtype=bool)
     for g in lattice.generators:  # trivial on the subgroup iff trivial on its generators
         trivial &= _characters(group, coords, g.coords) == 1
+    # each generator lies outside the span so far, so it at least doubles it
+    gens, least = [], np.arange(group.order)
+    while (outside := trivial & (least != 0)).any():
+        gens.append(tuple(coords[outside.argmax()].tolist()))
+        least = _coset_minima(group, gens[-1:], least)
     side = GroupElement if lattice.dual else DualElement
-    members = [side(group, tuple(c)) for c in coords[trivial].tolist()]
-    result = Subgroup.__new__(Subgroup)
-    result.group = group
-    result.dual = not lattice.dual
-    result.generators = tuple(members)
-    result.members = tuple(members)
-    result._member_set = frozenset(members)
+    result = Subgroup(group, [side(group, c) for c in gens], dual=not lattice.dual)
     assert len(lattice) * len(result) == group.order
     return result
 
@@ -304,25 +315,17 @@ def transversal(subgroup: Subgroup) -> tuple[_Element, ...]:
     partition the ambient (primal or dual) group.
     """
     group = subgroup.group
-    ambient = group.dual_elements() if subgroup.dual else group.elements()
-    reps = []
-    seen: set[_Element] = set()
-    for e in ambient:  # canonical order makes first-seen the lex-smallest rep
-        if e in seen:
-            continue
-        reps.append(e)
-        for w in subgroup:
-            seen.add(e + w)
-    assert len(reps) * len(subgroup) == group.order
-    return tuple(reps)
+    side = DualElement if subgroup.dual else GroupElement
+    reps = _coordinates(group)[_cosets(subgroup)[:, 0]]
+    return tuple(side(group, tuple(c)) for c in reps.tolist())
 
 
 class Automorphism:
     """Group automorphism given by an integer matrix acting on coordinates.
 
     For a single cyclic factor this is multiplication by a unit u with
-    gcd(u, N) = 1.  Construction validates well-definedness and bijectivity
-    by enumeration; invalid maps are rejected.
+    gcd(u, N) = 1.  A matrix that is not well defined on the factors or not
+    one to one on the group's coordinates is rejected.
     """
 
     def __init__(self, group: FiniteAbelianGroup, matrix, dual: bool = False):
@@ -340,33 +343,25 @@ class Automorphism:
         self.group = group
         self.dual = bool(dual)
         self.matrix = arr
-        self._validate()
-
-    def _validate(self):
-        facs = self.group.factors
-        # well-defined on each Z_{N_j}: A_ij * N_j must vanish mod N_i
-        for i, ni in enumerate(facs):
-            for j, nj in enumerate(facs):
-                if (self.matrix[i, j] * nj) % ni != 0:
-                    raise ValueError("matrix does not define a homomorphism on these factors")
-        if self.group.rank == 1:
-            u, n = int(self.matrix[0, 0]), facs[0]
-            if math.gcd(u % n if n > 1 else 1, n) != 1:
-                raise ValueError(f"multiplier {u} is not a unit mod {n}")
-            return
-        images = {self._raw_apply(coords) for coords in product(*(range(n) for n in facs))}
-        if len(images) != self.group.order:
+        factors = np.asarray(group.factors, dtype=np.int64)
+        # well defined on each Z_{N_j}: A_ij * N_j must vanish mod N_i
+        if np.any(arr % factors[:, None] * factors % factors[:, None]):
+            raise ValueError("matrix does not define a homomorphism on these factors")
+        images = _positions(group, self.apply(_coordinates(group)))
+        if not np.bincount(images, minlength=group.order).all():  # every point is hit once
             raise ValueError("matrix does not act bijectively on the group")
 
-    def _raw_apply(self, coords) -> tuple[int, ...]:
-        vec = self.matrix @ np.asarray(coords, dtype=np.int64)
-        return tuple(int(v) % n for v, n in zip(vec, self.group.factors))
+    def apply(self, coords) -> np.ndarray:
+        """Images of integer coordinates of shape (..., rank), reduced mod the factors."""
+        factors = np.asarray(self.group.factors, dtype=np.int64)
+        # entry (i, j) maps Z_{N_j} into Z_{N_i}, so it only matters mod N_i
+        return np.asarray(coords, dtype=np.int64) @ (self.matrix % factors[:, None]).T % factors
 
     def __call__(self, elem: _Element) -> _Element:
         expected = DualElement if self.dual else GroupElement
         if not isinstance(elem, expected) or elem.group != self.group:
             raise GroupMismatchError("element does not match this automorphism's domain")
-        return type(elem)(self.group, self._raw_apply(elem.coords))
+        return type(elem)(self.group, tuple(self.apply(elem.coords).tolist()))
 
     @classmethod
     def identity(cls, group: FiniteAbelianGroup, dual: bool = False) -> "Automorphism":

@@ -148,23 +148,25 @@ def adjoint(op: SpaceOperator) -> SpaceOperator:
     return op.adjoint()
 
 
+def _pair(a: SpaceOperator, b: SpaceOperator) -> tuple[str, np.ndarray, np.ndarray]:
+    """(constructor keyword, a, b): the entry matrices when both are entry maps
+    (each is kron(I_|G|, M), so products, commutators and ranges split), else dense."""
+    if a.space != b.space:
+        raise GroupMismatchError("operators act on different spaces")
+    if a.kind == b.kind == "entry_map":
+        return "entry_matrix", a.entry_matrix, b.entry_matrix
+    return "dense_matrix", a.to_dense(), b.to_dense()
+
+
 def compose(outer: SpaceOperator, inner: SpaceOperator) -> SpaceOperator:
     """The operator f -> outer(inner(f))."""
-    if outer.space != inner.space:
-        raise GroupMismatchError("operators act on different spaces")
-    if outer.kind == "entry_map" and inner.kind == "entry_map":
-        return SpaceOperator(outer.space, entry_matrix=outer.entry_matrix @ inner.entry_matrix)
-    return SpaceOperator(outer.space, dense_matrix=outer.to_dense() @ inner.to_dense())
+    kind, om, im = _pair(outer, inner)
+    return SpaceOperator(outer.space, **{kind: om @ im})
 
 
 def commutes(a: SpaceOperator, b: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     """Whether ||ab - ba|| <= tol ||a|| ||b|| in operator norm."""
-    if a.space != b.space:
-        raise GroupMismatchError("operators act on different spaces")
-    if a.kind == b.kind == "entry_map":
-        am, bm = a.entry_matrix, b.entry_matrix
-    else:
-        am, bm = a.to_dense(), b.to_dense()
+    _, am, bm = _pair(a, b)
     residual = float(np.linalg.norm(am @ bm - bm @ am, ord=2))
     return residual <= tol * operator_norm(a) * operator_norm(b)
 
@@ -190,8 +192,13 @@ def is_hyponormal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> tuple[bool, fl
 
     Equivalent to ||adjoint(T) f|| <= ||T f|| for every signal.
     """
+    return _hyponormal(op, operator_norm(op), tol)
+
+
+def _hyponormal(op: SpaceOperator, norm: float, tol: float) -> tuple[bool, float]:
+    """:func:`is_hyponormal` with the operator norm already known."""
     min_eig = float(np.linalg.eigvalsh(_self_commutator(op))[0])
-    return min_eig >= -tol * operator_norm(op) ** 2, min_eig
+    return min_eig >= -tol * norm ** 2, min_eig
 
 
 def is_normal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
@@ -206,17 +213,17 @@ def is_hyponormal_on_range(op: SpaceOperator, range_of: SpaceOperator,
 
     Implemented as the PSD test on Q^* (T^*T - TT^*) Q where the columns of
     Q span Ran(range_of).  The restriction-to-an-invariant-subspace reading
-    is not used; this compression is the documented interpretation.
+    is not used; this compression is the documented interpretation.  Two
+    entry maps are tested on their n^2 x n^2 matrices (both split off I_|G|).
     """
     from .pencil import KERNEL_RTOL  # pencil imports DEFAULT_TOL from here
 
-    m = range_of.to_dense()
+    _, k, m = _pair(op, range_of)
     u, s, _ = np.linalg.svd(m)
     cutoff = (s[0] * KERNEL_RTOL) if s.size and s[0] > 0 else np.inf
     q = u[:, s > cutoff]
     if q.shape[1] == 0:
         return True, 0.0  # zero range: nothing to violate
-    k = op.to_dense()
     comm = k.conj().T @ k - k @ k.conj().T
     restricted = q.conj().T @ comm @ q
     min_eig = float(np.linalg.eigvalsh(restricted)[0])
@@ -265,8 +272,8 @@ class OperatorDiagnostics:
 
 
 def diagnostics(op: SpaceOperator, tol: float = DEFAULT_TOL) -> OperatorDiagnostics:
-    hypo, min_eig = is_hyponormal(op, tol)
     sv = np.linalg.svd(op._rep(), compute_uv=False)  # the norm and the lower bound at once
+    hypo, min_eig = _hyponormal(op, float(sv[0]), tol)
     return OperatorDiagnostics(
         operator_norm=float(sv[0]),
         lower_bound=float(sv[-1]),

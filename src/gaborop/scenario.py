@@ -22,13 +22,14 @@ from jsonschema import Draft202012Validator
 
 from . import __version__
 from .constructions import (
+    _omega_report,
     check_composed_image,
     check_image_frame,
     normalize_to_parseval,
-    omega_characterization,
     tight_theta_frame,
 )
-from .frames import GaborSystem, _ordinary_report, ordinary_bounds, theta_bounds, valid_bounds
+from .frames import (GaborSystem, _frame_blocks, _ordinary_report, _theta_report,
+                     ordinary_bounds, theta_bounds, valid_bounds)
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
@@ -409,8 +410,9 @@ def _tight_construct(args, systems, operators, tol) -> _Outcome:
 def _omega_check(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
-    omega = omega_characterization(system, theta, tol)
-    controlled = theta_bounds(system, theta, tol)
+    blocks = _frame_blocks(system, theta)  # one build serves both reports
+    omega = _omega_report(system, blocks, theta, tol)
+    controlled = _theta_report(blocks, theta, tol)
     agree = bool(omega.lower_exists == controlled.lower_exists
                  and omega.upper_exists == controlled.upper_exists)
     findings = []

@@ -23,6 +23,7 @@ from .groups import (
     MeasurePair,
     _characters,
     _coordinates,
+    _positions,
 )
 
 __all__ = [
@@ -188,20 +189,13 @@ def frobenius_norm(f: MatrixSignal) -> float:
     return float(np.sqrt(w) * np.linalg.norm(f.values))
 
 
-def _roll(values: np.ndarray, group: FiniteAbelianGroup, shift) -> np.ndarray:
-    """Values of shape (..., |G|, n, n) moved x -> values(x - shift) over the factor axes."""
-    lead = values.shape[:-3]
-    grid = values.reshape(lead + group.factors + values.shape[-2:])
-    axes = tuple(range(len(lead), len(lead) + group.rank))
-    return np.roll(grid, shift, axis=axes).reshape(values.shape)
-
-
 def translate(f: MatrixSignal, a) -> MatrixSignal:
     """Shift x -> f(x - a); an isometry."""
     expected = DualElement if f.dual else GroupElement
     if not isinstance(a, expected) or a.group != f.space.group:
         raise GroupMismatchError("translation amount lives on the wrong side")
-    return MatrixSignal(f.space, _roll(f.values, f.space.group, a.coords), dual=f.dual)
+    source = _positions(a.group, _coordinates(a.group) - a.coords)  # x - a
+    return MatrixSignal(f.space, f.values[source], dual=f.dual)
 
 
 def modulate(f: MatrixSignal, eta) -> MatrixSignal:

@@ -9,6 +9,8 @@ monotone bisection on the least eigenvalue of the pencil.
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -91,6 +93,60 @@ def oracle_family(system: GaborSystem):
                 members.append(values)
                 labels.append((l, k.coords, m.coords))
     return np.array(members).reshape(-1, group.order, n, n), labels
+
+
+def oracle_span(group: FiniteAbelianGroup, generators, dual: bool = False) -> list:
+    """Sorted member coordinates of the subgroup generated by ``generators``,
+    by breadth-first closure over element objects."""
+    zero = group.dual_zero() if dual else group.zero()
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                for b in (a + g, a - g):
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+        frontier = nxt
+    return sorted(e.coords for e in seen)
+
+
+def oracle_transversal(group: FiniteAbelianGroup, members, dual: bool = False) -> list:
+    """Coordinates of the first point of every coset met in canonical order."""
+    make = group.dual_element if dual else group.element
+    reps, seen = [], set()
+    for e in map(make, product(*(range(n) for n in group.factors))):
+        if e in seen:
+            continue
+        reps.append(e.coords)
+        for w in members:
+            seen.add(e + w)
+    return reps
+
+
+def oracle_annihilator(group: FiniteAbelianGroup, member_coords) -> list:
+    """Coordinates (canonical order) of every label pairing trivially with all
+    members, by exact rational phases."""
+    return [gamma for gamma in product(*(range(n) for n in group.factors))
+            if all(sum(Fraction(g * x, n) for g, x, n in zip(gamma, coords, group.factors))
+                   .denominator == 1 for coords in member_coords)]
+
+
+def oracle_automorphism_images(group: FiniteAbelianGroup, matrix):
+    """Image coordinates of every element in canonical order, or None when the
+    matrix is not a well-defined bijection, by enumerating the group."""
+    factors, rank = group.factors, group.rank
+    # well defined iff moving coordinate j by N_j moves no image coordinate
+    for i in range(rank):
+        for j in range(rank):
+            if matrix[i][j] * factors[j] % factors[i]:
+                return None
+    images = [tuple(sum(matrix[i][j] * x[j] for j in range(rank)) % factors[i]
+                    for i in range(rank))
+              for x in product(*(range(n) for n in factors))]
+    return images if len(set(images)) == group.order else None
 
 
 def oracle_mv_inner(f: MatrixSignal, g: MatrixSignal) -> np.ndarray:

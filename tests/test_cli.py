@@ -394,3 +394,25 @@ def test_theta_bounds_task_builds_s_once(monkeypatch, name):
         assert ordinary[key] == want[key]
     for key in ("alpha_opt", "beta_opt"):
         assert ordinary[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12 * want["beta_opt"])
+
+
+def test_omega_check_task_builds_s_once(monkeypatch):
+    # the omega report and the controlled report share one build of the coset
+    # blocks; every module namespace holding _frame_blocks is counted
+    import sys
+
+    from gaborop import frames
+
+    calls = []
+    build = frames._frame_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaborop") and getattr(module, "_frame_blocks", None) is build:
+            monkeypatch.setattr(module, "_frame_blocks", counted)
+    report = run_scenario(build_preset("omega-check"))
+    assert len(calls) == 1
+    assert report["results"]["verdicts_agree"] and not report["findings"]

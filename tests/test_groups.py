@@ -1,11 +1,17 @@
 """Group arithmetic, duality, transversals and the Fourier transform."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaborop import (
     Automorphism,
+    DualElement,
     FiniteAbelianGroup,
+    GroupElement,
     GroupMismatchError,
     MatrixSignal,
     MeasurePair,
@@ -19,7 +25,18 @@ from gaborop import (
     translate,
     transversal,
 )
-from helpers import oracle_character, oracle_fourier, oracle_norm_sq, random_signal
+from helpers import (
+    oracle_annihilator,
+    oracle_automorphism_images,
+    oracle_character,
+    oracle_fourier,
+    oracle_norm_sq,
+    oracle_span,
+    oracle_transversal,
+    random_signal,
+)
+
+_GROUPS = [(12,), (16,), (9,), (4, 6), (2, 2, 2)]
 
 
 def test_character_trivial():
@@ -90,8 +107,8 @@ def _all_cyclic_subgroups(g):
     out = []
     for e in g.elements():
         sub = Subgroup(g, [e])
-        if sub._member_set not in seen:
-            seen.add(sub._member_set)
+        if sub not in seen:
+            seen.add(sub)
             out.append(sub)
     return out
 
@@ -266,3 +283,96 @@ def test_subgroup_structure():
     assert g.element([8]) in sub
     assert g.element([2]) not in sub
     assert 12 % len(sub) == 0
+
+
+@st.composite
+def _generated_subgroups(draw):
+    factors = draw(st.sampled_from(_GROUPS))
+    group = FiniteAbelianGroup(factors)
+    dual = draw(st.booleans())
+    gens = draw(st.lists(st.tuples(*(st.integers(-2 * n, 2 * n) for n in factors)),
+                         max_size=4))
+    if gens and draw(st.booleans()):  # a redundant generator: a combination of two others
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        k = draw(st.integers(-3, 3))
+        gens.append(tuple(x + k * y for x, y in zip(a, b)))
+    make = group.dual_element if dual else group.element
+    return group, dual, [make(c) for c in gens]
+
+
+@settings(max_examples=200)
+@given(_generated_subgroups())
+def test_subgroup_annihilator_transversal_match_loop_oracles(case):
+    group, dual, gens = case
+    sub = Subgroup(group, gens, dual=dual)
+    members = oracle_span(group, gens, dual)
+    assert [e.coords for e in sub] == members
+    assert sub.coords.tolist() == [list(c) for c in members]
+    assert all(type(e) is (DualElement if dual else GroupElement) for e in sub)
+    assert [e.coords for e in transversal(sub)] == oracle_transversal(group, list(sub), dual)
+    ann = annihilator(sub)
+    assert ann.dual != dual
+    assert [e.coords for e in ann] == oracle_annihilator(group, members)
+    assert len(ann.generators) <= math.log2(group.order)
+    assert annihilator(ann) == sub and hash(annihilator(ann)) == hash(sub)
+
+
+@st.composite
+def _integer_matrices(draw):
+    factors = draw(st.sampled_from(_GROUPS))
+    rank = len(factors)
+    matrix = []
+    for i in range(rank):
+        row = []
+        for j in range(rank):
+            k = draw(st.integers(-9, 9))
+            # a multiple of N_i / gcd(N_i, N_j) keeps the entry well defined
+            aligned = draw(st.booleans())
+            row.append(k * (factors[i] // math.gcd(factors[i], factors[j])) if aligned else k)
+        matrix.append(row)
+    return FiniteAbelianGroup(factors), matrix
+
+
+@settings(max_examples=300)
+@given(_integer_matrices())
+@example((FiniteAbelianGroup((4, 6)), [[1, 2], [3, 1]]))
+@example((FiniteAbelianGroup((4, 6)), [[3, 2], [3, 5]]))
+@example((FiniteAbelianGroup((12,)), [[9]]))
+def test_automorphism_acceptance_matches_enumeration(case):
+    group, matrix = case
+    images = oracle_automorphism_images(group, matrix)
+    if images is None:
+        with pytest.raises(ValueError):
+            Automorphism(group, matrix)
+        return
+    auto = Automorphism(group, matrix)
+    assert [auto(x).coords for x in group.elements()] == images
+    coords = np.array([x.coords for x in group.elements()]).reshape(-1, 1, group.rank)
+    assert auto.apply(coords).reshape(-1, group.rank).tolist() == [list(c) for c in images]
+
+
+@pytest.mark.parametrize("factors,element,matrix", [
+    ((4096,), [64], [5]),
+    ((64, 64), [1, 0], [[1, 1], [0, 1]]),
+])
+def test_subgroup_machinery_stays_small_at_4096(factors, element, matrix):
+    # closure, annihilator and transversal work on |G|-sized arrays, never on
+    # |span| x |orbit| temporaries; automorphisms are checked on one image array
+    import tracemalloc
+
+    g = FiniteAbelianGroup(factors)
+    gen = g.element(element)
+    redundant = [gen + gen, gen, -gen, gen + gen + gen]
+    tracemalloc.start()
+    try:
+        subgroups = [Subgroup.full(g), Subgroup.trivial(g), Subgroup(g, [gen]),
+                     Subgroup(g, redundant)]
+        for sub in subgroups:
+            annihilator(sub)
+            transversal(sub)
+        Automorphism(g, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(sub) for sub in subgroups] == [4096, 1, 64, 64]
+    assert peak < 8 * 2**20

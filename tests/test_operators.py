@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborop import (
     SpaceOperator,
@@ -16,7 +18,7 @@ from gaborop import (
     operator_norm,
     trace_inner,
 )
-from gaborop.operators import is_hyponormal_on_range, is_normal
+from gaborop.operators import OperatorDiagnostics, is_hyponormal_on_range, is_normal
 from helpers import (
     flip_op,
     pert_theta_op,
@@ -205,3 +207,64 @@ def test_hyponormal_on_range(space):
     assert not ok_full
     ok_small, _ = is_hyponormal_on_range(bad, SpaceOperator.zero(space))
     assert ok_small  # zero range: vacuous
+
+
+def _solver_shapes(monkeypatch) -> list:
+    """Record the operand shape of every numpy.linalg eigen or singular-value
+    solve (a 2-norm is one; a Frobenius norm is not)."""
+    shapes = []
+    for name in ("eigh", "eigvalsh", "svd", "norm"):
+        def recorded(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            if _name != "norm" or kwargs.get("ord", args[0] if args else None) in (2, -2, "nuc"):
+                shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+def _as_dense(op: SpaceOperator) -> SpaceOperator:
+    return SpaceOperator.from_dense(op.space, op.to_dense())
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       op_kind=st.sampled_from(["general", "singular", "invertible", "right_unitary", "zero"]),
+       range_kind=st.sampled_from(["general", "singular", "zero"]),
+       order=st.sampled_from([3, 4, 6]))
+def test_hyponormal_on_range_entry_maps_match_dense(seed, op_kind, range_kind, order):
+    # both entry maps: the n^2 x n^2 compression gives the dense verdict and
+    # least eigenvalue, also for a rank-deficient or zero range
+    rng = np.random.default_rng(seed)
+    space = torus_space(order, 2)
+
+    def make(kind):
+        return SpaceOperator.zero(space) if kind == "zero" else random_entry_op(space, rng, kind)
+
+    op, range_of = make(op_kind), make(range_kind)
+    got = is_hyponormal_on_range(op, range_of)
+    want = is_hyponormal_on_range(_as_dense(op), _as_dense(range_of))
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], abs=1e-12 * max(1.0, operator_norm(op) ** 2))
+
+
+def test_hyponormal_on_range_entry_maps_stay_n2(space, monkeypatch):
+    n2 = space.n * space.n
+    shapes = _solver_shapes(monkeypatch)
+    for op, range_of in ((pert_theta_op(space), flip_op(space)),
+                         (selector_op(space), projector_op(space))):
+        is_hyponormal_on_range(op, range_of)
+    assert shapes and max(max(shape) for shape in shapes) <= n2
+
+
+def test_diagnostics_dense_operator_two_solves(monkeypatch, rng):
+    space = torus_space(16, 2)
+    d = space.dim
+    assert d == 64
+    op = SpaceOperator.from_dense(space, rng.standard_normal((d, d)) / np.sqrt(d))
+    hypo, min_eig = is_hyponormal(op)
+    want = OperatorDiagnostics(operator_norm(op), lower_bound_constant(op), hypo,
+                               is_mv_adjointable(op), min_eig)
+    shapes = _solver_shapes(monkeypatch)
+    got = diagnostics(op)
+    assert [shape for shape in shapes if d in shape] == [(d, d), (d, d)]
+    assert got == want
