@@ -300,11 +300,12 @@ def omega_characterization(system, theta: SpaceOperator,
     and extracts extremal constants from the pencil of Omega Omega^* on the
     blocks of the frame operator.
     """
-    return _omega_report(system, _frame_blocks(system, theta), theta, tol)
+    return _omega_report(system, _frame_blocks(system, theta), tol)
 
 
-def _omega_report(system, blocks, theta: SpaceOperator, tol: float) -> OmegaReport:
-    """The Omega report against the frame-operator blocks of ``system`` under ``theta``."""
+def _omega_report(system, blocks, tol: float) -> OmegaReport:
+    """The Omega report against the frame-operator blocks of ``system``, built
+    with the operator."""
     family = _as_family(system)
     n = family.space.n
     omega = analysis_matrix(family).conj().T  # signal-space x coefficient-space
@@ -325,6 +326,6 @@ def _omega_report(system, blocks, theta: SpaceOperator, tol: float) -> OmegaRepo
     max_dev = max(float(np.abs(gram_blocks - blocks.s).max()),
                   float(np.abs(gram[off_block]).max(initial=0.0)))
 
-    sol = solve_pencils(gram_blocks, *_operator_grams(theta, blocks.s.shape[-1]), tol)
+    sol = solve_pencils(gram_blocks, *_operator_grams(blocks), tol)
     return OmegaReport(basis_condition, max_dev, sol.lower_exists, sol.upper_exists,
                        sol.alpha, sol.beta)

@@ -10,8 +10,9 @@ synthesis and bound machinery through :class:`VectorFamily`.
 Ordinary bounds are the extreme eigenvalues of the frame operator.  For a
 Gabor system the frame operator is block-diagonal over the cosets of the
 annihilator of the modulation group (Walnut's representation), and an entry
-map acts pointwise, so bounds under an entry map (or none) are computed on
-those blocks; any other family or operator is one dense block.  The
+map acts pointwise, so bounds under an entry map (or none), or under a dense
+operator that vanishes off those blocks, are computed on them; any other
+family or operator is one dense block.  The
 operator-controlled two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
@@ -218,11 +219,14 @@ def frame_operator(system, as_operator: bool = True):
 
 
 class _Blocks(NamedTuple):
-    """The frame operator as the diagonal blocks of a block-diagonal matrix."""
+    """The frame operator as the diagonal blocks of a block-diagonal matrix,
+    and the operator it is paired with on the same blocks."""
 
     route: str          # "walnut" (coset blocks) or "dense" (one block)
     index: np.ndarray   # (B, d) flat indices of each block
     s: np.ndarray       # (B, d, d) the blocks
+    op: Optional[np.ndarray]  # (1, e, e) or (B, d, d): see _frame_blocks
+    reason: str         # why the operator takes this route
 
     def to_json_dict(self) -> dict:
         return {"name": self.route, "blocks": len(self.s), "block_dim": self.s.shape[-1]}
@@ -235,38 +239,56 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     summing the modulations gives S(y, x) = w |Gamma| sum_{l, a} g_l(y - a)^T
     conj(g_l(x - a)) (times I_n on the row index) when x - y lies in the
     annihilator of Gamma, and 0 otherwise (Walnut 1992).  So S is
-    block-diagonal over the |Gamma| cosets, each block is built straight from
-    the windows, and an entry map (or no operator) splits over the same
-    blocks.  A family or a dense operator gives one dense block.
+    block-diagonal over the |Gamma| cosets, and each block is built straight
+    from the windows.  The coset blocks are taken when the operator maps each
+    coset into itself: no operator, an entry map, or a dense matrix whose
+    nonzero count equals that of its coset blocks (an exact test).  A family,
+    or a dense matrix with a nonzero entry off the blocks, gives one dense
+    block.
+
+    ``op`` is the operator on the blocks: the entry matrix (1, n^2, n^2),
+    which repeats along the diagonal of every block, or the stack of the
+    operator's diagonal blocks, (B, d, d) on the coset blocks and (1, D, D)
+    on the dense route.
     """
     if theta is not None and theta.space != system.space:
         raise GroupMismatchError("operator does not act on the system's space")
-    if not isinstance(system, GaborSystem) or (theta is not None and theta.kind != "entry_map"):
-        s = frame_operator(system, as_operator=False)
-        return _Blocks("dense", np.arange(len(s))[None], s[None])
+    op = None if theta is None else theta._rep()[None]
+    if not isinstance(system, GaborSystem):
+        return _dense_blocks(system, op, "not a Gabor system")
     group, n = system.space.group, system.space.n
     modulations = Subgroup(group, [system.dual_automorphism(m)
                                    for m in system.dual_lattice.generators], dual=True)
     points = _cosets(annihilator(modulations))  # (B, c)
     blocks, c = points.shape
+    index = (points[:, :, None] * (n * n) + np.arange(n * n)).reshape(blocks, -1)
+    reason = "no operator" if theta is None else "entry map"
+    if theta is not None and theta.kind == "dense":
+        on_blocks = op[0][index[:, :, None], index[:, None, :]]
+        if np.count_nonzero(on_blocks) != np.count_nonzero(op):
+            return _dense_blocks(system, op, "dense, nonzero off the coset blocks")
+        op, reason = on_blocks, "dense, zero off the coset blocks"
     # h[b, (l, a, q), (i, r)] = g_l(x_bi - a)[q, r] for the points x_bi of coset b
     h = _translates(system)[:, :, points].transpose(2, 0, 1, 4, 3, 5).reshape(blocks, -1, c * n)
     k = system.space.weight() * len(system.dual_lattice) * (np.swapaxes(h, 1, 2) @ h.conj())
     # S[(x_i, p, r), (x_j, t, s)] = delta(p, t) K(x_i, x_j)[r, s]
     s = np.einsum("birjs,pt->biprjts", k.reshape(blocks, c, n, c, n), np.eye(n))
-    index = points[:, :, None] * (n * n) + np.arange(n * n)
-    return _Blocks("walnut", index.reshape(blocks, -1), s.reshape(blocks, c * n * n, c * n * n))
+    return _Blocks("walnut", index, s.reshape(blocks, c * n * n, c * n * n), op, reason)
 
 
-def _operator_grams(theta: SpaceOperator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T T*, T* T) on one block of size ``dim``: kron(I, M M*) and kron(I, M* M)
-    for an entry map M, the dense products otherwise."""
-    if theta.kind == "entry_map":
-        m = theta.entry_matrix
-        eye = np.eye(dim // len(m))
-        return np.kron(eye, m @ m.conj().T), np.kron(eye, m.conj().T @ m)
-    t = theta.to_dense()
-    return t @ t.conj().T, t.conj().T @ t
+def _dense_blocks(system, op: Optional[np.ndarray], reason: str) -> _Blocks:
+    s = frame_operator(system, as_operator=False)
+    return _Blocks("dense", np.arange(len(s))[None], s[None], op, reason)
+
+
+def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(T T*, T* T) as a (1, d, d) or (B, d, d) stack aligned with ``blocks.index``:
+    the products of the operator's blocks, each repeated along the diagonal
+    of a block of S (an entry map M gives kron(I, M M*) and kron(I, M* M))."""
+    t = blocks.op
+    t_h = np.swapaxes(t.conj(), -1, -2)
+    eye = np.eye(blocks.s.shape[-1] // t.shape[-1])
+    return np.kron(eye, t @ t_h), np.kron(eye, t_h @ t)
 
 
 @dataclass
@@ -337,14 +359,16 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
     The closed-form constants of :func:`gaborop.pencil.solve_pencils` are
     reported and repeated in ``cross_check`` (``alpha_pinv``/``beta_pinv``)
     beside their residual certificates (``alpha_certificate``/...); ``route``
-    says whether the coset blocks or the dense matrix were solved.
+    says whether the coset blocks or the dense matrix were solved, and its
+    ``reason`` why the operator took that route.
     """
-    return _theta_report(_frame_blocks(system, theta), theta, tol)
+    return _theta_report(_frame_blocks(system, theta), tol)
 
 
-def _theta_report(blocks: _Blocks, theta: SpaceOperator, tol: float) -> BoundsReport:
+def _theta_report(blocks: _Blocks, tol: float) -> BoundsReport:
+    """The controlled report on ``blocks``, built with the operator."""
     # T T* controls the lower side, T* T the upper side
-    sol = solve_pencils(blocks.s, *_operator_grams(theta, blocks.s.shape[-1]), tol)
+    sol = solve_pencils(blocks.s, *_operator_grams(blocks), tol)
     cross: dict = {}
     for name, value in (("alpha", sol.alpha), ("beta", sol.beta)):
         if value is not None:
@@ -359,7 +383,7 @@ def _theta_report(blocks: _Blocks, theta: SpaceOperator, tol: float) -> BoundsRe
         tolerance=tol,
         spectra=sol.spectra,
         cross_check=cross,
-        route=blocks.to_json_dict(),
+        route={**blocks.to_json_dict(), "reason": blocks.reason},
     )
 
 
@@ -420,7 +444,7 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     adj_norm = operator_norm(theta.adjoint())
     predicted_lower = ordinary.alpha_opt / (adj_norm * adj_norm)
     predicted_upper = ordinary.beta_opt / (sigma * sigma)
-    controlled = _theta_report(blocks, theta, tol)
+    controlled = _theta_report(blocks, tol)
     lower_valid, upper_valid = valid_bounds(controlled, predicted_lower, predicted_upper, tol)
     return PromotionResult(
         True,

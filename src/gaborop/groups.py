@@ -343,6 +343,8 @@ class Automorphism:
         self.group = group
         self.dual = bool(dual)
         self.matrix = arr
+        if np.array_equal(arr, np.eye(group.rank, dtype=np.int64)):
+            return  # the identity is well defined and bijective on any factors
         factors = np.asarray(group.factors, dtype=np.int64)
         # well defined on each Z_{N_j}: A_ij * N_j must vanish mod N_i
         if np.any(arr % factors[:, None] * factors % factors[:, None]):

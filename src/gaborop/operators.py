@@ -182,9 +182,10 @@ def lower_bound_constant(op: SpaceOperator) -> float:
     return float(sv[-1]) if sv.size else 0.0
 
 
-def _self_commutator(op: SpaceOperator) -> np.ndarray:
-    m = op._rep()
-    return m.conj().T @ m - m @ m.conj().T
+def _self_commutator(m: np.ndarray) -> np.ndarray:
+    """M* M - M M* of a matrix or of each matrix in a stack."""
+    m_h = np.swapaxes(m.conj(), -1, -2)
+    return m_h @ m - m @ m_h
 
 
 def is_hyponormal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -192,18 +193,19 @@ def is_hyponormal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> tuple[bool, fl
 
     Equivalent to ||adjoint(T) f|| <= ||T f|| for every signal.
     """
-    return _hyponormal(op, operator_norm(op), tol)
+    return _hyponormal(op._rep(), operator_norm(op), tol)
 
 
-def _hyponormal(op: SpaceOperator, norm: float, tol: float) -> tuple[bool, float]:
-    """:func:`is_hyponormal` with the operator norm already known."""
-    min_eig = float(np.linalg.eigvalsh(_self_commutator(op))[0])
+def _hyponormal(blocks: np.ndarray, norm: float, tol: float) -> tuple[bool, float]:
+    """:func:`is_hyponormal` of the operator with the diagonal ``blocks`` (one
+    matrix or a stack) and the operator norm already known."""
+    min_eig = float(np.linalg.eigvalsh(_self_commutator(blocks))[..., 0].min())
     return min_eig >= -tol * norm ** 2, min_eig
 
 
 def is_normal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     """Self-commutator vanishes; in this finite setting equals hyponormality."""
-    residual = float(np.linalg.norm(_self_commutator(op), ord=2))
+    residual = float(np.linalg.norm(_self_commutator(op._rep()), ord=2))
     return residual <= tol * operator_norm(op) ** 2
 
 
@@ -272,11 +274,20 @@ class OperatorDiagnostics:
 
 
 def diagnostics(op: SpaceOperator, tol: float = DEFAULT_TOL) -> OperatorDiagnostics:
-    sv = np.linalg.svd(op._rep(), compute_uv=False)  # the norm and the lower bound at once
-    hypo, min_eig = _hyponormal(op, float(sv[0]), tol)
+    return _diagnostics(op, op._rep(), tol)
+
+
+def _diagnostics(op: SpaceOperator, blocks: np.ndarray, tol: float) -> OperatorDiagnostics:
+    """:func:`diagnostics` from the diagonal blocks of ``op``, one matrix or a
+    stack (any block may repeat): singular values and self-commutator spectra are
+    those of the blocks, so the norm is their max over the blocks, the lower
+    bound and the least self-commutator eigenvalue their min."""
+    sv = np.linalg.svd(blocks, compute_uv=False)  # the norm and the lower bound at once
+    norm = float(sv[..., 0].max())
+    hypo, min_eig = _hyponormal(blocks, norm, tol)
     return OperatorDiagnostics(
-        operator_norm=float(sv[0]),
-        lower_bound=float(sv[-1]),
+        operator_norm=norm,
+        lower_bound=float(sv[..., -1].min()),
         is_hyponormal=hypo,
         is_mv_adjointable=is_mv_adjointable(op, tol),
         self_commutator_min_eig=min_eig,

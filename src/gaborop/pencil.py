@@ -6,10 +6,11 @@ S - alpha P >= 0, the upper-side one the smallest beta with beta P - S >= 0.
 the two grams, via the closed form of the generalized eigenproblem on the
 range of P (Golub & Van Loan, *Matrix Computations*, 8.7), and certifies each
 constant by the least eigenvalue of the pencil at it and one step past it.
-S may be given as the stack of diagonal blocks of a block-diagonal matrix
-whose grams repeat one block; every step then runs batched over the stack,
-and every threshold is taken relative to the top eigenvalue over all blocks,
-so each block is judged as it is inside the whole matrix.
+S may be given as the stack of diagonal blocks of a block-diagonal matrix,
+with grams on the same blocks or one gram block that every block repeats;
+every step then runs batched over the stack, and every threshold is taken
+relative to the top eigenvalue over all blocks, so each block is judged as
+it is inside the whole matrix.
 Bisection on the least eigenvalue of the pencil is the test oracle; it
 lives in ``tests/helpers.py``, not in the library.
 """
@@ -56,15 +57,10 @@ def _kernel(vals: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
     return vals <= rtol * _top(vals)
 
 
-def _split(vals: np.ndarray, vecs: np.ndarray, rtol: float = KERNEL_RTOL):
-    """(range basis, positive eigenvalues, kernel basis) from an eigendecomposition."""
-    kernel = _kernel(vals, rtol)
-    return vecs[:, ~kernel], vals[~kernel], vecs[:, kernel]
-
-
 def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
     """Orthonormal kernel basis of a Hermitian PSD matrix (columns)."""
-    return _split(*_eigh(h), rtol)[2]
+    vals, vecs = _eigh(h)
+    return vecs[:, _kernel(vals, rtol)]
 
 
 def _contained(vecs: np.ndarray, kernel: np.ndarray, b: np.ndarray, b_top: float,
@@ -77,27 +73,41 @@ def _contained(vecs: np.ndarray, kernel: np.ndarray, b: np.ndarray, b_top: float
     return bool(np.max(quotients, where=kernel, initial=-np.inf) <= tol * b_top)
 
 
-def _closed_form(s: np.ndarray, s_top: float, split, lower: bool) -> Optional[float]:
-    """alpha (``lower``) or beta of the block stack s against the split p: with
-    W the inverse square root of p on its range, the top eigenvalue of W s W
-    over all blocks is beta (exact once ker p <= ker s), the least one of
-    W (s / ker p) W is alpha."""
-    q_r, vals_r, q_k = split
-    if q_r.shape[1] == 0:
+def _closed_form(s: np.ndarray, s_top: float, p_eig, lower: bool) -> Optional[float]:
+    """alpha (``lower``) or beta of the block stack s against the stack p whose
+    eigendecomposition is ``p_eig``: with W the inverse square root of a block
+    of p on its range, the top eigenvalue of W s W over all blocks is beta
+    (exact once ker p <= ker s), the least one of W (s / ker p) W is alpha.
+
+    ``eigh`` sorts ascending, so each block's kernel columns lead; blocks of
+    equal kernel dimension run batched together.  A block where p vanishes
+    constrains neither side (s vanishes there too once ker p <= ker s).
+    """
+    vals, vecs = p_eig
+    dims = np.count_nonzero(_kernel(vals), axis=-1)
+    # where s is at rounding level on ker p it has no coupling (the level is
+    # that of the whole matrix, of dimension B * d)
+    cutoff = len(s) * s.shape[-1] * np.finfo(float).eps * s_top
+    extremes = []
+    for k in sorted(set(dims[dims < vals.shape[-1]].tolist())):
+        rows = dims == k
+        q_r, q_k, vals_r = vecs[rows][..., k:], vecs[rows][..., :k], vals[rows][..., k:]
+        block = s[rows] if len(vals) > 1 else s
+        q_r_h = np.swapaxes(q_r.conj(), -1, -2)
+        s_rr = q_r_h @ block @ q_r
+        if lower and k:
+            # Schur complement of s on ker p
+            k_vals, k_vecs = _eigh(np.swapaxes(q_k.conj(), -1, -2) @ block @ q_k)
+            coupling = q_r_h @ block @ q_k @ k_vecs
+            inverse = np.divide(1.0, k_vals, out=np.zeros_like(k_vals), where=k_vals > cutoff)
+            s_rr = s_rr - (coupling * inverse[..., None, :]) @ np.swapaxes(coupling.conj(), -1, -2)
+        w = 1.0 / np.sqrt(vals_r)
+        eigs = np.linalg.eigvalsh(w[..., :, None] * _hermitian(s_rr) * w[..., None, :])
+        extremes.append(eigs[..., 0].min() if lower else eigs[..., -1].max())
+    if not extremes:
         # p = 0: every alpha works; beta is 0 since ker p <= ker s forces s = 0
         return None if lower else 0.0
-    s_rr = q_r.conj().T @ s @ q_r
-    if lower and q_k.shape[1]:
-        # Schur complement; where s is at rounding level on ker p it has no
-        # coupling (the level is that of the whole matrix, of size s.size / d)
-        k_vals, k_vecs = _eigh(q_k.conj().T @ s @ q_k)
-        keep = k_vals > s.size // s.shape[-1] * np.finfo(float).eps * s_top
-        coupling = q_r.conj().T @ s @ q_k @ k_vecs
-        inverse = np.divide(1.0, k_vals, out=np.zeros_like(k_vals), where=keep)
-        s_rr = s_rr - (coupling * inverse[..., None, :]) @ np.swapaxes(coupling.conj(), -1, -2)
-    w = 1.0 / np.sqrt(vals_r)
-    eigs = np.linalg.eigvalsh(w[:, None] * _hermitian(s_rr) * w[None, :])
-    return max(0.0, float(eigs[..., 0].min() if lower else eigs[..., -1].max()))
+    return max(0.0, float(min(extremes) if lower else max(extremes)))
 
 
 def _certificate(s: np.ndarray, s_top: float, p: np.ndarray, p_top: float,
@@ -124,34 +134,38 @@ class PencilSolution:
     certificates: dict
 
 
+def _stack(h) -> np.ndarray:
+    h = np.asarray(h)
+    return h.reshape((-1,) + h.shape[-2:])
+
+
 def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
                   tol: float = DEFAULT_TOL) -> PencilSolution:
     """Both sides of S >= alpha * lower_gram and S <= beta * upper_gram.
 
     ``s`` is one (d, d) matrix or a (B, d, d) stack of the diagonal blocks of
-    a block-diagonal S; each (d, d) gram stands for the block-diagonal matrix
-    repeating it B times.  A positive alpha exists iff ker S <= ker lower_gram
-    and a finite beta iff ker upper_gram <= ker S, judged by Rayleigh
-    quotients relative to the top eigenvalue (``tol``).  alpha is None also
-    when lower_gram vanishes.  The spectra hold all B * d eigenvalues.
+    a block-diagonal S; each gram is a (B, d, d) stack on the same blocks or
+    one (d, d) block (or a (1, d, d) stack) that every block repeats.  A
+    positive alpha exists iff ker S <= ker lower_gram and a finite beta iff
+    ker upper_gram <= ker S, judged by Rayleigh quotients relative to the top
+    eigenvalue (``tol``).  alpha is None also when lower_gram vanishes.  The
+    spectra hold all B * d eigenvalues.
     """
-    s = np.asarray(s)
-    s = s.reshape((-1,) + s.shape[-2:])
+    s, lower_gram, upper_gram = _stack(s), _stack(lower_gram), _stack(upper_gram)
     s_vals, s_vecs = _eigh(s)
     lo_vals, lo_vecs = _eigh(lower_gram)
     up_vals, up_vecs = _eigh(upper_gram)
     s_top, lo_top, up_top = _top(s_vals), _top(lo_vals), _top(up_vals)
     lower_exists = _contained(s_vecs, _kernel(s_vals), lower_gram, lo_top, tol)
     upper_exists = _contained(up_vecs, _kernel(up_vals), s, s_top, tol)
-    alpha = _closed_form(s, s_top, _split(lo_vals, lo_vecs), True) if lower_exists else None
-    beta = _closed_form(s, s_top, _split(up_vals, up_vecs), False) if upper_exists else None
+    alpha = _closed_form(s, s_top, (lo_vals, lo_vecs), True) if lower_exists else None
+    beta = _closed_form(s, s_top, (up_vals, up_vecs), False) if upper_exists else None
     certificates = {}
     if alpha is not None:
         certificates["alpha"] = _certificate(s, s_top, lower_gram, lo_top, alpha, 1.0)
     if beta is not None:
         certificates["beta"] = _certificate(s, s_top, upper_gram, up_top, beta, -1.0)
-    blocks = len(s)
-    spectra = {"frame_operator": np.sort(s_vals, axis=None).tolist(),
-               "lower_gram": np.repeat(lo_vals, blocks).tolist(),
-               "upper_gram": np.repeat(up_vals, blocks).tolist()}
+    spectra = {name: np.sort(np.broadcast_to(vals, s_vals.shape), axis=None).tolist()
+               for name, vals in (("frame_operator", s_vals), ("lower_gram", lo_vals),
+                                  ("upper_gram", up_vals))}
     return PencilSolution(lower_exists, upper_exists, alpha, beta, spectra, certificates)

@@ -146,7 +146,7 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
         gamma_o, delta_o = bounds
         source = "paper_pinned"
     else:
-        rep = _theta_report(source_blocks, theta, tol)
+        rep = _theta_report(source_blocks, tol)
         if not (rep.lower_exists and rep.upper_exists and rep.alpha_opt):
             return PertCheck(None, True, False, False, None, False, "computed")
         gamma_o, delta_o = rep.alpha_opt, rep.beta_opt
@@ -155,7 +155,7 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
 
     # the difference system has the source's lattices, hence its blocks
     d = _frame_blocks(_difference_system(system, perturbed), theta).s
-    lower_gram, upper_gram = _operator_grams(theta, d.shape[-1])
+    lower_gram, upper_gram = _operator_grams(source_blocks)
     rhs = lam * source_blocks.s + mu * lower_gram + eta * upper_gram
     margin = float(np.linalg.eigvalsh(rhs - d)[..., 0].min())
     difference_ok = margin >= -tol * float(np.linalg.eigvalsh(rhs)[..., -1].max())

@@ -29,7 +29,7 @@ from .constructions import (
     tight_theta_frame,
 )
 from .frames import (GaborSystem, _frame_blocks, _ordinary_report, _theta_report,
-                     ordinary_bounds, theta_bounds, valid_bounds)
+                     ordinary_bounds, valid_bounds)
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
@@ -37,7 +37,7 @@ from .groups import (
     Subgroup,
     inverse_fourier,
 )
-from .operators import DEFAULT_TOL, SpaceOperator, diagnostics
+from .operators import DEFAULT_TOL, SpaceOperator, _diagnostics, diagnostics
 from .perturbation import verify_perturbation, verify_sum
 from .presets import build_preset
 from .signals import MatrixSignal, SignalSpace
@@ -65,6 +65,14 @@ _FORM_VALIDATORS = {
         Draft202012Validator({"$defs": SCENARIO_SCHEMA["$defs"], **form})
     for form in SCENARIO_SCHEMA["oneOf"]
 }
+# the full form's task rules alone: the merged task and args of an expanded
+# compact form must meet them (the preset's own systems are trusted)
+_FULL_FORM = _FORM_VALIDATORS[False].schema
+_TASK_VALIDATOR = Draft202012Validator({
+    "$defs": SCENARIO_SCHEMA["$defs"],
+    "properties": {key: _FULL_FORM["properties"][key] for key in ("task", "args")},
+    "allOf": _FULL_FORM["allOf"],
+})
 _REPORT_VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
 
 
@@ -84,9 +92,13 @@ def validate_scenario(raw: dict) -> None:
     instead of a blanket oneOf failure.  The full form checks ``args``
     against the schema of its task.
     """
-    validator = _FORM_VALIDATORS["source" in raw]
+    _check(_FORM_VALIDATORS["source" in raw], raw)
+
+
+def _check(validator: Draft202012Validator, instance: dict) -> None:
+    """Raise a ScenarioError naming the field path of every schema error."""
     problems = []
-    for e in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
+    for e in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
         path = "$" + "".join(
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in e.absolute_path
         )
@@ -132,7 +144,7 @@ def load_scenario(path) -> dict:
     validate_scenario(raw)
     expanded = expand_scenario(raw)
     if "source" in raw:
-        validate_scenario({k: v for k, v in expanded.items() if k != "provenance_preset"})
+        _check(_TASK_VALIDATOR, {"task": expanded["task"], "args": expanded.get("args", {})})
     return expanded
 
 
@@ -158,57 +170,57 @@ def _complex_entry(v) -> complex:
     return complex(v[0], v[1])
 
 
-def _build_scalar_values(space: SignalSpace, spec) -> np.ndarray:
-    group = space.group
+def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.ndarray) -> complex:
+    """Write one scalar window entry into ``primal`` (point values) or, for a
+    ``fourier_indicator``, into ``hat`` (dual-side values); return the product
+    of the ``scaled`` factors around it."""
     if spec == 0 or spec is None:
-        return np.zeros(group.order, dtype=np.complex128)
+        return 1.0
     kind = spec["window"]
     if kind == "zero":
-        return np.zeros(group.order, dtype=np.complex128)
+        return 1.0
     if kind == "scaled":
-        return complex(spec["scale"]) * _build_scalar_values(space, spec["of"])
+        return complex(spec["scale"]) * _build_scalar(group, spec["of"], primal, hat)
     if kind == "values":
         vals = [_complex_entry(v) for v in spec["values"]]
         if len(vals) != group.order:
             raise ScenarioError(
                 [f"$.windows: 'values' must list {group.order} entries, got {len(vals)}"]
             )
-        return np.asarray(vals, dtype=np.complex128)
-    if kind == "delta":
-        coords = spec.get("at", [0] * group.rank)
-        out = np.zeros(group.order, dtype=np.complex128)
-        out[group.element(coords).index] = spec.get("scale", 1.0)
-        return out
-    if kind == "fourier_indicator":
-        scale = spec.get("scale", 1.0)
-        hat = np.zeros((group.order, 1, 1), dtype=np.complex128)
+        primal[:] = vals
+    elif kind == "delta":
+        primal[group.element(spec.get("at", [0] * group.rank)).index] = spec.get("scale", 1.0)
+    elif kind == "fourier_indicator":
         for idx in spec["set"]:
             if not 0 <= idx < group.order:
                 raise ScenarioError(
                     [f"$.windows: fourier_indicator index {idx} outside the dual group"]
                 )
-            hat[idx, 0, 0] = scale
-        scalar_space = SignalSpace(group, 1, space.measure)
-        sig = inverse_fourier(MatrixSignal(scalar_space, hat, dual=True))
-        return sig.values[:, 0, 0]
-    raise ScenarioError([f"$.windows: unknown scalar window kind {kind!r}"])
+        hat[spec["set"]] = spec.get("scale", 1.0)
+    else:
+        raise ScenarioError([f"$.windows: unknown scalar window kind {kind!r}"])
+    return 1.0
 
 
 def _build_window(space: SignalSpace, spec) -> MatrixSignal:
+    """A window as one (|G|, n, n) array: the ``fourier_indicator`` entries are
+    collected on the dual side and take one inverse transform together."""
     n = space.n
-    values = np.zeros((space.group.order, n, n), dtype=np.complex128)
     if isinstance(spec, dict) and "matrix" in spec:
         grid = spec["matrix"]
         if len(grid) != n or any(len(row) != n for row in grid):
             raise ScenarioError([f"$.windows: matrix window must be {n}x{n}"])
-        for i in range(n):
-            for j in range(n):
-                values[:, i, j] = _build_scalar_values(space, grid[i][j])
+    elif n != 1:
+        raise ScenarioError(["$.windows: scalar window given for a matrix system"])
     else:
-        if n != 1:
-            raise ScenarioError(["$.windows: scalar window given for a matrix system"])
-        values[:, 0, 0] = _build_scalar_values(space, spec)
-    return MatrixSignal(space, values)
+        grid = [[spec]]
+    primal = np.zeros((space.group.order, n, n), dtype=np.complex128)
+    hat = np.zeros_like(primal)
+    factors = np.array([[_build_scalar(space.group, grid[i][j], primal[:, i, j], hat[:, i, j])
+                         for j in range(n)] for i in range(n)], dtype=np.complex128)
+    if hat.any():
+        primal += inverse_fourier(MatrixSignal(space, hat, dual=True)).values
+    return MatrixSignal(space, factors * primal)
 
 
 def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool) -> Subgroup:
@@ -365,11 +377,16 @@ def _ordinary_bounds(args, systems, operators, tol) -> _Outcome:
 def _theta_bounds(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
-    controlled = theta_bounds(system, theta, tol)
+    blocks = _frame_blocks(system, theta)
+    controlled = _theta_report(blocks, tol)
     # S is built and decomposed once: the ordinary report reads its spectrum
-    ordinary = _ordinary_report(controlled.spectra["frame_operator"], controlled.route, tol)
+    ordinary = _ordinary_report(controlled.spectra["frame_operator"], blocks.to_json_dict(), tol)
+    # an operator split over the coset blocks is diagnosed on its blocks; one
+    # block is the operator's own representation, which diagnostics() takes
+    operator = (diagnostics(theta, tol) if len(blocks.op) == 1
+                else _diagnostics(theta, blocks.op, tol))
     return _Outcome(
-        {"ordinary": ordinary, "controlled": controlled, "operator": diagnostics(theta, tol)},
+        {"ordinary": ordinary, "controlled": controlled, "operator": operator},
         {"ordinary": ordinary, "controlled": controlled},
         _cross_check_findings("theta_bounds", controlled),
     )
@@ -411,8 +428,8 @@ def _omega_check(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
     blocks = _frame_blocks(system, theta)  # one build serves both reports
-    omega = _omega_report(system, blocks, theta, tol)
-    controlled = _theta_report(blocks, theta, tol)
+    omega = _omega_report(system, blocks, tol)
+    controlled = _theta_report(blocks, tol)
     agree = bool(omega.lower_exists == controlled.lower_exists
                  and omega.upper_exists == controlled.upper_exists)
     findings = []

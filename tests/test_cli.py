@@ -374,16 +374,22 @@ def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
 def test_theta_bounds_task_builds_s_once(monkeypatch, name):
     # the ordinary report reads the spectrum of the controlled one: one build
     # (and one decomposition) of S per report, the same constants as the
-    # ordinary_bounds task on that system
+    # ordinary_bounds task on that system; every module namespace holding
+    # _frame_blocks is counted
+    import sys
+
     from gaborop import frames
 
     calls = []
+    build = frames._frame_blocks
 
-    def counted(*args, _build=frames._frame_blocks, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return _build(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(frames, "_frame_blocks", counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gaborop") and getattr(module, "_frame_blocks", None) is build:
+            monkeypatch.setattr(module, "_frame_blocks", counted)
     ordinary = run_scenario(build_preset(name))["results"]["ordinary"]
     assert len(calls) == 1
     scenario = build_preset(name)
@@ -416,3 +422,97 @@ def test_omega_check_task_builds_s_once(monkeypatch):
     report = run_scenario(build_preset("omega-check"))
     assert len(calls) == 1
     assert report["results"]["verdicts_agree"] and not report["findings"]
+
+
+def test_every_preset_passes_validation():
+    from gaborop.scenario import validate_scenario
+
+    for name in PRESETS:
+        validate_scenario(build_preset(name))
+
+
+def test_compact_form_is_validated_once(tmp_path, monkeypatch, capsys):
+    # the raw compact form is schema-checked once; after expansion only the
+    # merged task and args meet the full form's task rules, with their paths
+    import gaborop.scenario as gscenario
+
+    calls = []
+    validate = gscenario.validate_scenario
+    monkeypatch.setattr(gscenario, "validate_scenario",
+                        lambda raw: calls.append(raw) or validate(raw))
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps({"source": "pertexa", "args": {"lambda": -1}}))
+    assert main(["--scenario", str(path)]) == 2
+    assert "scenario error: $.args.lambda: " in capsys.readouterr().err
+    assert len(calls) == 1 and "source" in calls[0]
+    path.write_text(json.dumps({"source": "thm2-tight", "args": {"tightness": "x"}}))
+    with pytest.raises(ScenarioError, match=r"\$\.args\.tightness: "):
+        load_scenario(path)
+
+
+def _oracle_scalar_window(space, spec) -> np.ndarray:
+    """A scalar window entry from its definition, the transform as a direct sum."""
+    from helpers import oracle_character
+
+    group = space.group
+    if spec == 0 or spec["window"] == "zero":
+        return np.zeros(group.order, dtype=complex)
+    if spec["window"] == "scaled":
+        return spec["scale"] * _oracle_scalar_window(space, spec["of"])
+    if spec["window"] == "values":
+        return np.array([complex(*v) if isinstance(v, list) else v for v in spec["values"]])
+    points = [e.coords for e in group.elements()]
+    if spec["window"] == "delta":
+        return np.array([spec.get("scale", 1.0) * (x == tuple(spec["at"])) for x in points],
+                        dtype=complex)
+    gammas = [points[i] for i in sorted(set(spec["set"]))]
+    return space.measure.w_dual * spec.get("scale", 1.0) * np.array(
+        [sum(oracle_character(group.factors, g, x) for g in gammas) for x in points])
+
+
+def test_matrix_window_takes_one_transform(monkeypatch):
+    import gaborop.scenario as gscenario
+    from gaborop import FiniteAbelianGroup, MeasurePair, SignalSpace
+
+    group = FiniteAbelianGroup((4, 3))
+    space = SignalSpace(group, 2, MeasurePair.torus_like(group))
+    values = [[0.5 * i, -1.0] for i in range(12)]
+    spec = {"matrix": [
+        [{"window": "fourier_indicator", "set": [0, 5, 5, 7], "scale": 2.0},
+         {"window": "scaled", "scale": -3.0,
+          "of": {"window": "fourier_indicator", "set": [1, 11]}}],
+        [{"window": "delta", "at": [2, 1], "scale": 1.5},
+         {"window": "scaled", "scale": 0.5, "of": {"window": "values", "values": values}}],
+    ]}
+    calls = []
+    transform = gscenario.inverse_fourier
+    monkeypatch.setattr(gscenario, "inverse_fourier",
+                        lambda signal: calls.append(signal) or transform(signal))
+    window = gscenario._build_window(space, spec)
+    assert len(calls) == 1
+    for i in range(2):
+        for j in range(2):
+            want = _oracle_scalar_window(space, spec["matrix"][i][j])
+            assert np.allclose(window.values[:, i, j], want, rtol=0.0, atol=1e-13)
+    calls.clear()
+    plain = {"matrix": [[{"window": "delta", "at": [0, 0]}, 0], [{"window": "zero"}, 0]]}
+    assert gscenario._build_window(space, plain).values[0, 0, 0] == 1.0
+    assert not calls
+
+
+@pytest.mark.parametrize("n,spec,message", [
+    (1, {"window": "values", "values": [1.0, 2.0]}, "'values' must list 8 entries, got 2"),
+    (2, {"matrix": [[0, {"window": "fourier_indicator", "set": [3, 8]}], [0, 0]]},
+     "fourier_indicator index 8 outside the dual group"),
+    (1, {"window": "ramp"}, "unknown scalar window kind 'ramp'"),
+    (2, {"matrix": [[0, 0]]}, "matrix window must be 2x2"),
+    (2, {"window": "zero"}, "scalar window given for a matrix system"),
+], ids=["values-size", "indicator-index", "unknown-kind", "matrix-shape", "scalar-for-matrix"])
+def test_window_errors_keep_their_messages(n, spec, message):
+    from gaborop import FiniteAbelianGroup, MeasurePair, SignalSpace
+    from gaborop.scenario import _build_window
+
+    group = FiniteAbelianGroup((8,))
+    with pytest.raises(ScenarioError) as err:
+        _build_window(SignalSpace(group, n, MeasurePair.torus_like(group)), spec)
+    assert err.value.problems == [f"$.windows: {message}"]

@@ -603,10 +603,14 @@ def _walnut_case(factors, seed):
 
 
 def _assert_same_report(blocked, dense):
+    assert blocked.route["name"] == "walnut" and dense.route["name"] == "dense"
+    _assert_same_bounds(blocked, dense)
+
+
+def _assert_same_bounds(blocked, dense):
     verdicts = lambda r: (r.lower_exists, r.upper_exists, r.tight,
                           r.alpha_opt is None, r.beta_opt is None)
     assert verdicts(blocked) == verdicts(dense)
-    assert blocked.route["name"] == "walnut" and dense.route["name"] == "dense"
     for have, want in ((blocked.alpha_opt, dense.alpha_opt), (blocked.beta_opt, dense.beta_opt)):
         if want is not None:
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12 * abs(dense.beta_opt or 0.0))
@@ -630,6 +634,100 @@ def test_walnut_route_matches_dense_route(factors, seed):
     _assert_same_report(ordinary_bounds(system), ordinary_bounds(system.family()))
 
 
+def _split_dense_operator(system, kind, entry, rng):
+    """A dense operator mapping every coset block of ``system`` into itself:
+    kron(I, entry); a pointwise map whose entry matrix varies with the point
+    and is singular on some points only; right multiplication by R(z, y),
+    supported on z - y in the annihilator of the modulations; or zero."""
+    from gaborop.frames import _frame_blocks
+
+    space = system.space
+    n, n2, order = space.n, space.n ** 2, space.group.order
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t = np.zeros((order, n2, order, n2), dtype=complex)
+    points = np.arange(order)
+    if kind == "kron":
+        t[points, :, points, :] = entry
+    elif kind == "pointwise":
+        maps = cplx(order, n2, n2)
+        # a kernel on some points only, where the map is also larger: the
+        # extreme blocks then have kernels other blocks lack
+        singular = rng.random(order) < 0.4
+        maps[singular] *= 10.0
+        maps[singular, :, 0] = 0.0
+        t[points, :, points, :] = maps
+    elif kind == "right":
+        coset = np.empty(order, dtype=int)
+        for label, block in enumerate(_frame_blocks(system).index):
+            coset[block[::n2] // n2] = label
+        r = cplx(order, order, n, n) * (coset[:, None] == coset[None, :])[:, :, None, None]
+        # (f R)[p, d] = sum_b f[p, b] R[b, d]
+        t = np.einsum("pa,zybd->zpdyab", np.eye(n), r).reshape(t.shape)
+    return SpaceOperator.from_dense(space, t.reshape(space.dim, space.dim))
+
+
+_SPLIT_KINDS = ("kron", "pointwise", "right", "zero")
+
+
+@settings(max_examples=60)
+@given(factors=st.sampled_from([(8,), (12,), (4, 6)]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(_SPLIT_KINDS))
+@example(factors=(12,), seed=50, kind="pointwise")  # alpha in a block with a larger kernel
+@example(factors=(4, 6), seed=10, kind="pointwise")
+def test_split_dense_operator_matches_dense_route(factors, seed, kind):
+    # a dense operator that vanishes off the coset blocks takes them: the same
+    # report as the dense route (the family) and as its entry-map twin; one
+    # nonzero entry off the blocks sends it back to the dense route
+    from gaborop.frames import _frame_blocks
+
+    system, theta = _walnut_case(factors, seed)
+    order = system.space.group.order
+    assume(len(system.lattice) < order and len(system.dual_lattice) < order)
+    op = _split_dense_operator(system, kind, theta.entry_matrix, np.random.default_rng(seed))
+    blocked = theta_bounds(system, op)
+    assert blocked.route["reason"] == "dense, zero off the coset blocks"
+    _assert_same_report(blocked, theta_bounds(system.family(), op))
+    if kind == "kron":
+        twin = theta_bounds(system, theta)
+        assert twin.route == {**blocked.route, "reason": "entry map"}
+        _assert_same_bounds(blocked, twin)
+    index = _frame_blocks(system).index
+    if len(index) > 1:
+        coupled = op.to_dense().copy()
+        coupled[index[0, 0], index[1, -1]] = 1.0
+        rep = theta_bounds(system, SpaceOperator.from_dense(system.space, coupled))
+        assert rep.route == {"name": "dense", "blocks": 1, "block_dim": system.space.dim,
+                             "reason": "dense, nonzero off the coset blocks"}
+
+
+@pytest.mark.parametrize("kind", _SPLIT_KINDS)
+@pytest.mark.parametrize("factors,seed", [((8,), 0), ((12,), 10), ((4, 6), 5)])
+def test_split_operator_diagnostics(monkeypatch, factors, seed, kind):
+    # the theta_bounds task diagnoses a split operator on its blocks: the
+    # diagnostics of the dense operator, with no solver operand above a block
+    system, theta = _walnut_case(factors, seed)
+    op = _split_dense_operator(system, kind, theta.entry_matrix, np.random.default_rng(seed))
+    want = diagnostics(op)
+    shapes = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(args[0]))
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    outcome = TASKS["theta_bounds"]({"system": "s", "operator": "t"}, {"s": system},
+                                    {"t": op}, DEFAULT_TOL)
+    got, route = outcome.results["operator"], outcome.results["controlled"].route
+    assert route["name"] == "walnut" and route["blocks"] > 1
+    assert shapes and max(max(shape[-2:]) for shape in shapes) <= route["block_dim"]
+    scale = want.operator_norm
+    assert got.operator_norm == pytest.approx(scale, rel=1e-12, abs=0.0)
+    assert got.lower_bound == pytest.approx(want.lower_bound, rel=0.0, abs=1e-12 * scale)
+    assert got.self_commutator_min_eig == pytest.approx(want.self_commutator_min_eig,
+                                                        rel=0.0, abs=1e-12 * scale ** 2)
+    assert (got.is_hyponormal, got.is_mv_adjointable) == \
+        (want.is_hyponormal, want.is_mv_adjointable)
+
+
 @pytest.mark.parametrize("factors,seed", [((8,), 1), ((12,), 2), ((4, 6), 3), ((4, 6), 4)])
 def test_walnut_identity(factors, seed):
     # the dense frame operator vanishes off the coset blocks and equals the
@@ -650,18 +748,34 @@ def test_walnut_identity(factors, seed):
 
 
 def test_route_is_reported():
+    from gaborop.frames import _frame_blocks
     from gaborop.presets import build_preset
     from gaborop.scenario import run_scenario
 
+    # the controlled route says why the operator split; the ordinary one has no operator
     results = run_scenario(build_preset("remark-theta0", resolution=4))["results"]
     walnut = {"name": "walnut", "blocks": 4, "block_dim": 32}
-    assert results["controlled"]["route"] == walnut
+    assert results["controlled"]["route"] == {**walnut, "reason": "entry map"}
     assert results["ordinary"]["route"] == walnut
+    # kron(I, M) as a dense matrix vanishes off the coset blocks, so it splits
     system = swap_window_system()
-    dense = SpaceOperator.from_dense(system.space, pert_theta_op(system.space).to_dense())
-    rep = theta_bounds(system, dense)
+    dense = pert_theta_op(system.space).to_dense()
+    rep = theta_bounds(system, SpaceOperator.from_dense(system.space, dense))
+    assert rep.to_json_dict()["route"] == {"name": "walnut", "blocks": 2, "block_dim": 32,
+                                           "reason": "dense, zero off the coset blocks"}
+    assert rep.alpha_opt == pytest.approx(2.5, rel=1e-12)
+    # one nonzero entry coupling two cosets keeps the dense route
+    blocks = _frame_blocks(system)
+    coupled = dense.copy()
+    coupled[blocks.index[0, 0], blocks.index[1, 0]] = 1e-3
+    rep = theta_bounds(system, SpaceOperator.from_dense(system.space, coupled))
     assert rep.to_json_dict()["route"] == {"name": "dense", "blocks": 1,
-                                           "block_dim": system.space.dim}
+                                           "block_dim": system.space.dim,
+                                           "reason": "dense, nonzero off the coset blocks"}
+    # a family is never split
+    rep = theta_bounds(system.family(), SpaceOperator.from_dense(system.space, dense))
+    assert rep.route == {"name": "dense", "blocks": 1, "block_dim": system.space.dim,
+                         "reason": "not a Gabor system"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-12)
 
 
@@ -686,7 +800,7 @@ def test_walnut_route_scales_to_4096(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.route == {"name": "walnut", "blocks": 128, "block_dim": 32}
+    assert rep.route == {"name": "walnut", "blocks": 128, "block_dim": 32, "reason": "entry map"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-9)
     assert rep.beta_opt == pytest.approx(10.0, rel=1e-9)
     assert shapes and max(max(shape[-2:]) for shape in shapes) <= 32

@@ -237,6 +237,27 @@ def test_automorphism_identity_and_unit():
     assert apply_automorphism(triple, x) == triple(x)
 
 
+def test_identity_automorphism_takes_no_image_test(monkeypatch):
+    # the identity is bijective on any factors: no |G|-sized image test, which
+    # every other matrix still takes
+    import gaborop.groups as groups
+
+    calls = []
+    positions = groups._positions
+    monkeypatch.setattr(groups, "_positions", lambda *a: calls.append(a) or positions(*a))
+    g = FiniteAbelianGroup((4, 6))
+    for dual in (False, True):
+        ident = Automorphism.identity(g, dual=dual)
+        assert ident.dual == dual and np.array_equal(ident.matrix, np.eye(2))
+        coords = np.array([[3, 5], [1, 2]])
+        assert np.array_equal(ident.apply(coords), coords)
+    assert not calls
+    Automorphism(g, [[3, 0], [0, 1]])
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        Automorphism(g, [[2, 0], [0, 1]])
+
+
 def test_automorphism_bijective_z9():
     g = FiniteAbelianGroup((9,))
     double = Automorphism(g, [2])
