@@ -52,9 +52,13 @@ def _resolve_tol(cli_value):
     env = os.environ.get(ENV_TOL)
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
-            print(f"warning: ignoring non-numeric ${ENV_TOL}={env!r}", file=sys.stderr)
+            value = float("nan")
+        if 0.0 < value < float("inf"):  # the rule run_scenario applies to every tolerance
+            return value
+        print(f"warning: ignoring ${ENV_TOL}={env!r}, not a finite number > 0",
+              file=sys.stderr)
     return None
 
 

@@ -34,12 +34,7 @@ import numpy as np
 
 from .groups import (Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates,
                      _cosets, _positions, annihilator)
-from .operators import (
-    DEFAULT_TOL,
-    SpaceOperator,
-    lower_bound_constant,
-    operator_norm,
-)
+from .operators import DEFAULT_TOL, SpaceOperator, _norm_and_lower_bound
 from .pencil import KERNEL_RTOL, _hermitian, solve_pencils
 from .signals import MatrixSignal, SignalSpace
 
@@ -433,18 +428,19 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     sigma, (gamma / ||adjoint(T)||^2, delta / sigma^2) are valid controlled
     bounds; both predictions are checked against the computed extremal ones.
     """
-    sigma = lower_bound_constant(theta)
-    if sigma <= tol * operator_norm(theta):
-        return PromotionResult(False, "operator is not bounded below")
     blocks = _frame_blocks(system, theta)  # one build serves both reports
-    ordinary = _ordinary_report(np.linalg.eigvalsh(_hermitian(blocks.s)),
+    # ||adjoint(T)|| = ||T||, and sigma is the lower bound of T
+    norm, sigma = _norm_and_lower_bound(blocks.op)
+    if sigma <= tol * norm:
+        return PromotionResult(False, "operator is not bounded below")
+    controlled = _theta_report(blocks, tol)
+    # S is decomposed once: the ordinary report reads the controlled report's spectrum
+    ordinary = _ordinary_report(controlled.spectra["frame_operator"],
                                 blocks.to_json_dict(), tol)
     if not ordinary.lower_exists:
         return PromotionResult(False, "system is not an ordinary frame", ordinary=ordinary)
-    adj_norm = operator_norm(theta.adjoint())
-    predicted_lower = ordinary.alpha_opt / (adj_norm * adj_norm)
+    predicted_lower = ordinary.alpha_opt / (norm * norm)
     predicted_upper = ordinary.beta_opt / (sigma * sigma)
-    controlled = _theta_report(blocks, tol)
     lower_valid, upper_valid = valid_bounds(controlled, predicted_lower, predicted_upper, tol)
     return PromotionResult(
         True,

@@ -23,7 +23,9 @@ windows or operators are rescaled.  A commutator ab - ba is measured against
 ||a|| ||b||, a self-commutator against ||T||^2, an entrywise comparison
 against the largest entry compared, and a PSD margin against the top
 eigenvalue of the matrix it is taken on.  Operator norms of entry maps are
-taken on the n^2 x n^2 matrix, never on the dense expansion.
+taken on the n^2 x n^2 matrix, never on the dense expansion, and the norm
+and the lower bound of an operator come from one SVD of its matrix or of the
+stack of its diagonal blocks (:func:`_norm_and_lower_bound`).
 """
 
 from __future__ import annotations
@@ -173,13 +175,21 @@ def commutes(a: SpaceOperator, b: SpaceOperator, tol: float = DEFAULT_TOL) -> bo
 
 def operator_norm(op: SpaceOperator) -> float:
     """Largest singular value (the entry map and its dense expansion agree)."""
-    return float(np.linalg.norm(op._rep(), ord=2))
+    return _norm_and_lower_bound(op._rep())[0]
 
 
 def lower_bound_constant(op: SpaceOperator) -> float:
     """Smallest singular value: the best m with ||T f|| >= m ||f||."""
-    sv = np.linalg.svd(op._rep(), compute_uv=False)
-    return float(sv[-1]) if sv.size else 0.0
+    return _norm_and_lower_bound(op._rep())[1]
+
+
+def _norm_and_lower_bound(blocks: np.ndarray) -> tuple[float, float]:
+    """(||T||, the best m with ||T f|| >= m ||f||) from one SVD of the matrix of T
+    or of the stack of its diagonal blocks (any block may repeat): the largest
+    singular value over the blocks and the smallest.  Both equal those of the
+    adjoint, so it is never formed."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    return float(sv[..., 0].max()), float(sv[..., -1].min())
 
 
 def _self_commutator(m: np.ndarray) -> np.ndarray:
@@ -243,14 +253,19 @@ def is_mv_adjointable(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     pairwise spread over p of the entries with p == a must all be at most
     ``tol * max|M|``.  An entry map is the one-point case.
     """
-    n = op.space.n
-    m = op._rep()
-    points = m.shape[0] // (n * n)
-    m6 = m.reshape(points, n, n, points, n, n)
-    off_diagonal = np.abs(m6 * (1.0 - np.eye(n))[:, None, None, :, None]).max()
-    diagonal = np.diagonal(m6, axis1=1, axis2=4)  # [z, d, y, b, p]
+    return _mv_adjointable(op._rep(), op.space.n, tol)
+
+
+def _mv_adjointable(blocks: np.ndarray, n: int, tol: float) -> bool:
+    """:func:`is_mv_adjointable` of the operator with the diagonal ``blocks`` (one
+    matrix or a stack), each indexed (point, entry) on both sides.  An operator
+    that vanishes off its blocks meets the test there, so it is exact."""
+    points = blocks.shape[-1] // (n * n)
+    m7 = blocks.reshape(-1, points, n, n, points, n, n)  # [block, z, p, d, y, a, b]
+    off_diagonal = np.abs(m7 * (1.0 - np.eye(n))[:, None, None, :, None]).max()
+    diagonal = np.diagonal(m7, axis1=2, axis2=5)  # [block, z, d, y, b, p]
     spread = np.abs(diagonal[..., :, None] - diagonal[..., None, :]).max()
-    return bool(max(off_diagonal, spread) <= tol * float(np.abs(m).max()))
+    return bool(max(off_diagonal, spread) <= tol * float(np.abs(blocks).max()))
 
 
 @dataclass(frozen=True)
@@ -282,13 +297,12 @@ def _diagnostics(op: SpaceOperator, blocks: np.ndarray, tol: float) -> OperatorD
     stack (any block may repeat): singular values and self-commutator spectra are
     those of the blocks, so the norm is their max over the blocks, the lower
     bound and the least self-commutator eigenvalue their min."""
-    sv = np.linalg.svd(blocks, compute_uv=False)  # the norm and the lower bound at once
-    norm = float(sv[..., 0].max())
+    norm, lower = _norm_and_lower_bound(blocks)
     hypo, min_eig = _hyponormal(blocks, norm, tol)
     return OperatorDiagnostics(
         operator_norm=norm,
-        lower_bound=float(sv[..., -1].min()),
+        lower_bound=lower,
         is_hyponormal=hypo,
-        is_mv_adjointable=is_mv_adjointable(op, tol),
+        is_mv_adjointable=_mv_adjointable(blocks, op.space.n, tol),
         self_commutator_min_eig=min_eig,
     )

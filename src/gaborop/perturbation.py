@@ -31,7 +31,7 @@ from .frames import (
     valid_bounds,
 )
 from .groups import GroupMismatchError
-from .operators import DEFAULT_TOL, SpaceOperator, lower_bound_constant, operator_norm
+from .operators import DEFAULT_TOL, SpaceOperator, _norm_and_lower_bound
 
 __all__ = [
     "PertHypothesis",
@@ -137,11 +137,12 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
     ``bounds`` pins (gamma_o, delta_o) externally; otherwise the computed
     extremal constants of the source are used (the report records which).
     """
-    m_o = lower_bound_constant(theta.adjoint())
-    theta_norm = operator_norm(theta)
+    # one build serves the operator, the bounds and the domination test; the
+    # lower bound m_o of adjoint(T) is that of T
+    source_blocks = _frame_blocks(system, theta)
+    theta_norm, m_o = _norm_and_lower_bound(source_blocks.op)
     if m_o <= tol * theta_norm:
         return PertCheck(None, False, False, False, None, False, "n/a")
-    source_blocks = _frame_blocks(system, theta)  # serves the bounds and the domination test
     if bounds is not None:
         gamma_o, delta_o = bounds
         source = "paper_pinned"
@@ -250,26 +251,30 @@ def check_sum_hypothesis(system: GaborSystem, second: GaborSystem,
                          tol: float = DEFAULT_TOL) -> SumCheck:
     """Hypotheses for the window-sum statement on two controlled frames."""
     source = "paper_pinned" if (bounds_first and bounds_second) else "computed"
+    # one build serves the operator and the first bounds; the lower bound m_o
+    # of adjoint(T) is that of T
+    blocks = _frame_blocks(system, theta)
+    theta_norm, m_o = _norm_and_lower_bound(blocks.op)
+    bounded_below = m_o > tol * theta_norm
     if bounds_first is None:
-        rep1 = theta_bounds(system, theta, tol)
+        rep1 = _theta_report(blocks, tol)
         if not (rep1.lower_exists and rep1.upper_exists and rep1.alpha_opt):
-            return SumCheck(False, False, None, None, None, None, None, None,
-                            None, None, source)
+            return SumCheck(bounded_below, False, None, None, None, None, None, None,
+                            m_o, theta_norm, source)
         bounds_first = (rep1.alpha_opt, rep1.beta_opt)
+    del blocks  # not held while the second system's blocks are built
     if bounds_second is None:
         rep2 = theta_bounds(second, theta, tol)
         if not (rep2.upper_exists and rep2.beta_opt is not None):
-            return SumCheck(False, False, None, None, None, None, None, None,
-                            None, None, source)
+            return SumCheck(bounded_below, False, None, None, None, None, None, None,
+                            m_o, theta_norm, source)
         gamma_2 = rep2.alpha_opt if rep2.lower_exists else None
         bounds_second = (gamma_2, rep2.beta_opt)
     gamma_1, delta_1 = bounds_first
     gamma_2, delta_2 = bounds_second
     if delta_2 is None or delta_2 <= 0:
         raise ValueError("second system needs a positive upper bound (zero windows rejected)")
-    m_o = lower_bound_constant(theta.adjoint())
-    theta_norm = operator_norm(theta)
-    if m_o <= tol * theta_norm:
+    if not bounded_below:
         return SumCheck(False, False, None, None, gamma_1, delta_1, gamma_2, delta_2,
                         m_o, theta_norm, source)
     lhs = float(np.sqrt(gamma_1 / delta_2))

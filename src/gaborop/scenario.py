@@ -281,6 +281,26 @@ def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator
     return SpaceOperator.from_dense(space, data.reshape(dim, dim))
 
 
+def _built(path: str, build, spec):
+    """``build(spec)``, with a library ValueError re-raised as a ScenarioError at ``path``."""
+    try:
+        return build(spec)
+    except ScenarioError:
+        raise
+    except ValueError as e:
+        raise ScenarioError([f"{path}: {e}"]) from e
+
+
+def _named(scenario: dict, key: str, build) -> dict:
+    """The objects built from the specs under ``key``, by their unique names."""
+    table = {}
+    for i, spec in enumerate(scenario.get(key, [])):
+        if spec["name"] in table:
+            raise ScenarioError([f"$.{key}[{i}].name: duplicate name {spec['name']!r}"])
+        table[spec["name"]] = _built(f"$.{key}[{i}]", build, spec)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # task execution
 
@@ -381,12 +401,10 @@ def _theta_bounds(args, systems, operators, tol) -> _Outcome:
     controlled = _theta_report(blocks, tol)
     # S is built and decomposed once: the ordinary report reads its spectrum
     ordinary = _ordinary_report(controlled.spectra["frame_operator"], blocks.to_json_dict(), tol)
-    # an operator split over the coset blocks is diagnosed on its blocks; one
-    # block is the operator's own representation, which diagnostics() takes
-    operator = (diagnostics(theta, tol) if len(blocks.op) == 1
-                else _diagnostics(theta, blocks.op, tol))
+    # the operator is diagnosed on the blocks it rides on
     return _Outcome(
-        {"ordinary": ordinary, "controlled": controlled, "operator": operator},
+        {"ordinary": ordinary, "controlled": controlled,
+         "operator": _diagnostics(theta, blocks.op, tol)},
         {"ordinary": ordinary, "controlled": controlled},
         _cross_check_findings("theta_bounds", controlled),
     )
@@ -526,15 +544,13 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
     start = time.perf_counter()
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     tolerance = float(tol if tol is not None else scenario.get("tolerance", DEFAULT_TOL))
-    group, measure = _build_group(scenario["group"])
-    systems = {
-        spec["name"]: _build_system(group, measure, spec)
-        for spec in scenario.get("systems", [])
-    }
-    operators = {
-        spec["name"]: _build_operator(group, measure, spec, base_dir)
-        for spec in scenario.get("operators", [])
-    }
+    if not 0.0 < tolerance < float("inf"):  # NaN fails too
+        raise ScenarioError([f"$.tolerance: must be a finite number > 0, got {tolerance!r}"])
+    group, measure = _built("$.group", _build_group, scenario["group"])
+    systems = _named(scenario, "systems",
+                     lambda spec: _build_system(group, measure, spec))
+    operators = _named(scenario, "operators",
+                       lambda spec: _build_operator(group, measure, spec, base_dir))
     args = scenario.get("args", {})
     _check_cross_references(scenario["task"], args, systems, operators)
     outcome = TASKS[scenario["task"]](args, systems, operators, tolerance)

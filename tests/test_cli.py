@@ -516,3 +516,66 @@ def test_window_errors_keep_their_messages(n, spec, message):
     with pytest.raises(ScenarioError) as err:
         _build_window(SignalSpace(group, n, MeasurePair.torus_like(group)), spec)
     assert err.value.problems == [f"$.windows: {message}"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_invalid_tol_flag_exits_2(tmp_path, capsys, tol):
+    assert main(["--preset", "remark-theta0", "--tol", tol,
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert "scenario error: $.tolerance: must be a finite number > 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+def test_invalid_env_tolerance_is_ignored(tmp_path, monkeypatch, capsys, value):
+    out = tmp_path / "report.json"
+    monkeypatch.setenv("GOF_DEFAULT_TOL", value)
+    assert main(["--preset", "remark-theta0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerance"] == 1e-9
+    assert "ignoring $GOF_DEFAULT_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_file_tolerance_exits_2(tmp_path, capsys, value):
+    # Python's json reads these tokens, and no schema bound rejects NaN
+    path = tmp_path / "tol.json"
+    path.write_text('{"source": "remark-theta0", "tolerance": %s}' % value)
+    assert main(["--scenario", str(path)]) == 2
+    assert "scenario error: $.tolerance: " in capsys.readouterr().err
+
+
+def _set_delta_at(scenario):
+    scenario["systems"][0]["windows"][0]["matrix"][0][0] = {"window": "delta", "at": [1, 2]}
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_set_delta_at, "$.systems[0]: expected 1 coordinates, got 2"),
+    (lambda s: s["systems"][0].update({"lattice_gens": [[1, 2]]}),
+     "$.systems[0]: expected 1 coordinates, got 2"),
+    (lambda s: s["systems"][0].update({"automorphism": [[2]]}),
+     "$.systems[0]: matrix does not act bijectively on the group"),
+    (lambda s: s["operators"][0].update({"matrix": [[1, 0], [0, 1]]}),
+     "$.operators[0]: entry map must be 4x4, got (2, 2)"),
+    (lambda s: s["group"].update({"weight_convention": {"w_group": 1.0, "w_dual": 1.0}}),
+     "$.group: inconsistent normalisation"),
+], ids=["delta-rank", "lattice-rank", "automorphism", "entry-map-shape", "normalisation"])
+def test_construction_errors_carry_their_path(tmp_path, capsys, corrupt, message):
+    scenario = build_preset("remark-theta0")
+    corrupt(scenario)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,message", [
+    ("systems", "$.systems[1].name: duplicate name 'main'"),
+    ("operators", "$.operators[1].name: duplicate name 'selector'"),
+])
+def test_duplicate_names_exit_2(tmp_path, capsys, key, message):
+    scenario = build_preset("remark-theta0")
+    scenario[key].append(dict(scenario[key][0]))
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err

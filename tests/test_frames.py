@@ -728,6 +728,114 @@ def test_split_operator_diagnostics(monkeypatch, factors, seed, kind):
         (want.is_hyponormal, want.is_mv_adjointable)
 
 
+def _record_solves(monkeypatch) -> list:
+    """(solver name, operand shape) of every numpy.linalg eigen or singular-value
+    solve; a 2-norm runs an SVD, so it is recorded as one."""
+    solves = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv", "norm"):
+        def recorded(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            if _name != "norm":
+                solves.append((_name, np.shape(a)))
+            elif kwargs.get("ord", args[0] if args else None) in (2, -2, "nuc"):
+                solves.append(("svd", np.shape(a)))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return solves
+
+
+def _operator_facts(system, op):
+    """Per call, (bounded below, ||T||, m_o, predicted bounds), None where the
+    call reports no such number: the promotion, the perturbation and the sum
+    checks and the theta_bounds task, with the predictions the first three make
+    (the perturbation with pinned source bounds)."""
+    from gaborop import pert_predicted_bounds, sum_predicted_bounds
+
+    promotion = bounded_below_promotion(system, op)
+    pert = check_pert_hypothesis(system, system.with_windows([w * 1.1 for w in system.windows]),
+                                 op, 0.0, 0.1, 0.1, (1.0, 2.0))
+    summed = check_sum_hypothesis(system, system.with_windows([w * 0.5 for w in system.windows]),
+                                  op)
+    task = TASKS["theta_bounds"]({"system": "s", "operator": "t"}, {"s": system}, {"t": op},
+                                 DEFAULT_TOL).results["operator"]
+    hyp, sum_predicted = pert.hypothesis, None
+    if summed.bounded_below_ok and summed.gamma_1 is not None:
+        sum_predicted = sum_predicted_bounds(summed.gamma_1, summed.delta_1, summed.delta_2,
+                                             summed.theta_norm, summed.m_o)
+    return {
+        "promotion": (promotion.reason != "operator is not bounded below", None, None,
+                      (promotion.predicted_lower, promotion.predicted_upper)
+                      if promotion.hypothesis_ok else None),
+        "pert": (pert.bounded_below_ok, None, None, None) if hyp is None
+        else (True, hyp.theta_norm, hyp.m_o, pert_predicted_bounds(hyp)),
+        "sum": (summed.bounded_below_ok, summed.theta_norm, summed.m_o, sum_predicted),
+        "task": (None, task.operator_norm, task.lower_bound, None),
+    }, promotion, summed
+
+
+def _assert_same_facts(have, want, norm):
+    assert have.keys() == want.keys()
+    for key, (ok, theta_norm, m_o, predicted) in want.items():
+        assert have[key][0] == ok
+        if theta_norm is not None:
+            assert have[key][1] == pytest.approx(theta_norm, rel=1e-12, abs=0.0)
+            assert have[key][2] == pytest.approx(m_o, rel=1e-12, abs=1e-12 * norm)
+        assert (have[key][3] is None) == (predicted is None)
+        if predicted is not None:
+            assert have[key][3] == pytest.approx(predicted, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", _SPLIT_KINDS)
+# the last three draw an invertible entry map and a frame, so every prediction is made
+@pytest.mark.parametrize("factors,seed", [((8,), 0), ((12,), 10), ((4, 6), 5),
+                                          ((8,), 7), ((12,), 5), ((4, 6), 4)])
+def test_split_operator_facts_from_its_blocks(monkeypatch, factors, seed, kind):
+    # the promotion, both stability checks and the theta_bounds task read the
+    # norm and the lower bound of a split operator from one SVD of its blocks:
+    # no solve is wider than a block, and the numbers are the dense oracle's
+    # (and, for kron(I, M), those of the entry map M)
+    from gaborop import lower_bound_constant, operator_norm, pert_predicted_bounds
+    from gaborop import PertHypothesis, sum_predicted_bounds
+    from gaborop.frames import _frame_blocks
+
+    system, theta = _walnut_case(factors, seed)
+    op = _split_dense_operator(system, kind, theta.entry_matrix, np.random.default_rng(seed))
+    route = _frame_blocks(system, op).to_json_dict()
+    assert route["name"] == "walnut" and route["blocks"] > 1
+    solves = _record_solves(monkeypatch)
+    for call in (lambda: bounded_below_promotion(system, op),
+                 lambda: check_pert_hypothesis(system, system, op, 0.0, 0.1, 0.1, (1.0, 2.0)),
+                 lambda: check_sum_hypothesis(system, system, op),
+                 lambda: TASKS["theta_bounds"]({"system": "s", "operator": "t"},
+                                               {"s": system}, {"t": op}, DEFAULT_TOL)):
+        del solves[:]
+        call()
+        assert max(max(shape[-2:]) for _, shape in solves) <= route["block_dim"]
+        assert [name for name, _ in solves].count("svd") == 1
+    monkeypatch.undo()
+
+    got, promotion, summed = _operator_facts(system, op)
+    norm, sigma = operator_norm(op), lower_bound_constant(op)
+    bounded = sigma > DEFAULT_TOL * norm
+    sum_predicted = None
+    if bounded and summed.gamma_1 is not None:
+        sum_predicted = sum_predicted_bounds(summed.gamma_1, summed.delta_1, summed.delta_2,
+                                             norm, sigma)
+    want = {
+        "promotion": (bounded, None, None,
+                      (promotion.ordinary.alpha_opt / norm ** 2,
+                       promotion.ordinary.beta_opt / sigma ** 2)
+                      if promotion.hypothesis_ok else None),
+        "pert": (True, norm, sigma, pert_predicted_bounds(
+            PertHypothesis(0.0, 0.1, 0.1, 1.0, 2.0, sigma, norm)))
+        if bounded else (False, None, None, None),
+        "sum": (bounded, norm, sigma, sum_predicted),
+        "task": (None, norm, sigma, None),
+    }
+    _assert_same_facts(got, want, norm)
+    if kind == "kron":
+        _assert_same_facts(got, _operator_facts(system, theta)[0], norm)
+
+
 @pytest.mark.parametrize("factors,seed", [((8,), 1), ((12,), 2), ((4, 6), 3), ((4, 6), 4)])
 def test_walnut_identity(factors, seed):
     # the dense frame operator vanishes off the coset blocks and equals the

@@ -284,3 +284,48 @@ def test_perturbation_builds_each_system_once(setup, monkeypatch):
     )
     assert check.holds and prediction.lower_valid and prediction.upper_valid
     assert len(builds) == 3 and not dense
+
+
+def test_sum_tests_the_operator_before_the_bounds(setup):
+    # a first system with zero windows has no lower bound; the invertible
+    # operator is still bounded below, so only the condition fails
+    system = setup["system"]
+    silent = system.with_windows([system.space.zero_signal() for _ in system.windows])
+    check = check_sum_hypothesis(silent, setup["second"], setup["theta"])
+    assert check.bounded_below_ok and not check.condition_ok
+    assert check.gamma_1 is None
+    assert check.theta_norm == pytest.approx(2.0, rel=1e-12)
+    assert check.m_o == pytest.approx(1.0, rel=1e-12)
+
+
+def test_split_dense_operator_memory():
+    # pertexa's map as a dense kron(I, M) at D = 1024 (16 MB): every check
+    # reads the operator on the 32 coset blocks of 32 and never forms its
+    # adjoint or a D x D solve; the entry-map twin peaks at about 3 MB
+    import tracemalloc
+
+    from gaborop import SpaceOperator, bounded_below_promotion
+    from gaborop.operators import DEFAULT_TOL
+    from gaborop.scenario import TASKS
+
+    system, perturbed, second = (swap_window_system(32), perturbed_window_system(32),
+                                 diag_window_system(32))
+    theta = SpaceOperator.from_dense(system.space, pert_theta_op(system.space).to_dense())
+    assert system.space.dim == 1024
+    calls = {
+        "verify_perturbation": lambda: verify_perturbation(system, perturbed, theta,
+                                                           0.0, 0.2, 0.2),
+        "verify_sum": lambda: verify_sum(system, second, theta),
+        "bounded_below_promotion": lambda: bounded_below_promotion(system, theta),
+        "theta_bounds": lambda: TASKS["theta_bounds"](
+            {"system": "s", "operator": "t"}, {"s": system}, {"t": theta}, DEFAULT_TOL),
+    }
+    for name, call in calls.items():
+        call()  # warm
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, name
