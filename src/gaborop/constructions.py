@@ -5,8 +5,10 @@
 * diagonal matrix windows sqrt(t) * phi * I turning a scalar Parseval system
   into a t-tight matrix-valued system, then the image under a hyponormal,
   matrix-adjointable operator as a t-tight operator-controlled frame;
-* images of families under operators, with companion checkers for the
-  frame-preservation statements they are expected to satisfy;
+* operator images, with companion checkers for the frame-preservation
+  statements they are expected to satisfy: an entry map acts pointwise, so
+  it commutes with translations and modulations and the image of a Gabor
+  system is the Gabor system of the mapped windows;
 * the coefficient-side characterisation: the synthesis operator Omega maps
   the standard coefficient basis onto the family, Omega Omega^* equals the
   frame operator, and the pencil constants of Omega Omega^* reproduce the
@@ -121,7 +123,6 @@ class TightConstruction:
     reasons: list[str]
     diagonal_system: Optional[GaborSystem] = None
     diagonal_report: Optional[BoundsReport] = None
-    image_family: Optional[VectorFamily] = None
     image_report: Optional[BoundsReport] = None
     lower_valid: Optional[bool] = None
     upper_valid: Optional[bool] = None
@@ -177,21 +178,24 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
         scalar_system.automorphism, scalar_system.dual_automorphism,
     )
     diag_report = ordinary_bounds(diagonal, tol)
-    family = image_system(theta, diagonal)
-    image_report = theta_bounds(family, theta, tol)
+    image_report = theta_bounds(image_system(theta, diagonal), theta, tol)
     lower_valid, upper_valid = valid_bounds(image_report, tightness, tightness, tol)
     return TightConstruction(
-        tightness, True, [], diagonal, diag_report, family, image_report,
+        tightness, True, [], diagonal, diag_report, image_report,
         lower_valid, upper_valid,
     )
 
 
-def image_system(op: SpaceOperator, system) -> VectorFamily:
-    """The family of images of every system member under ``op``.
+def image_system(op: SpaceOperator, system) -> GaborSystem | VectorFamily:
+    """The images of every system member under ``op``.
 
-    Images are generally no longer lattice-generated, so the result is a
-    plain vector family sharing the frame machinery.
+    An entry map commutes with every translation and modulation, so the image
+    of a Gabor system is the Gabor system of the mapped windows on the same
+    lattices and automorphisms; a dense operator or a family gives the
+    family of mapped members.
     """
+    if isinstance(system, GaborSystem) and op.kind == "entry_map":
+        return system.with_windows([op(w) for w in system.windows])
     return _as_family(system).transformed(op)
 
 
@@ -229,8 +233,7 @@ def check_image_frame(theta: SpaceOperator, system, tol: float = DEFAULT_TOL) ->
         "mv_adjointable": is_mv_adjointable(theta, tol),
     }
     source_report = ordinary_bounds(system, tol)
-    family = image_system(theta, system)
-    image_report = theta_bounds(family, theta, tol)
+    image_report = theta_bounds(image_system(theta, system), theta, tol)
     bounds_valid = None
     if source_report.lower_exists:
         bounds_valid = all(valid_bounds(image_report, source_report.alpha_opt,
@@ -257,9 +260,7 @@ def check_composed_image(xi: SpaceOperator, theta: SpaceOperator, system,
         "commutation": commutes(theta, xi.adjoint(), tol),
     }
     source_report = theta_bounds(system, theta, tol)
-    family = image_system(xi, system)
-    composed = compose(xi, theta)
-    image_report = theta_bounds(family, composed, tol)
+    image_report = theta_bounds(image_system(xi, system), compose(xi, theta), tol)
     bounds_valid = None
     if source_report.lower_exists and source_report.upper_exists and source_report.alpha_opt is not None:
         bounds_valid = all(valid_bounds(image_report, source_report.alpha_opt,

@@ -4,8 +4,8 @@ A Gabor system is generated from window signals by translations over a
 lattice (composed with an automorphism) and modulations over a dual lattice
 (composed with a dual automorphism), enumerated in deterministic
 (window, translation, modulation) lexicographic order.  Families that are
-not lattice-generated (images under operators) share all the analysis,
-synthesis and bound machinery through :class:`VectorFamily`.
+not lattice-generated (for example images under a dense operator) share all
+the analysis, synthesis and bound machinery through :class:`VectorFamily`.
 
 Ordinary bounds are the extreme eigenvalues of the frame operator.  For a
 Gabor system the frame operator is block-diagonal over the cosets of the
@@ -157,9 +157,6 @@ class CoefficientSequence:
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.array) ** 2))
-
-    def flat(self) -> np.ndarray:
-        return self.array.reshape(-1)
 
     def __getitem__(self, label):
         return self.array[self.labels.index(label)]

@@ -91,7 +91,8 @@ def _closed_form(s: np.ndarray, s_top: float, p_eig, lower: bool) -> Optional[fl
     extremes = []
     for k in sorted(set(dims[dims < vals.shape[-1]].tolist())):
         rows = dims == k
-        q_r, q_k, vals_r = vecs[rows][..., k:], vecs[rows][..., :k], vals[rows][..., k:]
+        q = vecs[rows]
+        q_r, q_k, vals_r = q[..., k:], q[..., :k], vals[rows][..., k:]
         block = s[rows] if len(vals) > 1 else s
         q_r_h = np.swapaxes(q_r.conj(), -1, -2)
         s_rr = q_r_h @ block @ q_r

@@ -220,6 +220,18 @@ def test_schema_task_enums_match_task_table():
     assert picked == list(TASKS)
 
 
+def _routes(node):
+    """Every ``route`` of a bounds report nested anywhere in ``node``."""
+    if isinstance(node, dict):
+        if "route" in node:
+            yield node["route"]
+        for value in node.values():
+            yield from _routes(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _routes(value)
+
+
 def test_all_presets_validate_and_run():
     reports = {}
     for name in PRESETS:
@@ -228,6 +240,10 @@ def test_all_presets_validate_and_run():
         assert report["findings"] == []
         assert report["task"] == scenario["task"]
         reports[name] = report["results"]
+        # every preset system is lattice-generated and every operator an entry
+        # map, so every report, operator images included, runs on coset blocks
+        routes = list(_routes(report["results"]))
+        assert routes and all(route["name"] == "walnut" for route in routes), name
 
     approx9 = lambda v: pytest.approx(v, abs=1e-9)
     r = reports["exb1"]

@@ -126,9 +126,9 @@ def test_construction_reports_hypothesis_failures():
 
 def test_image_under_identity_is_same_family():
     system = swap_window_system()
-    family = image_system(SpaceOperator.identity(system.space), system)
+    image = image_system(SpaceOperator.identity(system.space), system)
     original = system.family()
-    for got, want in zip(family.members, original.members):
+    for got, want in zip(image.family().members, original.members):
         assert np.abs(got.values - want.values).max() < 1e-12
 
 
@@ -171,8 +171,8 @@ def test_projector_image_collapses():
     # the projector sends every member of the swap-window family to zero
     system = swap_window_system()
     theta = projector_op(system.space)
-    family = image_system(theta, system)
-    assert max(frobenius_norm(f) for f in family.members) < 1e-12
+    image = image_system(theta, system)
+    assert max(frobenius_norm(f) for f in image.family().members) < 1e-12
     report = check_image_frame(theta, system)
     assert not report.hypotheses["mv_adjointable"]
     assert report.bounds_valid is False

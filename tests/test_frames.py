@@ -14,13 +14,16 @@ from gaborop import (
     SignalSpace,
     SpaceOperator,
     Subgroup,
+    VectorFamily,
     analysis,
     analysis_matrix,
     bounded_below_promotion,
     check_pert_hypothesis,
     check_sum_hypothesis,
+    compose,
     diagnostics,
     frame_operator,
+    image_system,
     modulate,
     mv_inner,
     ordinary_bounds,
@@ -632,6 +635,21 @@ def test_walnut_route_matches_dense_route(factors, seed):
     assume(len(system.lattice) < order and len(system.dual_lattice) < order)
     _assert_same_report(theta_bounds(system, theta), theta_bounds(system.family(), theta))
     _assert_same_report(ordinary_bounds(system), ordinary_bounds(system.family()))
+    # the image under an entry map is the Gabor system of the mapped windows,
+    # alone and with the composed operator; under the same map as a dense
+    # matrix it stays a family on the dense route
+    image = image_system(theta, system)
+    image_report = theta_bounds(image, theta)
+    family_image = system.family().transformed(theta)
+    _assert_same_report(image_report, theta_bounds(family_image, theta))
+    squared = compose(theta, theta)
+    _assert_same_report(theta_bounds(image, squared), theta_bounds(family_image, squared))
+    dense = SpaceOperator.from_dense(system.space, theta.to_dense())
+    dense_image = image_system(dense, system)
+    assert isinstance(dense_image, VectorFamily)
+    dense_report = theta_bounds(dense_image, dense)
+    assert dense_report.route["reason"] == "not a Gabor system"
+    _assert_same_report(image_report, dense_report)
 
 
 def _split_dense_operator(system, kind, entry, rng):
