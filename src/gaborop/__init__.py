@@ -15,6 +15,7 @@ from .groups import (
     apply_automorphism,
     character_value,
     fourier,
+    intersection,
     inverse_fourier,
     transversal,
 )
@@ -83,7 +84,7 @@ __all__ = [
     # groups
     "FiniteAbelianGroup", "GroupElement", "DualElement", "Subgroup",
     "Automorphism", "MeasurePair", "GroupMismatchError",
-    "character_value", "annihilator", "transversal", "apply_automorphism",
+    "character_value", "annihilator", "intersection", "transversal", "apply_automorphism",
     "fourier", "inverse_fourier",
     # signals
     "SignalSpace", "MatrixSignal", "mv_inner", "trace_inner", "frobenius_norm",

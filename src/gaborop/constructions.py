@@ -28,6 +28,7 @@ from .frames import (
     VectorFamily,
     _as_family,
     _frame_blocks,
+    _in_zak_basis,
     _operator_grams,
     analysis_matrix,
     ordinary_bounds,
@@ -314,17 +315,22 @@ def _omega_report(system, blocks, tol: float) -> OmegaReport:
     # column (m, a, b) of Omega, unflattened, must be E_ab f_m for the matrix unit E_ab
     got = omega.reshape(family.space.group.order, n, n, len(family), n, n)
     got = got / np.sqrt(family.space.weight())
-    units = np.eye(n * n).reshape(n, n, n, n)  # units[a, b] = E_ab
-    expected = np.einsum("abpq,mxqr->xprmab", units, family.array)
+    # expected[x, p, r, m, a, b] = delta(a, p) f_m(x)[b, r]
+    expected = np.zeros(got.shape, dtype=np.complex128)
+    for p in range(n):
+        expected[:, p, :, :, p, :] = family.array.transpose(1, 3, 0, 2)
     scale = np.abs(family.array).max(initial=0.0)  # the largest family entry
     basis_condition = bool(np.all(np.abs(got - expected) <= tol * scale))
     gram = omega @ omega.conj().T
     on_block = (blocks.index[:, :, None], blocks.index[:, None, :])
-    gram_blocks = gram[on_block]
+    zak = _in_zak_basis(blocks, gram[on_block], n)
+    gram_blocks = np.moveaxis(np.diagonal(zak, axis1=1, axis2=3), -1, 1).reshape(blocks.s.shape)
     off_block = np.ones(gram.shape, dtype=bool)
     off_block[on_block] = False
+    off_zak = ~np.eye(len(blocks.phi), dtype=bool)[:, None, :, None]
     # S vanishes off its blocks, so a gram that does not is a deviation too
     max_dev = max(float(np.abs(gram_blocks - blocks.s).max()),
+                  float(np.abs(zak).max(where=off_zak, initial=0.0)),
                   float(np.abs(gram[off_block]).max(initial=0.0)))
 
     sol = solve_pencils(gram_blocks, *_operator_grams(blocks), tol)

@@ -12,7 +12,10 @@ Gabor system the frame operator is block-diagonal over the cosets of the
 annihilator of the modulation group (Walnut's representation), and an entry
 map acts pointwise, so bounds under an entry map (or none), or under a dense
 operator that vanishes off those blocks, are computed on them; any other
-family or operator is one dense block.  The
+family or operator is one dense block.  The frame operator, and the grams of
+an entry map, also commute with translation by H, the lattice translations
+that lie in that annihilator, so a DFT over H splits each coset block
+further into |H| blocks (the Zak or Zibulski-Zeevi representation).  The
 operator-controlled two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
@@ -33,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .groups import (Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates,
-                     _cosets, _positions, annihilator)
+                     _cosets, _positions, _subgroup_characters, annihilator, intersection)
 from .operators import DEFAULT_TOL, SpaceOperator, _norm_and_lower_bound
 from .pencil import KERNEL_RTOL, _hermitian, solve_pencils
 from .signals import MatrixSignal, SignalSpace
@@ -196,7 +199,10 @@ def analysis_matrix(system) -> np.ndarray:
     n = family.space.n
     w = family.space.weight()
     conj_stack = np.sqrt(w) * np.conj(family.array)  # (m, x, j, r)
-    a = np.einsum("ip,mxjr->mijxpr", np.eye(n), conj_stack)
+    # a[m, i, j, x, p, r] = delta(i, p) conj_stack[m, x, j, r]
+    a = np.zeros((len(family), n, n, family.space.group.order, n, n), dtype=np.complex128)
+    for i in range(n):
+        a[:, i, :, :, i, :] = conj_stack.transpose(0, 2, 1, 3)
     return a.reshape(len(family) * n * n, family.space.dim)
 
 
@@ -212,16 +218,24 @@ def frame_operator(system, as_operator: bool = True):
 
 class _Blocks(NamedTuple):
     """The frame operator as the diagonal blocks of a block-diagonal matrix,
-    and the operator it is paired with on the same blocks."""
+    and the operator it is paired with on the same blocks.
+
+    The blocks are taken in the Zak basis of the coset blocks: with the
+    points of coset b ordered t_bj + h over (j, h) and ``index[b]`` their flat
+    indices, block (b, chi), at position b |H| + chi of ``s``, is U S U^* for
+    the rows (j, entry) of U that are sum_h phi[chi, h] e_index[b, (j, h, entry)]^T.
+    A trivial H (phi = [[1]]) gives the coset blocks themselves."""
 
     route: str          # "walnut" (coset blocks) or "dense" (one block)
-    index: np.ndarray   # (B, d) flat indices of each block
-    s: np.ndarray       # (B, d, d) the blocks
+    index: np.ndarray   # (B, c) flat indices of each coset block, ordered (j, h, entry)
+    phi: np.ndarray     # (|H|, |H|) the unitary DFT over H, phi[chi, h] = chi(h) / sqrt|H|
+    s: np.ndarray       # (B |H|, d, d) the blocks, d = c / |H|
     op: Optional[np.ndarray]  # (1, e, e) or (B, d, d): see _frame_blocks
     reason: str         # why the operator takes this route
 
     def to_json_dict(self) -> dict:
-        return {"name": self.route, "blocks": len(self.s), "block_dim": self.s.shape[-1]}
+        return {"name": self.route, "blocks": len(self.s), "block_dim": self.s.shape[-1],
+                "zak": len(self.phi)}
 
 
 def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
@@ -238,6 +252,12 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     or a dense matrix with a nonzero entry off the blocks, gives one dense
     block.
 
+    S(y + h, x + h) = S(y, x) for h in H = A ∩ annihilator(Gamma), and H maps
+    each coset onto itself, so the DFT over H diagonalises each coset block
+    into |H| blocks (Zibulski & Zeevi 1997): the translates are transformed
+    along H before the product, and only the chi-diagonal products are taken.
+    An entry map commutes with H too; a dense operator is taken with H = {0}.
+
     ``op`` is the operator on the blocks: the entry matrix (1, n^2, n^2),
     which repeats along the diagonal of every block, or the stack of the
     operator's diagonal blocks, (B, d, d) on the coset blocks and (1, D, D)
@@ -251,26 +271,53 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     group, n = system.space.group, system.space.n
     modulations = Subgroup(group, [system.dual_automorphism(m)
                                    for m in system.dual_lattice.generators], dual=True)
-    points = _cosets(annihilator(modulations))  # (B, c)
+    cosets = annihilator(modulations)
+    zak = Subgroup.trivial(group)
+    if theta is None or theta.kind == "entry_map":
+        translations = Subgroup(group, [system.automorphism(k)
+                                        for k in system.lattice.generators])
+        zak = intersection(translations, cosets)
+    points = _cosets(cosets, zak)  # (B, c), ordered (j, h)
     blocks, c = points.shape
     index = (points[:, :, None] * (n * n) + np.arange(n * n)).reshape(blocks, -1)
     reason = "no operator" if theta is None else "entry map"
     if theta is not None and theta.kind == "dense":
         on_blocks = op[0][index[:, :, None], index[:, None, :]]
-        if np.count_nonzero(on_blocks) != np.count_nonzero(op):
+        if np.count_nonzero(on_blocks) != theta.nonzeros:
             return _dense_blocks(system, op, "dense, nonzero off the coset blocks")
         op, reason = on_blocks, "dense, zero off the coset blocks"
-    # h[b, (l, a, q), (i, r)] = g_l(x_bi - a)[q, r] for the points x_bi of coset b
-    h = _translates(system)[:, :, points].transpose(2, 0, 1, 4, 3, 5).reshape(blocks, -1, c * n)
-    k = system.space.weight() * len(system.dual_lattice) * (np.swapaxes(h, 1, 2) @ h.conj())
-    # S[(x_i, p, r), (x_j, t, s)] = delta(p, t) K(x_i, x_j)[r, s]
-    s = np.einsum("birjs,pt->biprjts", k.reshape(blocks, c, n, c, n), np.eye(n))
-    return _Blocks("walnut", index, s.reshape(blocks, c * n * n, c * n * n), op, reason)
+    size = len(zak)
+    phi = _subgroup_characters(zak) / np.sqrt(size)
+    j = c // size
+    # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r]
+    g = np.moveaxis(_translates(system)[:, :, points.reshape(blocks, j, size)], 4, -1) @ phi.T
+    # stack[(b, chi), (l, a, q), (j, r)], and K = w |Gamma| stack^T conj(stack) per block
+    stack = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
+    k = system.space.weight() * len(system.dual_lattice) * (
+        np.swapaxes(stack, 1, 2) @ stack.conj())
+    # S[(j, p, r), (j', t, s)] = delta(p, t) K(j, j')[r, s]
+    s = np.zeros((blocks * size, j, n, n, j, n, n), dtype=np.complex128)
+    for p in range(n):
+        s[:, :, p, :, :, p, :] = k.reshape(blocks * size, j, n, j, n)
+    d = j * n * n
+    return _Blocks("walnut", index, phi, s.reshape(blocks * size, d, d), op, reason)
 
 
 def _dense_blocks(system, op: Optional[np.ndarray], reason: str) -> _Blocks:
     s = frame_operator(system, as_operator=False)
-    return _Blocks("dense", np.arange(len(s))[None], s[None], op, reason)
+    return _Blocks("dense", np.arange(len(s))[None], np.ones((1, 1)), s[None], op, reason)
+
+
+def _in_zak_basis(blocks: _Blocks, m: np.ndarray, n: int) -> np.ndarray:
+    """A (B, c, c) stack on the coset blocks ``blocks.index`` (of a space of
+    n x n signals) in their Zak basis, shape (B, |H|, d, |H|, d): entry
+    [b, chi, x, chi', y] pairs row x of block (b, chi) with row y of block
+    (b, chi'), so the stack of ``blocks.s`` is its chi = chi' part."""
+    phi = blocks.phi
+    size, d = len(phi), blocks.s.shape[-1]
+    m = m.reshape(len(m), d // (n * n), size, n * n, d // (n * n), size, n * n)
+    m = np.einsum("ch,bjhekgf,dg->bcjedkf", phi, m, phi.conj(), optimize=True)
+    return m.reshape(len(m), size, d, size, d)
 
 
 def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -27,6 +28,7 @@ __all__ = [
     "MeasurePair",
     "character_value",
     "annihilator",
+    "intersection",
     "transversal",
     "apply_automorphism",
     "fourier",
@@ -161,29 +163,41 @@ def character_value(gamma: DualElement, x: GroupElement) -> complex:
     return complex(_characters(gamma.group, gamma.coords, x.coords))
 
 
+@functools.lru_cache(maxsize=16)
 def _coordinates(group: FiniteAbelianGroup) -> np.ndarray:
-    """Coordinates of every element in canonical order, shape (|G|, rank)."""
-    return np.indices(group.factors).reshape(group.rank, -1).T
+    """Coordinates of every element in canonical order, shape (|G|, rank),
+    read-only and kept for the last few groups."""
+    coords = np.indices(group.factors).reshape(group.rank, -1).T
+    coords.flags.writeable = False
+    return coords
 
 
 def _characters(group: FiniteAbelianGroup, gamma, x) -> np.ndarray:
     """Character values over integer coordinate arrays (coordinate axis last).
 
     ``gamma`` and ``x`` broadcast against each other.  The phase is the exact
-    integer k = sum_i gamma_i x_i (L / N_i) mod L, L the lcm of the factors,
-    so a trivial pairing (k == 0) gives exactly 1 and no other pairing does.
+    integer :func:`_pairing`, so a trivial pairing gives exactly 1 and no
+    other pairing does.
     """
+    return np.exp(2j * np.pi * _pairing(group, gamma, x) / math.lcm(*group.factors))
+
+
+def _pairing(group: FiniteAbelianGroup, gamma, x) -> np.ndarray:
+    """The exact phase integer k = sum_i gamma_i x_i (L / N_i) mod L of the
+    character values, L the lcm of the factors; k == 0 iff the pairing is trivial."""
     factors = np.asarray(group.factors, dtype=np.int64)
     lcm = math.lcm(*group.factors)
     prod = np.asarray(gamma, dtype=np.int64) * np.asarray(x, dtype=np.int64) % factors
-    k = (prod * (lcm // factors)).sum(axis=-1) % lcm
-    return np.exp(2j * np.pi * k / lcm)
+    return (prod * (lcm // factors)).sum(axis=-1) % lcm
 
 
 class Subgroup:
     """Subgroup stored as ``coords``, the (order, rank) array of its members in
     canonical order.  Members are all :class:`GroupElement` or all
     :class:`DualElement`; the ``dual`` flag records which side it lives on.
+    ``least`` labels the cosets: the least canonical position in the coset of
+    each point.  A caller that has them from the generators (see
+    :func:`_coset_minima`) passes them in.
     """
 
     def __init__(
@@ -191,6 +205,7 @@ class Subgroup:
         group: FiniteAbelianGroup,
         generators: Sequence[_Element],
         dual: bool | None = None,
+        least: np.ndarray | None = None,
     ):
         kinds = {type(g) for g in generators}
         if len(kinds) > 1:
@@ -204,8 +219,11 @@ class Subgroup:
         self.group = group
         self.dual = inferred if generators else bool(dual)
         self.generators = tuple(generators)
+        if least is None:
+            least = _coset_minima(group, [g.coords for g in generators])
+        self.least = least
+        self.least.flags.writeable = False
         # the span is the coset of 0: the points whose least coset member is 0
-        least = _coset_minima(group, [g.coords for g in generators])
         self.coords = _coordinates(group)[least == 0]
         self.coords.flags.writeable = False
         if group.order % len(self.coords) != 0:
@@ -271,18 +289,28 @@ def _coset_minima(group: FiniteAbelianGroup, shifts, least=None) -> np.ndarray:
         step = _positions(group, _coordinates(group) + shift)  # x -> x + shift
         while True:
             nxt = np.minimum(least, least[step])
-            if np.array_equal(nxt, least):
+            if (nxt == least).all():
                 break
             least, step = nxt, step[step]  # x -> x + 2 * shift
     return least
 
 
-def _cosets(subgroup: Subgroup) -> np.ndarray:
+def _cosets(subgroup: Subgroup, inner: Subgroup | None = None) -> np.ndarray:
     """Canonical positions of the points of every coset, shape (B, |subgroup|):
     a stable sort of the exact labels "least position in the coset" lists the
-    cosets by their least member, each row in canonical order."""
-    least = _coset_minima(subgroup.group, [g.coords for g in subgroup.generators])
-    return np.argsort(least, kind="stable").reshape(-1, len(subgroup))
+    cosets by their least member, each row in canonical order.
+
+    Given ``inner``, a subgroup of ``subgroup``, each row instead lists the
+    cosets of ``inner`` it holds, by least member, each as that member plus
+    the members of ``inner`` in canonical order: row b is t_bj + h over
+    (j, h).  A trivial ``inner`` gives the canonical rows."""
+    least = subgroup.least
+    if inner is None:
+        return np.argsort(least, kind="stable").reshape(-1, len(subgroup))
+    reps = _cosets(inner)[:, 0]  # ascending, so each row's stays ascending
+    reps = reps[np.argsort(least[reps], kind="stable")]
+    coords = _coordinates(subgroup.group)[reps][:, None, :] + inner.coords
+    return _positions(subgroup.group, coords).reshape(-1, len(subgroup))
 
 
 def annihilator(lattice: Subgroup) -> Subgroup:
@@ -296,16 +324,44 @@ def annihilator(lattice: Subgroup) -> Subgroup:
     coords = _coordinates(group)
     trivial = np.ones(group.order, dtype=bool)
     for g in lattice.generators:  # trivial on the subgroup iff trivial on its generators
-        trivial &= _characters(group, coords, g.coords) == 1
-    # each generator lies outside the span so far, so it at least doubles it
-    gens, least = [], np.arange(group.order)
-    while (outside := trivial & (least != 0)).any():
-        gens.append(tuple(coords[outside.argmax()].tolist()))
-        least = _coset_minima(group, gens[-1:], least)
-    side = GroupElement if lattice.dual else DualElement
-    result = Subgroup(group, [side(group, c) for c in gens], dual=not lattice.dual)
+        trivial &= _pairing(group, coords, g.coords) == 0
+    result = _subgroup_of(group, trivial, not lattice.dual)
     assert len(lattice) * len(result) == group.order
     return result
+
+
+def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
+    """The members common to two subgroups on the same side of one group,
+    generated by at most log2|G| of them."""
+    if a.group != b.group or a.dual != b.dual:
+        raise GroupMismatchError("subgroups of different groups or sides")
+    in_a, in_b = np.zeros((2, a.group.order), dtype=bool)
+    in_a[_positions(a.group, a.coords)] = True
+    in_b[_positions(b.group, b.coords)] = True
+    return _subgroup_of(a.group, in_a & in_b, a.dual)
+
+
+def _subgroup_of(group: FiniteAbelianGroup, members: np.ndarray, dual: bool) -> Subgroup:
+    """The subgroup whose canonical positions ``members`` marks (a |G|-sized
+    mask closed under the group law), on the given side.  Each generator is
+    taken outside the span so far, so it at least doubles it."""
+    coords = _coordinates(group)
+    gens, least = [], np.arange(group.order)
+    while (outside := members & (least != 0)).any():
+        gens.append(tuple(coords[outside.argmax()].tolist()))
+        least = _coset_minima(group, gens[-1:], least)
+    side = DualElement if dual else GroupElement
+    return Subgroup(group, [side(group, c) for c in gens], dual=dual, least=least)
+
+
+def _subgroup_characters(subgroup: Subgroup) -> np.ndarray:
+    """The characters of ``subgroup`` as a (|subgroup|, |subgroup|) table:
+    row i is the character labelled by the least member of the i-th coset of
+    the annihilator (distinct cosets restrict to distinct characters), column
+    j its value at the j-th member in canonical order."""
+    group = subgroup.group
+    labels = _coordinates(group)[_cosets(annihilator(subgroup))[:, 0]]
+    return _characters(group, labels[:, None, :], subgroup.coords[None, :, :])
 
 
 def transversal(subgroup: Subgroup) -> tuple[_Element, ...]:

@@ -58,7 +58,7 @@ DEFAULT_TOL = 1e-9  # the ``tol`` of the tolerance rule in the module docstring
 class SpaceOperator:
     """Linear operator on the matrix-signal space over a fixed group."""
 
-    __slots__ = ("space", "kind", "entry_matrix", "dense_matrix")
+    __slots__ = ("space", "kind", "entry_matrix", "dense_matrix", "nonzeros")
 
     def __init__(self, space: SignalSpace, *, entry_matrix=None, dense_matrix=None):
         if (entry_matrix is None) == (dense_matrix is None):
@@ -81,6 +81,8 @@ class SpaceOperator:
             self.entry_matrix = None
             self.dense_matrix = arr.copy()
             self.dense_matrix.flags.writeable = False
+        # the matrix is read-only, so its nonzero count is taken once
+        self.nonzeros = int(np.count_nonzero(self._rep()))
 
     # ---- constructors -------------------------------------------------
 

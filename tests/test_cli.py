@@ -241,9 +241,16 @@ def test_all_presets_validate_and_run():
         assert report["task"] == scenario["task"]
         reports[name] = report["results"]
         # every preset system is lattice-generated and every operator an entry
-        # map, so every report, operator images included, runs on coset blocks
+        # map, so every report, operator images included, runs on coset blocks;
+        # on the torus presets (Z_16, lattices <2> and <8>) each of the 2 cosets
+        # splits over H = <2> into 8 blocks of n^2, and the tight constructions
+        # (full lattices, so H = {0}) have 8 cosets of one point
+        zak = {"name": "walnut", "blocks": 16, "block_dim": scenario["systems"][0]["n"] ** 2,
+               "zak": 8}
+        if scenario["task"] == "tight_construct":
+            zak = {"name": "walnut", "blocks": 8, "zak": 1}
         routes = list(_routes(report["results"]))
-        assert routes and all(route["name"] == "walnut" for route in routes), name
+        assert routes and all({k: route[k] for k in zak} == zak for route in routes), name
 
     approx9 = lambda v: pytest.approx(v, abs=1e-9)
     r = reports["exb1"]

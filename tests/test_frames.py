@@ -31,18 +31,24 @@ from gaborop import (
     theta_bounds,
     trace_inner,
     translate,
+    verify_perturbation,
+    verify_sum,
 )
 from gaborop.operators import DEFAULT_TOL, is_normal
 from gaborop.scenario import TASKS
 from helpers import (
     LOG_SCALES,
     column_window_system,
+    diag_window_system,
     flip_op,
+    oracle_annihilator,
     oracle_character,
     oracle_family,
     oracle_frame_operator,
     oracle_frame_sum,
+    oracle_span,
     pert_theta_op,
+    perturbed_window_system,
     phi_system,
     projector_op,
     random_entry_op,
@@ -171,6 +177,17 @@ def test_swap_window_system_ten_tight():
     assert rep.tight
     assert rep.alpha_opt == pytest.approx(10.0, abs=1e-9)
     assert rep.beta_opt == pytest.approx(10.0, abs=1e-9)
+
+
+def test_analysis_matrix_is_the_identity_expansion_exactly(rng):
+    # row (m, i, j), column (x, p, r) is delta(i, p) sqrt(w) conj(f_m(x)[j, r]),
+    # assigned on the diagonal slices: bit for bit the product with I_n
+    for _ in range(5):
+        system = random_system(rng)
+        family, n = system.family(), system.space.n
+        stack = np.sqrt(system.space.weight()) * np.conj(family.array)
+        want = np.einsum("ip,mxjr->mijxpr", np.eye(n), stack).reshape(-1, system.space.dim)
+        assert analysis_matrix(system).tobytes() == want.tobytes()
 
 
 def test_frame_operator_hermitian_and_loop_assembled(rng):
@@ -605,9 +622,28 @@ def _walnut_case(factors, seed):
     return system, theta
 
 
+def _zak_order(system) -> int:
+    """|H| for H the lattice translations that lie in the annihilator of the
+    modulations, by the loop oracles."""
+    group = system.space.group
+    translations = oracle_span(group, [system.automorphism(k) for k in system.lattice.generators])
+    modulations = oracle_span(group, [system.dual_automorphism(m)
+                                      for m in system.dual_lattice.generators], dual=True)
+    return len(set(translations) & set(oracle_annihilator(group, modulations)))
+
+
 def _assert_same_report(blocked, dense):
     assert blocked.route["name"] == "walnut" and dense.route["name"] == "dense"
+    assert dense.route["zak"] == 1
     _assert_same_bounds(blocked, dense)
+
+
+def _assert_zak_route(report, system):
+    # |Gamma| cosets, each split into |H| blocks of |G| n^2 / (|Gamma| |H|)
+    zak, dim = _zak_order(system), system.space.dim
+    blocks = len(system.dual_lattice) * zak
+    assert {k: report.route[k] for k in ("name", "blocks", "block_dim", "zak")} == \
+        {"name": "walnut", "blocks": blocks, "block_dim": dim // blocks, "zak": zak}
 
 
 def _assert_same_bounds(blocked, dense):
@@ -627,19 +663,26 @@ def _assert_same_bounds(blocked, dense):
 
 @settings(max_examples=60)
 @given(factors=st.sampled_from([(8,), (12,), (4, 6)]), seed=st.integers(0, 2**32 - 1))
+@example(factors=(4, 6), seed=1522)  # H = Z2 x Z2 in 3 cosets of order 8, J = 2
 def test_walnut_route_matches_dense_route(factors, seed):
     # the family of a Gabor system takes the dense route; the system itself
-    # the coset blocks: the same verdicts, constants and spectra
+    # the Zak blocks inside the coset blocks: the same verdicts, constants
+    # and spectra
     system, theta = _walnut_case(factors, seed)
     order = system.space.group.order
     assume(len(system.lattice) < order and len(system.dual_lattice) < order)
-    _assert_same_report(theta_bounds(system, theta), theta_bounds(system.family(), theta))
-    _assert_same_report(ordinary_bounds(system), ordinary_bounds(system.family()))
+    controlled = theta_bounds(system, theta)
+    _assert_zak_route(controlled, system)
+    _assert_same_report(controlled, theta_bounds(system.family(), theta))
+    ordinary = ordinary_bounds(system)
+    _assert_zak_route(ordinary, system)
+    _assert_same_report(ordinary, ordinary_bounds(system.family()))
     # the image under an entry map is the Gabor system of the mapped windows,
     # alone and with the composed operator; under the same map as a dense
     # matrix it stays a family on the dense route
     image = image_system(theta, system)
     image_report = theta_bounds(image, theta)
+    _assert_zak_route(image_report, system)
     family_image = system.family().transformed(theta)
     _assert_same_report(image_report, theta_bounds(family_image, theta))
     squared = compose(theta, theta)
@@ -692,10 +735,12 @@ _SPLIT_KINDS = ("kron", "pointwise", "right", "zero")
        kind=st.sampled_from(_SPLIT_KINDS))
 @example(factors=(12,), seed=50, kind="pointwise")  # alpha in a block with a larger kernel
 @example(factors=(4, 6), seed=10, kind="pointwise")
+@example(factors=(4, 6), seed=1522, kind="kron")  # the twin splits over H = Z2 x Z2
 def test_split_dense_operator_matches_dense_route(factors, seed, kind):
-    # a dense operator that vanishes off the coset blocks takes them: the same
-    # report as the dense route (the family) and as its entry-map twin; one
-    # nonzero entry off the blocks sends it back to the dense route
+    # a dense operator that vanishes off the coset blocks takes them, with no
+    # Zak split (it need not commute with H): the same report as the dense
+    # route (the family) and as its entry-map twin, which takes the Zak
+    # blocks; one nonzero entry off the blocks sends it back to the dense route
     from gaborop.frames import _frame_blocks
 
     system, theta = _walnut_case(factors, seed)
@@ -703,11 +748,15 @@ def test_split_dense_operator_matches_dense_route(factors, seed, kind):
     assume(len(system.lattice) < order and len(system.dual_lattice) < order)
     op = _split_dense_operator(system, kind, theta.entry_matrix, np.random.default_rng(seed))
     blocked = theta_bounds(system, op)
-    assert blocked.route["reason"] == "dense, zero off the coset blocks"
+    cosets = len(system.dual_lattice)
+    assert blocked.route == {"name": "walnut", "blocks": cosets,
+                             "block_dim": system.space.dim // cosets, "zak": 1,
+                             "reason": "dense, zero off the coset blocks"}
     _assert_same_report(blocked, theta_bounds(system.family(), op))
     if kind == "kron":
         twin = theta_bounds(system, theta)
-        assert twin.route == {**blocked.route, "reason": "entry map"}
+        _assert_zak_route(twin, system)
+        assert twin.route["reason"] == "entry map"
         _assert_same_bounds(blocked, twin)
     index = _frame_blocks(system).index
     if len(index) > 1:
@@ -715,7 +764,89 @@ def test_split_dense_operator_matches_dense_route(factors, seed, kind):
         coupled[index[0, 0], index[1, -1]] = 1.0
         rep = theta_bounds(system, SpaceOperator.from_dense(system.space, coupled))
         assert rep.route == {"name": "dense", "blocks": 1, "block_dim": system.space.dim,
-                             "reason": "dense, nonzero off the coset blocks"}
+                             "zak": 1, "reason": "dense, nonzero off the coset blocks"}
+
+
+@settings(max_examples=30)
+@given(factors=st.sampled_from([(8,), (12,), (4, 6)]), seed=st.integers(0, 2**32 - 1))
+@example(factors=(4, 6), seed=1522)
+@example(factors=(8,), seed="pertexa")  # both hypotheses hold and every prediction is made
+def test_stability_checks_match_dense_route(factors, seed):
+    # pert_check and sum_check on the Zak blocks against the same statements
+    # on the dense route: the family's reports and the dense frame operators
+    from gaborop import lower_bound_constant, operator_norm
+
+    if seed == "pertexa":
+        system, perturbed, second = (swap_window_system(4), perturbed_window_system(4),
+                                     diag_window_system(4))
+        theta = pert_theta_op(system.space)
+        lam, mu, eta = 0.0, 0.2, 0.2
+    else:
+        system, theta = _walnut_case(factors, seed)
+        order = system.space.group.order
+        assume(len(system.lattice) < order and len(system.dual_lattice) < order)
+        rng = np.random.default_rng(seed)
+        perturbed = system.with_windows([w + 0.1 * random_signal(system.space, rng)
+                                         for w in system.windows])
+        second = system.with_windows([0.1 * random_signal(system.space, rng)
+                                      for _ in system.windows])
+        lam, mu, eta = 0.1, 0.2, 0.2
+    norm, m_o = operator_norm(theta), lower_bound_constant(theta)
+    source = theta_bounds(system.family(), theta)
+    top = max(1.0, abs(source.beta_opt or 0.0))
+
+    check, prediction = verify_perturbation(system, perturbed, theta, lam, mu, eta)
+    assert check.bounded_below_ok == (m_o > DEFAULT_TOL * norm)
+    if check.hypothesis is not None:
+        hyp = check.hypothesis
+        assert (hyp.gamma_o, hyp.delta_o) == pytest.approx(
+            (source.alpha_opt, source.beta_opt), rel=1e-9, abs=1e-12 * top)
+        assert (hyp.theta_norm, hyp.m_o) == pytest.approx((norm, m_o), rel=1e-12)
+        t = theta.to_dense()
+        difference = system.with_windows([w - v for w, v in zip(system.windows,
+                                                                 perturbed.windows)])
+        rhs = (lam * frame_operator(system.family(), as_operator=False)
+               + mu * t @ t.conj().T + eta * t.conj().T @ t)
+        eigs = np.linalg.eigvalsh(rhs - frame_operator(difference.family(), as_operator=False))
+        assert check.difference_margin == pytest.approx(eigs[0], rel=0.0, abs=1e-12 * top)
+    if prediction.perturbed_report is not None:
+        _assert_same_report(prediction.perturbed_report, theta_bounds(perturbed.family(), theta))
+
+    summed, summed_prediction = verify_sum(system, second, theta)
+    assert summed.bounded_below_ok == (m_o > DEFAULT_TOL * norm)
+    if summed.gamma_1 is not None:
+        other = theta_bounds(second.family(), theta)
+        assert (summed.gamma_1, summed.delta_1, summed.delta_2) == pytest.approx(
+            (source.alpha_opt, source.beta_opt, other.beta_opt), rel=1e-9, abs=1e-12 * top)
+    if summed_prediction.perturbed_report is not None:
+        both = system.with_windows([w + v for w, v in zip(system.windows, second.windows)])
+        _assert_same_report(summed_prediction.perturbed_report,
+                            theta_bounds(both.family(), theta))
+    if seed == "pertexa":
+        assert check.holds and prediction.applicable and summed_prediction.applicable
+
+
+def test_dense_operator_nonzeros_are_counted_once(monkeypatch):
+    # the split test of a dense operator reads the nonzero count taken when the
+    # operator is made: verify_perturbation builds three times and counts no
+    # D x D matrix
+    system, perturbed = swap_window_system(4), perturbed_window_system(4)
+    dim = system.space.dim
+    full = []
+    count = np.count_nonzero
+
+    def counted(a, *args, **kwargs):
+        if np.size(a) >= dim * dim:
+            full.append(np.shape(a))
+        return count(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counted)
+    op = SpaceOperator.from_dense(system.space, pert_theta_op(system.space).to_dense())
+    assert full == [(dim, dim)]
+    check, prediction = verify_perturbation(system, perturbed, op, 0.0, 0.2, 0.2)
+    assert check.holds and prediction.applicable
+    assert prediction.perturbed_report.route["reason"] == "dense, zero off the coset blocks"
+    assert full == [(dim, dim)]
 
 
 @pytest.mark.parametrize("kind", _SPLIT_KINDS)
@@ -854,23 +985,36 @@ def test_split_operator_facts_from_its_blocks(monkeypatch, factors, seed, kind):
         _assert_same_facts(got, _operator_facts(system, theta)[0], norm)
 
 
-@pytest.mark.parametrize("factors,seed", [((8,), 1), ((12,), 2), ((4, 6), 3), ((4, 6), 4)])
+@pytest.mark.parametrize("factors,seed", [((8,), 1), ((12,), 2), ((4, 6), 3), ((4, 6), 4),
+                                          ((4, 6), 1522)])
 def test_walnut_identity(factors, seed):
-    # the dense frame operator vanishes off the coset blocks and equals the
-    # block stack on them
+    # the Zak identity: the dense frame operator in the basis U, whose row
+    # (b, chi, j, entry) is sum_h phi[chi, h] e_index[b, (j, h, entry)]^T,
+    # vanishes off the blocks and equals the block stack on them; phi is a
+    # unitary table of the characters of H
     from gaborop.frames import _frame_blocks
 
     for system in (_walnut_case(factors, seed)[0], swap_window_system(4)):
         dense = frame_operator(system, as_operator=False)
         blocks = _frame_blocks(system)
+        phi, index, dim, n2 = blocks.phi, blocks.index, system.space.dim, system.space.n ** 2
+        size, (count, d, _) = len(phi), blocks.s.shape
+        assert sorted(index.ravel().tolist()) == list(range(dim))
+        assert np.allclose(phi @ phi.conj().T, np.eye(size), rtol=0.0, atol=1e-14)
+        assert size == _zak_order(system) and count == len(system.dual_lattice) * size
+        u = np.zeros((len(index), size, d // n2, n2, dim), dtype=complex)
+        for b, row in enumerate(index):
+            for k, position in enumerate(row):
+                j, h, e = k // (size * n2), k // n2 % size, k % n2
+                for chi in range(size):
+                    u[b, chi, j, e, position] = phi[chi, h]
+        u = u.reshape(dim, dim)
+        assert np.allclose(u @ u.conj().T, np.eye(dim), rtol=0.0, atol=1e-14)
+        # zak[block, block', row, column]
+        zak = (u @ dense @ u.conj().T).reshape(count, d, count, d).transpose(0, 2, 1, 3)
         top = np.abs(dense).max()
-        assert sorted(blocks.index.ravel().tolist()) == list(range(system.space.dim))
-        on_block = (blocks.index[:, :, None], blocks.index[:, None, :])
-        off_block = np.ones(dense.shape, dtype=bool)
-        off_block[on_block] = False
-        assert np.abs(dense[off_block]).max(initial=0.0) <= 1e-13 * top
-        assert np.abs(dense[on_block] - blocks.s).max() <= 1e-13 * top
-        assert len(blocks.s) == len(system.dual_lattice)
+        assert np.abs(zak[~np.eye(count, dtype=bool)]).max(initial=0.0) <= 1e-13 * top
+        assert np.abs(zak[np.arange(count), np.arange(count)] - blocks.s).max() <= 1e-13 * top
 
 
 def test_route_is_reported():
@@ -879,15 +1023,19 @@ def test_route_is_reported():
     from gaborop.scenario import run_scenario
 
     # the controlled route says why the operator split; the ordinary one has no operator
+    # on Z_32 both lattices are <4>, so H = <4> and each of the 4 cosets
+    # splits into 8 blocks of n^2 = 4
     results = run_scenario(build_preset("remark-theta0", resolution=4))["results"]
-    walnut = {"name": "walnut", "blocks": 4, "block_dim": 32}
+    walnut = {"name": "walnut", "blocks": 32, "block_dim": 4, "zak": 8}
     assert results["controlled"]["route"] == {**walnut, "reason": "entry map"}
     assert results["ordinary"]["route"] == walnut
     # kron(I, M) as a dense matrix vanishes off the coset blocks, so it splits
+    # over them, with H taken trivial
     system = swap_window_system()
     dense = pert_theta_op(system.space).to_dense()
     rep = theta_bounds(system, SpaceOperator.from_dense(system.space, dense))
     assert rep.to_json_dict()["route"] == {"name": "walnut", "blocks": 2, "block_dim": 32,
+                                           "zak": 1,
                                            "reason": "dense, zero off the coset blocks"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-12)
     # one nonzero entry coupling two cosets keeps the dense route
@@ -896,19 +1044,20 @@ def test_route_is_reported():
     coupled[blocks.index[0, 0], blocks.index[1, 0]] = 1e-3
     rep = theta_bounds(system, SpaceOperator.from_dense(system.space, coupled))
     assert rep.to_json_dict()["route"] == {"name": "dense", "blocks": 1,
-                                           "block_dim": system.space.dim,
+                                           "block_dim": system.space.dim, "zak": 1,
                                            "reason": "dense, nonzero off the coset blocks"}
     # a family is never split
     rep = theta_bounds(system.family(), SpaceOperator.from_dense(system.space, dense))
     assert rep.route == {"name": "dense", "blocks": 1, "block_dim": system.space.dim,
-                         "reason": "not a Gabor system"}
+                         "zak": 1, "reason": "not a Gabor system"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-12)
 
 
 def test_walnut_route_scales_to_4096(monkeypatch):
-    # D = 4096 (|G| = 1024, n = 2): no solver sees more than one 32 x 32 block
-    # (batch axes aside), and nothing dense is built; one dense D x D complex
-    # matrix alone is 268 MB
+    # D = 4096 (|G| = 1024, n = 2): H = <128> is the annihilator of the
+    # modulations, so no solver sees more than one n^2 x n^2 block (batch axes
+    # aside), and nothing dense is built; one dense D x D complex matrix alone
+    # is 268 MB
     import tracemalloc
 
     system = swap_window_system(128)
@@ -926,8 +1075,9 @@ def test_walnut_route_scales_to_4096(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.route == {"name": "walnut", "blocks": 128, "block_dim": 32, "reason": "entry map"}
+    assert rep.route == {"name": "walnut", "blocks": 1024, "block_dim": 4, "zak": 8,
+                         "reason": "entry map"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-9)
     assert rep.beta_opt == pytest.approx(10.0, rel=1e-9)
-    assert shapes and max(max(shape[-2:]) for shape in shapes) <= 32
+    assert shapes and max(max(shape[-2:]) for shape in shapes) <= 4
     assert peak < 64 * 2**20

@@ -20,6 +20,7 @@ from gaborop import (
     annihilator,
     character_value,
     fourier,
+    intersection,
     inverse_fourier,
     modulate,
     translate,
@@ -336,6 +337,76 @@ def test_subgroup_annihilator_transversal_match_loop_oracles(case):
     assert [e.coords for e in ann] == oracle_annihilator(group, members)
     assert len(ann.generators) <= math.log2(group.order)
     assert annihilator(ann) == sub and hash(annihilator(ann)) == hash(sub)
+
+
+_AUTOMORPHISMS = {(8,): [[1], [3], [5], [7]], (12,): [[1], [5], [7], [11]],
+                  (4, 6): [[[1, 0], [0, 1]], [[3, 0], [0, 1]], [[1, 0], [0, 5]],
+                           [[1, 2], [3, 1]], [[3, 2], [3, 5]]]}
+
+
+@st.composite
+def _moved_subgroup_pairs(draw):
+    """Two subgroups on one side of Z8, Z12 or Z4 x Z6, each generated by
+    images under an automorphism."""
+    factors = draw(st.sampled_from(sorted(_AUTOMORPHISMS)))
+    group = FiniteAbelianGroup(factors)
+    dual = draw(st.booleans())
+    make = group.dual_element if dual else group.element
+    pair = []
+    for _ in range(2):
+        auto = Automorphism(group, draw(st.sampled_from(_AUTOMORPHISMS[factors])), dual=dual)
+        gens = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in factors)), max_size=3))
+        pair.append([auto(make(c)) for c in gens])
+    return group, dual, pair
+
+
+@settings(max_examples=200)
+@given(_moved_subgroup_pairs())
+@example((FiniteAbelianGroup((4, 6)), False,  # Z2 x Z2 = <(2, 0), (0, 3)>, not cyclic
+          [[GroupElement(FiniteAbelianGroup((4, 6)), (2, 0)),
+            GroupElement(FiniteAbelianGroup((4, 6)), (0, 1))],
+           [GroupElement(FiniteAbelianGroup((4, 6)), (2, 3)),
+            GroupElement(FiniteAbelianGroup((4, 6)), (0, 3))]]))
+def test_intersection_and_characters_match_loop_oracles(case):
+    # the intersection is the members common to both spans, and the character
+    # table of a subgroup holds each of its |H| characters once, as values at
+    # its members in canonical order, row i labelled by the i-th least member
+    # of the cosets of the annihilator
+    from itertools import product
+
+    from gaborop.groups import _cosets, _subgroup_characters
+
+    group, dual, (gens_a, gens_b) = case
+    a, b = Subgroup(group, gens_a, dual=dual), Subgroup(group, gens_b, dual=dual)
+    common = sorted(set(oracle_span(group, gens_a, dual)) & set(oracle_span(group, gens_b, dual)))
+    both = intersection(a, b)
+    assert both.dual == dual and [e.coords for e in both] == common
+    assert both == intersection(b, a) and len(both.generators) <= math.log2(group.order)
+    table = _subgroup_characters(both)
+    other = group.element if dual else group.dual_element
+    labels = oracle_transversal(group, [other(c) for c in oracle_annihilator(group, common)],
+                                not dual)
+    want = [[oracle_character(group.factors, gamma, x) for x in common] for gamma in labels]
+    assert np.allclose(table, want, rtol=0.0, atol=1e-12)
+    # distinct characters: the table is |H| times a unitary
+    assert np.allclose(table @ table.conj().T, len(both) * np.eye(len(both)), rtol=0.0, atol=1e-9)
+    # the cosets of a, each listed as the cosets of the intersection it holds:
+    # t + h over h in canonical order, t the least member of its coset
+    make = group.dual_element if dual else group.element
+    points = list(map(make, product(*(range(n) for n in group.factors))))
+    plain = _cosets(a)
+    nested = _cosets(a, both).reshape(len(plain), -1, len(both))
+    assert [sorted(row) for row in nested.reshape(len(plain), -1).tolist()] == plain.tolist()
+    for row in nested.reshape(-1, len(both)).tolist():
+        t = points[row[0]]
+        assert [points[x] for x in row] == [t + h for h in both]
+        assert t == min(points[x] for x in row)
+
+
+def test_intersection_rejects_mixed_sides():
+    g = FiniteAbelianGroup((12,))
+    with pytest.raises(GroupMismatchError):
+        intersection(Subgroup.full(g), Subgroup.full(g, dual=True))
 
 
 @st.composite
