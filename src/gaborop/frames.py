@@ -30,6 +30,7 @@ ker T <= ker S, a positive lower constant iff ker S <= ker(adjoint T).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -123,7 +124,9 @@ class GaborSystem:
         group = self.space.group
         etas = self.dual_automorphism.apply(self.dual_lattice.coords)
         phases = _characters(group, etas[:, None, :], _coordinates(group))  # (|Gamma|, |G|)
-        shifted = _translates(self)
+        # g_l(x - A k) for every window l, lattice point k and point x
+        shifts = self.automorphism.apply(self.lattice.coords)
+        shifted = _windows(self)[:, _positions(group, _coordinates(group) - shifts[:, None, :])]
         array = shifted[:, :, None] * phases[:, :, None, None]
         ks, ms = self.lattice.coords.tolist(), self.dual_lattice.coords.tolist()
         labels = [(l, tuple(k), tuple(m)) for l in range(len(self.windows)) for k in ks for m in ms]
@@ -136,15 +139,12 @@ class GaborSystem:
         )
 
 
-def _translates(system: GaborSystem) -> np.ndarray:
-    """g_l(x - A k) for every window l, lattice point k and point x, shape
-    (L, |lattice|, |G|, n, n): one gather at the positions of x - A k."""
+def _windows(system: GaborSystem) -> np.ndarray:
+    """The windows as one (L, |G|, n, n) array."""
     group, n = system.space.group, system.space.n
     # the reshape gives zero windows their (0, |G|, n, n) shape
-    windows = np.array([w.values for w in system.windows], dtype=np.complex128).reshape(
+    return np.array([w.values for w in system.windows], dtype=np.complex128).reshape(
         len(system.windows), group.order, n, n)
-    shifts = system.automorphism.apply(system.lattice.coords)
-    return windows[:, _positions(group, _coordinates(group) - shifts[:, None, :])]
 
 
 def _as_family(obj) -> VectorFamily:
@@ -238,6 +238,46 @@ class _Blocks(NamedTuple):
                 "zak": len(self.phi)}
 
 
+class _Layout(NamedTuple):
+    """The set-up of the Zak blocks that depends on the lattices alone."""
+
+    points: np.ndarray  # (B, c) canonical positions of each coset's points, ordered (j, h)
+    phi: np.ndarray     # (|H|, |H|) the unitary DFT over H, phi[chi, h] = chi(h) / sqrt|H|
+    gather: np.ndarray  # (|lattice|, B, J, |H|) the position of t_bj + h - A a, J = c / |H|
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(lattice: Subgroup, dual_lattice: Subgroup, automorphism: Automorphism,
+            dual_automorphism: Automorphism, split: bool) -> _Layout:
+    """The cosets of Gamma^perp, for Gamma the modulation group, listed as the
+    cosets of H they hold, the DFT over H and the translate gather, read-only.
+    ``split`` takes H the lattice translations that lie in Gamma^perp (for no
+    operator or an entry map), otherwise H = {0}.
+
+    Memoised by value for the last 16 keys, so systems on the same lattices
+    (``with_windows``, a scenario's systems, repeated reports) share one
+    entry.  An entry retains 8 |G| bytes of ``points``, 16 |H|^2 of ``phi``
+    and 8 |lattice| |G| of ``gather``, and its key the two lattices (about
+    8 |G| bytes each): about 47 kB for exb1 at |G| = 512, and 8 MB for a
+    full lattice at |G| = 1024."""
+    group = lattice.group
+    modulations = Subgroup(group, [dual_automorphism(m) for m in dual_lattice.generators],
+                           dual=True)
+    cosets = annihilator(modulations)
+    zak = Subgroup.trivial(group)
+    if split:
+        translations = Subgroup(group, [automorphism(k) for k in lattice.generators])
+        zak = intersection(translations, cosets)
+    points = _cosets(cosets, zak)
+    phi = _subgroup_characters(zak) / np.sqrt(len(zak))
+    shifts = automorphism.apply(lattice.coords)
+    gather = _positions(group, _coordinates(group)[points] - shifts[:, None, None, :])
+    gather = gather.reshape(len(lattice), len(points), -1, len(zak))
+    for array in (points, phi, gather):
+        array.flags.writeable = False
+    return _Layout(points, phi, gather)
+
+
 def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     """The frame operator of ``system`` as blocks on which ``theta`` also splits.
 
@@ -257,6 +297,7 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     into |H| blocks (Zibulski & Zeevi 1997): the translates are transformed
     along H before the product, and only the chi-diagonal products are taken.
     An entry map commutes with H too; a dense operator is taken with H = {0}.
+    The cosets, the DFT over H and the gather come from :func:`_layout`.
 
     ``op`` is the operator on the blocks: the entry matrix (1, n^2, n^2),
     which repeats along the diagonal of every block, or the stack of the
@@ -268,17 +309,11 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     op = None if theta is None else theta._rep()[None]
     if not isinstance(system, GaborSystem):
         return _dense_blocks(system, op, "not a Gabor system")
-    group, n = system.space.group, system.space.n
-    modulations = Subgroup(group, [system.dual_automorphism(m)
-                                   for m in system.dual_lattice.generators], dual=True)
-    cosets = annihilator(modulations)
-    zak = Subgroup.trivial(group)
-    if theta is None or theta.kind == "entry_map":
-        translations = Subgroup(group, [system.automorphism(k)
-                                        for k in system.lattice.generators])
-        zak = intersection(translations, cosets)
-    points = _cosets(cosets, zak)  # (B, c), ordered (j, h)
-    blocks, c = points.shape
+    n = system.space.n
+    points, phi, gather = _layout(system.lattice, system.dual_lattice, system.automorphism,
+                                  system.dual_automorphism,
+                                  theta is None or theta.kind == "entry_map")
+    _, blocks, j, size = gather.shape
     index = (points[:, :, None] * (n * n) + np.arange(n * n)).reshape(blocks, -1)
     reason = "no operator" if theta is None else "entry map"
     if theta is not None and theta.kind == "dense":
@@ -286,11 +321,10 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
         if np.count_nonzero(on_blocks) != theta.nonzeros:
             return _dense_blocks(system, op, "dense, nonzero off the coset blocks")
         op, reason = on_blocks, "dense, zero off the coset blocks"
-    size = len(zak)
-    phi = _subgroup_characters(zak) / np.sqrt(size)
-    j = c // size
-    # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r]
-    g = np.moveaxis(_translates(system)[:, :, points.reshape(blocks, j, size)], 4, -1) @ phi.T
+    # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r], as one
+    # product over all rows: a batch of (n, |H|) products costs a BLAS call each
+    g = np.moveaxis(_windows(system)[:, gather], 4, -1)
+    g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
     # stack[(b, chi), (l, a, q), (j, r)], and K = w |Gamma| stack^T conj(stack) per block
     stack = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
     k = system.space.weight() * len(system.dual_lattice) * (

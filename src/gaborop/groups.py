@@ -6,7 +6,10 @@ pairing (gamma, x) -> exp(2*pi*i * sum_i gamma_i x_i / N_i); primal and dual
 elements are kept as distinct types so that they cannot be mixed by accident.
 
 Every value is immutable after construction and every operation is pure, so
-concurrent reads are safe.
+concurrent reads are safe.  The caches (element coordinates per group, coset
+minima per generator list) are bounded ``functools.lru_cache`` tables of
+read-only arrays: a hit hands every caller the same array, which none can
+write, so they are safe for concurrent reads too.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ class Subgroup:
         self.dual = inferred if generators else bool(dual)
         self.generators = tuple(generators)
         if least is None:
-            least = _coset_minima(group, [g.coords for g in generators])
+            least = _span_minima(group, tuple(g.coords for g in generators))
         self.least = least
         self.least.flags.writeable = False
         # the span is the coset of 0: the points whose least coset member is 0
@@ -292,6 +295,15 @@ def _coset_minima(group: FiniteAbelianGroup, shifts, least=None) -> np.ndarray:
             if (nxt == least).all():
                 break
             least, step = nxt, step[step]  # x -> x + 2 * shift
+    return least
+
+
+@functools.lru_cache(maxsize=64)
+def _span_minima(group: FiniteAbelianGroup, shifts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """:func:`_coset_minima` of the span of ``shifts``, read-only and kept for
+    the last few generator lists (8 |G| bytes each)."""
+    least = _coset_minima(group, shifts)
+    least.flags.writeable = False
     return least
 
 
@@ -398,7 +410,8 @@ class Automorphism:
                 )
         self.group = group
         self.dual = bool(dual)
-        self.matrix = arr
+        self.matrix = arr = arr.copy()  # the caller's array stays theirs, this one frozen
+        arr.flags.writeable = False
         if np.array_equal(arr, np.eye(group.rank, dtype=np.int64)):
             return  # the identity is well defined and bijective on any factors
         factors = np.asarray(group.factors, dtype=np.int64)
@@ -424,6 +437,15 @@ class Automorphism:
     @classmethod
     def identity(cls, group: FiniteAbelianGroup, dual: bool = False) -> "Automorphism":
         return cls(group, np.eye(group.rank, dtype=np.int64), dual=dual)
+
+    def _key(self):
+        return self.group, self.dual, self.matrix.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Automorphism) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         side = "dual" if self.dual else "primal"

@@ -215,12 +215,6 @@ def _hyponormal(blocks: np.ndarray, norm: float, tol: float) -> tuple[bool, floa
     return min_eig >= -tol * norm ** 2, min_eig
 
 
-def is_normal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
-    """Self-commutator vanishes; in this finite setting equals hyponormality."""
-    residual = float(np.linalg.norm(_self_commutator(op._rep()), ord=2))
-    return residual <= tol * operator_norm(op) ** 2
-
-
 def is_hyponormal_on_range(op: SpaceOperator, range_of: SpaceOperator,
                            tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Hyponormality of ``op`` compressed to the range of ``range_of``.

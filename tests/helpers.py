@@ -24,7 +24,9 @@ from gaborop import (
     SpaceOperator,
     Subgroup,
     inverse_fourier,
+    operator_norm,
 )
+from gaborop.operators import DEFAULT_TOL
 from gaborop.pencil import KERNEL_RTOL
 
 # ---------------------------------------------------------------------------
@@ -196,6 +198,15 @@ def oracle_frame_operator(members, space: SignalSpace) -> np.ndarray:
                 acc[xi] += m @ psi.values[xi]
         out[:, col] = MatrixSignal(space, acc).flatten()
     return out
+
+
+def is_normal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
+    """The self-commutator T* T - T T* vanishes to ``tol * ||T||^2``; in this
+    finite setting that equals hyponormality."""
+    m = op._rep()
+    m_h = m.conj().T
+    residual = float(np.linalg.norm(m_h @ m - m @ m_h, ord=2))
+    return residual <= tol * operator_norm(op) ** 2
 
 
 PSD_SLACK_RTOL = 1e-12  # bisection's PSD slack, relative to the larger of s and c p

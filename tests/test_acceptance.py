@@ -31,7 +31,7 @@ from gaborop import (
     verify_perturbation,
     verify_sum,
 )
-from gaborop.operators import is_hyponormal, is_normal
+from gaborop.operators import is_hyponormal
 from gaborop.pencil import null_space
 from gaborop.presets import PRESETS, build_preset
 from gaborop.scenario import _build_group, _build_operator, _build_system
@@ -40,6 +40,7 @@ from helpers import (
     column_window_system,
     diag_window_system,
     flip_op,
+    is_normal,
     oracle_norm_sq,
     pert_theta_op,
     perturbed_window_system,

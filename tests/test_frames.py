@@ -34,13 +34,14 @@ from gaborop import (
     verify_perturbation,
     verify_sum,
 )
-from gaborop.operators import DEFAULT_TOL, is_normal
+from gaborop.operators import DEFAULT_TOL
 from gaborop.scenario import TASKS
 from helpers import (
     LOG_SCALES,
     column_window_system,
     diag_window_system,
     flip_op,
+    is_normal,
     oracle_annihilator,
     oracle_character,
     oracle_family,
@@ -661,14 +662,42 @@ def _assert_same_bounds(blocked, dense):
         assert np.allclose(blocked.spectra[name], values, rtol=0.0, atol=1e-12 * scale)
 
 
+def _assert_bitwise_equal_blocks(a, b):
+    assert (a.route, a.reason) == (b.route, b.reason)
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 @settings(max_examples=60)
 @given(factors=st.sampled_from([(8,), (12,), (4, 6)]), seed=st.integers(0, 2**32 - 1))
 @example(factors=(4, 6), seed=1522)  # H = Z2 x Z2 in 3 cosets of order 8, J = 2
+# seed 110 (|H| = 6), then its twin on the same lattices under [[3, 0], [0, 1]] (|H| = 3)
+@example(factors=(4, 6), seed="twin")
 def test_walnut_route_matches_dense_route(factors, seed):
     # the family of a Gabor system takes the dense route; the system itself
     # the Zak blocks inside the coset blocks: the same verdicts, constants
-    # and spectra
-    system, theta = _walnut_case(factors, seed)
+    # and spectra, and the same blocks bit for bit from a cold and a warm
+    # lattice layout
+    from dataclasses import replace
+
+    from gaborop.frames import _frame_blocks, _layout
+
+    _layout.cache_clear()
+    if seed == "twin":
+        system, theta = _walnut_case(factors, 110)
+        twin = replace(system, automorphism=Automorphism(system.space.group,
+                                                         _Z46_AUTOMORPHISMS[0]))
+        cases = [(system, theta), (twin, theta)]
+    else:
+        cases = [_walnut_case(factors, seed)]
+    cold = [_frame_blocks(system, theta) for system, theta in cases]
+    for (system, theta), blocks in zip(cases, cold):
+        _check_walnut_route(system, theta)
+        _assert_bitwise_equal_blocks(_frame_blocks(system, theta), blocks)
+
+
+def _check_walnut_route(system, theta):
     order = system.space.group.order
     assume(len(system.lattice) < order and len(system.dual_lattice) < order)
     controlled = theta_bounds(system, theta)
@@ -1081,3 +1110,102 @@ def test_walnut_route_scales_to_4096(monkeypatch):
     assert rep.beta_opt == pytest.approx(10.0, rel=1e-9)
     assert shapes and max(max(shape[-2:]) for shape in shapes) <= 4
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The lattice layout, memoised by value
+
+def _layout_of(system, split=True):
+    from gaborop.frames import _layout
+
+    return _layout(system.lattice, system.dual_lattice, system.automorphism,
+                   system.dual_automorphism, split)
+
+
+def _pertexa_systems():
+    from gaborop.presets import build_preset
+    from gaborop.scenario import _build_group, _build_system
+
+    scenario = build_preset("pertexa")
+    group, measure = _build_group(scenario["group"])
+    return [_build_system(group, measure, spec) for spec in scenario["systems"]]
+
+
+def test_layout_is_shared_by_value():
+    # one read-only entry per (lattices, automorphisms, split): systems built
+    # apart from the same lattice specs, with_windows and pert_check's
+    # difference system share it, and _frame_blocks takes its set-up from it
+    from gaborop.frames import _frame_blocks
+    from gaborop.perturbation import _difference_system
+
+    main, perturbed = _pertexa_systems()
+    assert main.lattice is not perturbed.lattice
+    layout = _layout_of(main)
+    for other in (perturbed, main.with_windows(perturbed.windows),
+                  _difference_system(main, perturbed)):
+        assert _layout_of(other) is layout
+    assert _frame_blocks(perturbed).phi is layout.phi
+    assert _frame_blocks(perturbed, pert_theta_op(main.space)).phi is layout.phi
+    for array in layout:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+    # a change of the automorphism, of the dual automorphism or of the split
+    # alone is another entry
+    group = main.space.group
+    others = (GaborSystem(main.space, main.windows, main.lattice, main.dual_lattice,
+                          Automorphism(group, [3])),
+              GaborSystem(main.space, main.windows, main.lattice, main.dual_lattice,
+                          None, Automorphism(group, [3], dual=True)))
+    entries = [layout, _layout_of(main, split=False)] + [_layout_of(s) for s in others]
+    assert len({id(entry) for entry in entries}) == 4
+
+
+def test_layout_cache_stays_bounded():
+    from gaborop import groups
+    from gaborop.frames import _layout
+
+    group = FiniteAbelianGroup((64,))
+    divisors = (1, 2, 4, 8, 16, 32)
+    keys = [(Subgroup(group, [group.element([a])]),
+             Subgroup(group, [group.dual_element([b])], dual=True),
+             Automorphism.identity(group), Automorphism.identity(group, dual=True), split)
+            for a in divisors for b in divisors for split in (False, True)]
+    assert len(keys) > _layout.cache_info().maxsize
+    for key in keys:
+        _layout(*key)
+        for cache in (_layout, groups._span_minima):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def test_reports_on_known_lattices_close_no_subgroup(monkeypatch):
+    # a second report on the same lattices closes no subgroup and takes no
+    # annihilator; a cold one takes no more than before the layout was
+    # memoised: 22 closures and 6 annihilators for pertexa (three systems),
+    # 16 and 4 for its ordinary_bounds twin
+    from gaborop import frames, groups
+    from gaborop.presets import build_preset
+    from gaborop.scenario import run_scenario
+
+    calls = {"_coset_minima": 0, "annihilator": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for module, name in ((groups, "_coset_minima"), (groups, "annihilator"),
+                         (frames, "annihilator")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    pertexa = build_preset("pertexa")
+    twin = {**pertexa, "task": "ordinary_bounds",
+            "args": {"systems": [s["name"] for s in pertexa["systems"]]}}
+    for scenario, cold in ((pertexa, (22, 6)), (twin, (16, 4))):
+        frames._layout.cache_clear()
+        groups._span_minima.cache_clear()
+        run_scenario(scenario)
+        assert calls["_coset_minima"] <= cold[0] and calls["annihilator"] <= cold[1]
+        calls.update(dict.fromkeys(calls, 0))
+        run_scenario(scenario)
+        assert calls == {"_coset_minima": 0, "annihilator": 0}

@@ -288,6 +288,39 @@ def test_automorphism_rejects_ill_defined_matrix():
         Automorphism(g, [[1, 0], [1, 1]])  # Z2 -> Z4 entry 1 is not a homomorphism
 
 
+def test_automorphism_keeps_a_frozen_copy_of_its_matrix():
+    # on Z8, [3] -> [2] would map 1 and 5 both to 2: neither the caller's
+    # array nor .matrix can turn an accepted map into that one
+    g = FiniteAbelianGroup((8,))
+    given = np.array([[3]])
+    auto = Automorphism(g, given)
+    given[0, 0] = 2
+    assert not auto.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        auto.matrix[0, 0] = 2
+    assert [auto(x).coords for x in g.elements()] == [((3 * k) % 8,) for k in range(8)]
+
+
+def test_automorphism_equality_is_by_value():
+    g = FiniteAbelianGroup((4, 6))
+    a, b = Automorphism(g, [[3, 0], [0, 1]]), Automorphism(g, np.array([3, 1]))
+    assert a == b and hash(a) == hash(b)
+    assert a != Automorphism(g, [[1, 0], [0, 5]])
+    assert a != Automorphism(g, [[3, 0], [0, 1]], dual=True)
+    assert Automorphism.identity(g) == Automorphism(g, [1, 1])
+    assert Automorphism(FiniteAbelianGroup((8,)), [3]) != Automorphism(
+        FiniteAbelianGroup((16,)), [3])
+    assert len({a, b, Automorphism.identity(g)}) == 2
+
+
+def test_subgroup_closure_is_shared_by_value():
+    # generators equal mod the factors close once, into one read-only array
+    g = FiniteAbelianGroup((4, 6))
+    a, b = Subgroup(g, [g.element([1, 2])]), Subgroup(g, [g.element([5, 8])])
+    assert a.least is b.least and not a.least.flags.writeable
+    assert a == b and Subgroup(g, [g.element([2, 2])]).least is not a.least
+
+
 def test_measure_pair_validation():
     g = FiniteAbelianGroup((8,))
     MeasurePair.torus_like(g)

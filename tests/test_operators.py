@@ -18,9 +18,10 @@ from gaborop import (
     operator_norm,
     trace_inner,
 )
-from gaborop.operators import OperatorDiagnostics, is_hyponormal_on_range, is_normal
+from gaborop.operators import OperatorDiagnostics, is_hyponormal_on_range
 from helpers import (
     flip_op,
+    is_normal,
     pert_theta_op,
     projector_op,
     random_entry_op,
