@@ -342,18 +342,6 @@ def _dense_blocks(system, op: Optional[np.ndarray], reason: str) -> _Blocks:
     return _Blocks("dense", np.arange(len(s))[None], np.ones((1, 1)), s[None], op, reason)
 
 
-def _in_zak_basis(blocks: _Blocks, m: np.ndarray, n: int) -> np.ndarray:
-    """A (B, c, c) stack on the coset blocks ``blocks.index`` (of a space of
-    n x n signals) in their Zak basis, shape (B, |H|, d, |H|, d): entry
-    [b, chi, x, chi', y] pairs row x of block (b, chi) with row y of block
-    (b, chi'), so the stack of ``blocks.s`` is its chi = chi' part."""
-    phi = blocks.phi
-    size, d = len(phi), blocks.s.shape[-1]
-    m = m.reshape(len(m), d // (n * n), size, n * n, d // (n * n), size, n * n)
-    m = np.einsum("ch,bjhekgf,dg->bcjedkf", phi, m, phi.conj(), optimize=True)
-    return m.reshape(len(m), size, d, size, d)
-
-
 def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     """(T T*, T* T) as a (1, d, d) or (B, d, d) stack aligned with ``blocks.index``:
     the products of the operator's blocks, each repeated along the diagonal

@@ -7,9 +7,9 @@ elements are kept as distinct types so that they cannot be mixed by accident.
 
 Every value is immutable after construction and every operation is pure, so
 concurrent reads are safe.  The caches (element coordinates per group, coset
-minima per generator list) are bounded ``functools.lru_cache`` tables of
-read-only arrays: a hit hands every caller the same array, which none can
-write, so they are safe for concurrent reads too.
+minima per generator list, identity automorphisms per group and side) are
+bounded ``functools.lru_cache`` tables of read-only values: a hit hands
+every caller the same object, which none can write, so all can share it.
 """
 
 from __future__ import annotations
@@ -435,7 +435,9 @@ class Automorphism:
         return type(elem)(self.group, tuple(self.apply(elem.coords).tolist()))
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def identity(cls, group: FiniteAbelianGroup, dual: bool = False) -> "Automorphism":
+        """The identity of ``group`` or its dual, one shared object per group and side."""
         return cls(group, np.eye(group.rank, dtype=np.int64), dual=dual)
 
     def _key(self):

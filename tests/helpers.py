@@ -3,7 +3,8 @@
 Oracles are deliberately written as explicit loops over group elements and
 matrix entries (cmath phases, scalar accumulation) so they share no code
 path with the package's vectorised implementations.  The pencil oracle is
-monotone bisection on the least eigenvalue of the pencil.
+monotone bisection on the least eigenvalue of the pencil; the omega oracle
+is the dense synthesis matrix Omega and its D x D gram.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from gaborop import (
     inverse_fourier,
     operator_norm,
 )
+from gaborop.constructions import OmegaReport
+from gaborop.frames import _as_family, _operator_grams, analysis_matrix
 from gaborop.operators import DEFAULT_TOL
-from gaborop.pencil import KERNEL_RTOL
+from gaborop.pencil import KERNEL_RTOL, solve_pencils
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -207,6 +210,53 @@ def is_normal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     m_h = m.conj().T
     residual = float(np.linalg.norm(m_h @ m - m @ m_h, ord=2))
     return residual <= tol * operator_norm(op) ** 2
+
+
+def _in_zak_basis(blocks, m: np.ndarray, n: int) -> np.ndarray:
+    """A (B, c, c) stack on the coset blocks ``blocks.index`` (of a space of
+    n x n signals) in their Zak basis, shape (B, |H|, d, |H|, d): entry
+    [b, chi, x, chi', y] pairs row x of block (b, chi) with row y of block
+    (b, chi'), so the stack of ``blocks.s`` is its chi = chi' part."""
+    phi = blocks.phi
+    size, d = len(phi), blocks.s.shape[-1]
+    m = m.reshape(len(m), d // (n * n), size, n * n, d // (n * n), size, n * n)
+    m = np.einsum("ch,bjhekgf,dg->bcjedkf", phi, m, phi.conj(), optimize=True)
+    return m.reshape(len(m), size, d, size, d)
+
+
+def oracle_omega_report(system, blocks, tol: float) -> OmegaReport:
+    """The Omega report from the dense synthesis matrix: Omega, its expected
+    layout and the D x D gram Omega Omega^*, compared with the frame-operator
+    blocks entrywise (Zak cross terms and off-block entries included), and
+    the pencil on the gram gathered onto the blocks."""
+    family = _as_family(system)
+    n = family.space.n
+    omega = analysis_matrix(family).conj().T  # signal-space x coefficient-space
+
+    # column (m, a, b) of Omega, unflattened, must be E_ab f_m for the matrix unit E_ab
+    got = omega.reshape(family.space.group.order, n, n, len(family), n, n)
+    got = got / np.sqrt(family.space.weight())
+    # expected[x, p, r, m, a, b] = delta(a, p) f_m(x)[b, r]
+    expected = np.zeros(got.shape, dtype=np.complex128)
+    for p in range(n):
+        expected[:, p, :, :, p, :] = family.array.transpose(1, 3, 0, 2)
+    scale = np.abs(family.array).max(initial=0.0)  # the largest family entry
+    basis_condition = bool(np.all(np.abs(got - expected) <= tol * scale))
+    gram = omega @ omega.conj().T
+    on_block = (blocks.index[:, :, None], blocks.index[:, None, :])
+    zak = _in_zak_basis(blocks, gram[on_block], n)
+    gram_blocks = np.moveaxis(np.diagonal(zak, axis1=1, axis2=3), -1, 1).reshape(blocks.s.shape)
+    off_block = np.ones(gram.shape, dtype=bool)
+    off_block[on_block] = False
+    off_zak = ~np.eye(len(blocks.phi), dtype=bool)[:, None, :, None]
+    # S vanishes off its blocks, so a gram that does not is a deviation too
+    max_dev = max(float(np.abs(gram_blocks - blocks.s).max()),
+                  float(np.abs(zak).max(where=off_zak, initial=0.0)),
+                  float(np.abs(gram[off_block]).max(initial=0.0)))
+
+    sol = solve_pencils(gram_blocks, *_operator_grams(blocks), tol)
+    return OmegaReport(basis_condition, max_dev, sol.lower_exists, sol.upper_exists,
+                       sol.alpha, sol.beta)
 
 
 PSD_SLACK_RTOL = 1e-12  # bisection's PSD slack, relative to the larger of s and c p

@@ -26,6 +26,7 @@ from gaborop import (
     image_system,
     modulate,
     mv_inner,
+    omega_characterization,
     ordinary_bounds,
     synthesis,
     theta_bounds,
@@ -47,6 +48,7 @@ from helpers import (
     oracle_family,
     oracle_frame_operator,
     oracle_frame_sum,
+    oracle_omega_report,
     oracle_span,
     pert_theta_op,
     perturbed_window_system,
@@ -388,7 +390,7 @@ def _omega_check(system, theta):
 )
 @example(case="remark-theta0", c=1e-6, phase=0.0)
 @example(case=3, c=1e-6, phase=0.0)  # an ordinary frame
-@example(case="omega-check", c=1e3, phase=0.0)  # a gram deviation of 5.6e-9 is rounding here
+@example(case="omega-check", c=1e3, phase=0.0)  # a gram deviation of 6.1e-10 is rounding here
 @example(case="omega-check", c=1e5, phase=0.0)
 def test_window_scaling_scales_constants(case, c, phase):
     # windows times c: S scales by |c|^2, the grams stay, so alpha and beta
@@ -722,6 +724,21 @@ def _check_walnut_route(system, theta):
     dense_report = theta_bounds(dense_image, dense)
     assert dense_report.route["reason"] == "not a Gabor system"
     _assert_same_report(image_report, dense_report)
+    # the omega report on the coset factorisation of Omega against the dense
+    # Omega oracle, whose gram is compared with S entry by entry (Zak cross
+    # terms and off-block entries included)
+    from gaborop.frames import _frame_blocks
+
+    omega = omega_characterization(system, theta)
+    oracle = oracle_omega_report(system, _frame_blocks(system, theta), DEFAULT_TOL)
+    verdicts = lambda r: (r.basis_condition, r.lower_exists, r.upper_exists,
+                          r.alpha is None, r.beta is None)
+    assert verdicts(omega) == verdicts(oracle) and omega.basis_condition
+    top = np.abs(frame_operator(system, as_operator=False)).max()
+    for have, want in ((omega.alpha, oracle.alpha), (omega.beta, oracle.beta)):
+        if want is not None:
+            assert have == pytest.approx(want, rel=1e-9, abs=1e-12 * top)
+    assert max(omega.max_gram_deviation, oracle.max_gram_deviation) <= 1e-12 * top
 
 
 def _split_dense_operator(system, kind, entry, rng):
@@ -1046,6 +1063,41 @@ def test_walnut_identity(factors, seed):
         assert np.abs(zak[np.arange(count), np.arange(count)] - blocks.s).max() <= 1e-13 * top
 
 
+@pytest.mark.parametrize("corruption,finding", [
+    ("swap", "omega_check: synthesis operator misses the coefficient basis"),
+    ("twice", "omega_check: Omega Omega^* deviates from the frame operator by "),
+])
+def test_corrupted_coset_layout_is_caught(monkeypatch, corruption, finding):
+    # the factorised omega checks read the coset points, not S: a point
+    # swapped between two cosets breaks the basis condition, and a coset
+    # listed twice pairs two equal phase rows, so the off-block bound reaches
+    # max|S| = 10; through the omega_check task each raises its finding
+    from gaborop import frames
+
+    system = swap_window_system()
+    theta = pert_theta_op(system.space)
+    layout = frames._layout
+
+    def corrupted(*key):
+        entry = layout(*key)
+        points = entry.points.copy()
+        if corruption == "swap":
+            points[0, 1], points[1, 1] = points[1, 1], points[0, 1]
+        else:
+            points[1] = points[0]
+        return entry._replace(points=points)
+
+    monkeypatch.setattr(frames, "_layout", corrupted)
+    report = omega_characterization(system, theta)
+    if corruption == "swap":
+        assert not report.basis_condition
+    else:
+        assert report.basis_condition
+        assert report.max_gram_deviation == pytest.approx(10.0, rel=1e-12)
+    (found,) = _omega_check(system, theta)[2]
+    assert found.startswith(finding)
+
+
 def test_route_is_reported():
     from gaborop.frames import _frame_blocks
     from gaborop.presets import build_preset
@@ -1085,8 +1137,9 @@ def test_route_is_reported():
 def test_walnut_route_scales_to_4096(monkeypatch):
     # D = 4096 (|G| = 1024, n = 2): H = <128> is the annihilator of the
     # modulations, so no solver sees more than one n^2 x n^2 block (batch axes
-    # aside), and nothing dense is built; one dense D x D complex matrix alone
-    # is 268 MB
+    # aside), and nothing dense is built, by theta_bounds or by the omega
+    # report on the coset factorisation of Omega; one dense D x D complex
+    # matrix alone is 268 MB
     import tracemalloc
 
     system = swap_window_system(128)
@@ -1102,14 +1155,21 @@ def test_walnut_route_scales_to_4096(monkeypatch):
     try:
         rep = theta_bounds(system, theta)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        omega = omega_characterization(system, theta)
+        _, omega_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.route == {"name": "walnut", "blocks": 1024, "block_dim": 4, "zak": 8,
                          "reason": "entry map"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-9)
     assert rep.beta_opt == pytest.approx(10.0, rel=1e-9)
+    assert omega.basis_condition
+    assert omega.alpha == pytest.approx(2.5, rel=1e-9)
+    assert omega.beta == pytest.approx(10.0, rel=1e-9)
     assert shapes and max(max(shape[-2:]) for shape in shapes) <= 4
     assert peak < 64 * 2**20
+    assert omega_peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -1159,6 +1219,19 @@ def test_layout_is_shared_by_value():
                           None, Automorphism(group, [3], dual=True)))
     entries = [layout, _layout_of(main, split=False)] + [_layout_of(s) for s in others]
     assert len({id(entry) for entry in entries}) == 4
+
+
+def test_systems_share_identity_automorphisms():
+    # Automorphism is immutable and equal by value, so the identity is one
+    # shared object per group and side: systems built apart from the same
+    # group, and with_windows copies, hold the same pair
+    main, perturbed = _pertexa_systems()
+    for system in (perturbed, main.with_windows(perturbed.windows)):
+        assert system.automorphism is main.automorphism
+        assert system.dual_automorphism is main.dual_automorphism
+    assert main.automorphism == Automorphism.identity(main.space.group)
+    assert main.automorphism != main.dual_automorphism
+    assert (main.automorphism.dual, main.dual_automorphism.dual) == (False, True)
 
 
 def test_layout_cache_stays_bounded():

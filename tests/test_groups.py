@@ -240,7 +240,8 @@ def test_automorphism_identity_and_unit():
 
 def test_identity_automorphism_takes_no_image_test(monkeypatch):
     # the identity is bijective on any factors: no |G|-sized image test, which
-    # every other matrix still takes
+    # every other matrix still takes; the identity matrix is built directly
+    # too, since Automorphism.identity may hand out a shared object
     import gaborop.groups as groups
 
     calls = []
@@ -248,10 +249,11 @@ def test_identity_automorphism_takes_no_image_test(monkeypatch):
     monkeypatch.setattr(groups, "_positions", lambda *a: calls.append(a) or positions(*a))
     g = FiniteAbelianGroup((4, 6))
     for dual in (False, True):
-        ident = Automorphism.identity(g, dual=dual)
-        assert ident.dual == dual and np.array_equal(ident.matrix, np.eye(2))
-        coords = np.array([[3, 5], [1, 2]])
-        assert np.array_equal(ident.apply(coords), coords)
+        for ident in (Automorphism.identity(g, dual=dual),
+                      Automorphism(g, np.eye(2, dtype=np.int64), dual=dual)):
+            assert ident.dual == dual and np.array_equal(ident.matrix, np.eye(2))
+            coords = np.array([[3, 5], [1, 2]])
+            assert np.array_equal(ident.apply(coords), coords)
     assert not calls
     Automorphism(g, [[3, 0], [0, 1]])
     assert len(calls) == 1
