@@ -25,7 +25,6 @@ import numpy as np
 from .operators import DEFAULT_TOL
 
 __all__ = [
-    "null_space",
     "PencilSolution",
     "solve_pencils",
 ]
@@ -55,12 +54,6 @@ def _top(vals: np.ndarray) -> float:
 def _kernel(vals: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
     """Mask of the eigenvalues at kernel level, relative to the top one over all blocks."""
     return vals <= rtol * _top(vals)
-
-
-def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
-    """Orthonormal kernel basis of a Hermitian PSD matrix (columns)."""
-    vals, vecs = _eigh(h)
-    return vecs[:, _kernel(vals, rtol)]
 
 
 def _contained(vecs: np.ndarray, kernel: np.ndarray, b: np.ndarray, b_top: float,

@@ -116,13 +116,26 @@ class PertCheck:
         }
 
 
-def _difference_system(system: GaborSystem, perturbed: GaborSystem) -> GaborSystem:
-    if system.space != perturbed.space:
+def _same_lattices(system: GaborSystem, other: GaborSystem) -> bool:
+    """Whether two systems share lattices and automorphisms, so their members pair up."""
+    return (system.lattice, system.dual_lattice, system.automorphism, system.dual_automorphism) \
+        == (other.lattice, other.dual_lattice, other.automorphism, other.dual_automorphism)
+
+
+def _window_pairs(system: GaborSystem, other: GaborSystem):
+    """The two systems' windows side by side.  Their members pair up only on
+    one space, with as many windows, on the same lattices and automorphisms."""
+    if system.space != other.space:
         raise GroupMismatchError("systems live on different spaces")
-    if len(system.windows) != len(perturbed.windows):
+    if len(system.windows) != len(other.windows):
         raise ValueError("systems must have the same number of windows")
-    diff = [w - wt for w, wt in zip(system.windows, perturbed.windows)]
-    return system.with_windows(diff)
+    if not _same_lattices(system, other):
+        raise ValueError("systems must share their lattices and automorphisms")
+    return zip(system.windows, other.windows)
+
+
+def _difference_system(system: GaborSystem, perturbed: GaborSystem) -> GaborSystem:
+    return system.with_windows([w - wt for w, wt in _window_pairs(system, perturbed)])
 
 
 def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
@@ -296,15 +309,14 @@ def verify_sum(system: GaborSystem, second: GaborSystem, theta: SpaceOperator,
                bounds_second: tuple[float, float] | None = None,
                tol: float = DEFAULT_TOL) -> tuple[SumCheck, PertPrediction]:
     """Hypothesis check plus predicted-bound validation for a window sum."""
+    pairs = list(_window_pairs(system, second))
     check = check_sum_hypothesis(system, second, theta, bounds_first, bounds_second, tol)
     if not (check.bounded_below_ok and check.condition_ok):
         return check, PertPrediction(False, None, None, None, None, None)
     lower, upper = sum_predicted_bounds(
         check.gamma_1, check.delta_1, check.delta_2, check.theta_norm, check.m_o
     )
-    summed = system.with_windows(
-        [w + v for w, v in zip(system.windows, second.windows)]
-    )
+    summed = system.with_windows([w + v for w, v in pairs])
     report = theta_bounds(summed, theta, tol)
     lower_valid, upper_valid = valid_bounds(report, lower, upper, tol)
     return check, PertPrediction(lower > 0, lower, upper, report, lower_valid, upper_valid)

@@ -38,7 +38,7 @@ from .groups import (
     inverse_fourier,
 )
 from .operators import DEFAULT_TOL, SpaceOperator, _diagnostics, diagnostics
-from .perturbation import verify_perturbation, verify_sum
+from .perturbation import _same_lattices, verify_perturbation, verify_sum
 from .presets import build_preset
 from .signals import MatrixSignal, SignalSpace
 
@@ -59,20 +59,12 @@ SCENARIO_SCHEMA, REPORT_SCHEMA = (
     for name in ("scenario", "report")
 )
 
+_DEFS = SCENARIO_SCHEMA["$defs"]
 # one validator per scenario form, keyed on whether the form names a preset 'source'
 _FORM_VALIDATORS = {
-    "source" in form["properties"]:
-        Draft202012Validator({"$defs": SCENARIO_SCHEMA["$defs"], **form})
+    "source" in form["properties"]: Draft202012Validator({"$defs": _DEFS, **form})
     for form in SCENARIO_SCHEMA["oneOf"]
 }
-# the full form's task rules alone: the merged task and args of an expanded
-# compact form must meet them (the preset's own systems are trusted)
-_FULL_FORM = _FORM_VALIDATORS[False].schema
-_TASK_VALIDATOR = Draft202012Validator({
-    "$defs": SCENARIO_SCHEMA["$defs"],
-    "properties": {key: _FULL_FORM["properties"][key] for key in ("task", "args")},
-    "allOf": _FULL_FORM["allOf"],
-})
 _REPORT_VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
 
 
@@ -84,29 +76,39 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def validate_scenario(raw: dict) -> None:
-    """Schema-validate a scenario, reporting every offending field path.
+def validate_scenario(raw: dict) -> dict:
+    """Schema-check a scenario and return it expanded, reporting every offending field path.
 
-    The compact and full forms are discriminated on the ``source`` key before
-    validating, so errors carry the paths of the actual offending fields
-    instead of a blanket oneOf failure.  The full form checks ``args``
-    against the schema of its task.
+    The ``source`` key picks the form and the task picks the ``args`` rules
+    (``$defs/<task>_args``), so each scenario meets one form's and one task's
+    rules and every error carries the path of the offending field.  A compact
+    form is expanded before its ``args`` are checked.
     """
-    _check(_FORM_VALIDATORS["source" in raw], raw)
+    if not isinstance(raw, dict):
+        raise ScenarioError(["$: scenario must be a JSON object"])
+    form = _FORM_VALIDATORS["source" in raw]
+    errors = [(list(e.absolute_path), e) for e in form.iter_errors(raw)]
+    if "source" in raw:
+        _check(errors)
+        raw = expand_scenario(raw)
+    task = raw.get("task")
+    if isinstance(task, str) and task in _ARGS_VALIDATORS:
+        errors += [(["args", *e.absolute_path], e)
+                   for e in _ARGS_VALIDATORS[task].iter_errors(raw.get("args", {}))]
+    _check(errors)
+    return raw
 
 
-def _check(validator: Draft202012Validator, instance: dict) -> None:
-    """Raise a ScenarioError naming the field path of every schema error."""
+def _check(errors: list) -> None:
+    """Raise a ScenarioError naming the field path of every (path, schema error) pair."""
     problems = []
-    for e in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in e.absolute_path
-        )
+    for path, e in sorted(errors, key=lambda pair: pair[0]):
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         if e.validator == "required":  # each missing key at its own path
-            problems += [f"{path}.{key}: required property is missing"
+            problems += [f"{where}.{key}: required property is missing"
                          for key in e.validator_value if key not in e.instance]
         else:
-            problems.append(f"{path}: {e.message}")
+            problems.append(f"{where}: {e.message}")
     if problems:
         raise ScenarioError(dict.fromkeys(problems))  # a required error repeats per missing key
 
@@ -116,36 +118,26 @@ _PRESET_ARG_KEYS = ("lambda", "mu", "eta", "use_paper_bounds")
 
 def expand_scenario(raw: dict) -> dict:
     """Resolve the compact preset-reference form into a full scenario."""
-    if "source" not in raw:
-        return raw
-    scenario = build_preset(raw["source"])
+    try:
+        scenario = build_preset(raw["source"])
+    except KeyError as e:
+        raise ScenarioError([f"$.source: {e.args[0]}"]) from None
     scenario.setdefault("provenance_preset", raw["source"])
-    if "task" in raw:
-        scenario["task"] = raw["task"]
-    if "tolerance" in raw:
-        scenario["tolerance"] = raw["tolerance"]
+    scenario.update({key: raw[key] for key in ("task", "tolerance") if key in raw})
     args = scenario.setdefault("args", {})
     args.update(raw.get("args", {}))
-    for key in _PRESET_ARG_KEYS:
-        if key in raw:
-            args[key] = raw[key]
+    args.update({key: raw[key] for key in _PRESET_ARG_KEYS if key in raw})
     return scenario
 
 
 def load_scenario(path) -> dict:
-    """Parse, validate and expand a scenario file."""
+    """Parse a scenario file; return it validated and expanded."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError([f"$: not valid JSON ({e.msg} at line {e.lineno})"]) from e
-    if not isinstance(raw, dict):
-        raise ScenarioError(["$: scenario must be a JSON object"])
-    validate_scenario(raw)
-    expanded = expand_scenario(raw)
-    if "source" in raw:
-        _check(_TASK_VALIDATOR, {"task": expanded["task"], "args": expanded.get("args", {})})
-    return expanded
+    return validate_scenario(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +162,13 @@ def _complex_entry(v) -> complex:
     return complex(v[0], v[1])
 
 
+def _field(spec: dict, key: str):
+    """``spec[key]``, or a ScenarioError naming the window kind that lacks it."""
+    if key not in spec:
+        raise ScenarioError([f"$.windows: {spec['window']!r} window needs {key!r}"])
+    return spec[key]
+
+
 def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.ndarray) -> complex:
     """Write one scalar window entry into ``primal`` (point values) or, for a
     ``fourier_indicator``, into ``hat`` (dual-side values); return the product
@@ -180,9 +179,9 @@ def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.n
     if kind == "zero":
         return 1.0
     if kind == "scaled":
-        return complex(spec["scale"]) * _build_scalar(group, spec["of"], primal, hat)
+        return complex(_field(spec, "scale")) * _build_scalar(group, _field(spec, "of"), primal, hat)
     if kind == "values":
-        vals = [_complex_entry(v) for v in spec["values"]]
+        vals = [_complex_entry(v) for v in _field(spec, "values")]
         if len(vals) != group.order:
             raise ScenarioError(
                 [f"$.windows: 'values' must list {group.order} entries, got {len(vals)}"]
@@ -191,7 +190,7 @@ def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.n
     elif kind == "delta":
         primal[group.element(spec.get("at", [0] * group.rank)).index] = spec.get("scale", 1.0)
     elif kind == "fourier_indicator":
-        for idx in spec["set"]:
+        for idx in _field(spec, "set"):
             if not 0 <= idx < group.order:
                 raise ScenarioError(
                     [f"$.windows: fourier_indicator index {idx} outside the dual group"]
@@ -265,19 +264,17 @@ def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator
         return SpaceOperator.zero(space)
     if kind == "entry_map":
         if "matrix" not in spec:
-            raise ScenarioError([f"$.operators[{spec['name']}]: entry_map needs 'matrix'"])
+            raise ValueError("entry_map needs 'matrix'")
         mat = [[_complex_entry(v) for v in row] for row in spec["matrix"]]
         return SpaceOperator.from_entry_map(space, np.asarray(mat))
     if "data_file" not in spec:
-        raise ScenarioError([f"$.operators[{spec['name']}]: dense needs 'data_file'"])
+        raise ValueError("dense needs 'data_file'")
     path = base_dir / spec["data_file"]
     # layout: row-major complex128 little-endian, shape (dim, dim)
     data = np.fromfile(path, dtype="<c16")
     dim = space.dim
     if data.size != dim * dim:
-        raise ScenarioError(
-            [f"$.operators[{spec['name']}]: {path} holds {data.size} values, need {dim * dim}"]
-        )
+        raise ValueError(f"{path} holds {data.size} values, need {dim * dim}")
     return SpaceOperator.from_dense(space, data.reshape(dim, dim))
 
 
@@ -328,7 +325,8 @@ def _cross_check_findings(label: str, report) -> list[str]:
 
 def _check_cross_references(task: str, args: dict, systems: dict, operators: dict) -> None:
     """Systems and operators a task pairs must share n; perturbation and sum
-    pairs must also share the window count.  Unknown names are left to the task."""
+    pairs must also share the window count, the lattices and the automorphisms.
+    Unknown names are left to the task."""
     if task == "tight_construct" or args.get("system") not in systems:
         return  # that construction's operator acts on the requested dimension
     ref, problems = systems[args["system"]], []
@@ -336,13 +334,16 @@ def _check_cross_references(task: str, args: dict, systems: dict, operators: dic
         table = systems if key.endswith("system") else operators if key.endswith("operator") else {}
         if not isinstance(name, str) or name not in table:
             continue
-        if table[name].space.n != ref.space.n:
-            problems.append(f"$.args.{key}: {name!r} has n={table[name].space.n}, "
+        other, paired = table[name], key in ("perturbed_system", "second_system")
+        if other.space.n != ref.space.n:
+            problems.append(f"$.args.{key}: {name!r} has n={other.space.n}, "
                             f"but system {args['system']!r} has n={ref.space.n}")
-        elif key in ("perturbed_system", "second_system") and \
-                len(table[name].windows) != len(ref.windows):
-            problems.append(f"$.args.{key}: {name!r} has {len(table[name].windows)} windows, "
+        elif paired and len(other.windows) != len(ref.windows):
+            problems.append(f"$.args.{key}: {name!r} has {len(other.windows)} windows, "
                             f"but system {args['system']!r} has {len(ref.windows)}")
+        elif paired and not _same_lattices(other, ref):
+            problems.append(f"$.args.{key}: {name!r} has other lattices or automorphisms "
+                            f"than system {args['system']!r}")
     if problems:
         raise ScenarioError(problems)
 
@@ -532,6 +533,9 @@ TASKS = {
     "pert_check": _pert_check,
     "sum_check": _sum_check,
 }
+# one args validator per task, keyed by the task: its $defs/<task>_args entry
+_ARGS_VALIDATORS = {task: Draft202012Validator({"$defs": _DEFS, **_DEFS[f"{task}_args"]})
+                    for task in TASKS}
 
 
 def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,

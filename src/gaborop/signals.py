@@ -116,12 +116,6 @@ class MatrixSignal:
         self.values = arr
         self.dual = bool(dual)
 
-    def value_at(self, elem) -> np.ndarray:
-        expected = DualElement if self.dual else GroupElement
-        if not isinstance(elem, expected) or elem.group != self.space.group:
-            raise GroupMismatchError("element does not index this signal's domain")
-        return self.values[elem.index]
-
     def _check_mate(self, other: "MatrixSignal"):
         if self.space != other.space or self.dual != other.dual:
             raise GroupMismatchError("signals live in different spaces")
@@ -138,11 +132,6 @@ class MatrixSignal:
         return MatrixSignal(self.space, self.values * complex(scalar), dual=self.dual)
 
     __rmul__ = __mul__
-
-    def left_multiply(self, matrix) -> "MatrixSignal":
-        """Pointwise x -> M f(x) for a constant n x n matrix M."""
-        m = np.asarray(matrix, dtype=np.complex128)
-        return MatrixSignal(self.space, np.einsum("ij,xjk->xik", m, self.values), dual=self.dual)
 
     def flatten(self) -> np.ndarray:
         """Coordinates (element order x row-major entries), scaled by sqrt(w).

@@ -212,6 +212,13 @@ def is_normal(op: SpaceOperator, tol: float = DEFAULT_TOL) -> bool:
     return residual <= tol * operator_norm(op) ** 2
 
 
+def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
+    """Orthonormal kernel basis of a Hermitian PSD matrix (columns): the
+    eigenvectors at most ``rtol`` times the top eigenvalue."""
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return vecs[:, vals <= rtol * vals.max(initial=0.0)]
+
+
 def _in_zak_basis(blocks, m: np.ndarray, n: int) -> np.ndarray:
     """A (B, c, c) stack on the coset blocks ``blocks.index`` (of a space of
     n x n signals) in their Zak basis, shape (B, |H|, d, |H|, d): entry

@@ -32,7 +32,6 @@ from gaborop import (
     verify_sum,
 )
 from gaborop.operators import is_hyponormal
-from gaborop.pencil import null_space
 from gaborop.presets import PRESETS, build_preset
 from gaborop.scenario import _build_group, _build_operator, _build_system
 from helpers import (
@@ -41,6 +40,7 @@ from helpers import (
     diag_window_system,
     flip_op,
     is_normal,
+    null_space,
     oracle_norm_sq,
     pert_theta_op,
     perturbed_window_system,

@@ -214,10 +214,9 @@ def test_schema_task_enums_match_task_table():
     forms = SCENARIO_SCHEMA["oneOf"]
     for schema in (*forms, REPORT_SCHEMA):
         assert schema["properties"]["task"]["enum"] == list(TASKS)
-    # the full form picks each task's args schema once
-    full = next(form for form in forms if "allOf" in form)
-    picked = [rule["if"]["properties"]["task"]["const"] for rule in full["allOf"]]
-    assert picked == list(TASKS)
+    # each task's args rules are one $defs entry, looked up by the task
+    assert all(f"{task}_args" in SCENARIO_SCHEMA["$defs"] for task in TASKS)
+    assert not any("allOf" in form for form in forms)
 
 
 def _routes(node):
@@ -312,6 +311,15 @@ def test_unknown_preset_exits_2(capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
+def test_unknown_compact_source_exits_2(tmp_path, capsys):
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps({"source": "nope"}))
+    assert main(["--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error: $.source: unknown preset 'nope'; available: " in err
+    assert "pertexa" in err
+
+
 def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
 
@@ -337,6 +345,24 @@ def test_pert_check_window_count_mismatch_exits_2(tmp_path, capsys):
     assert main(["--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "scenario error: $.args.perturbed_system: 'perturbed' has 1 windows" in err
+
+
+@pytest.mark.parametrize("preset,key,name,change", [
+    ("pertexa", "perturbed_system", "perturbed", {"lattice_gens": [[4]]}),
+    ("sumexa", "second_system", "second", {"dual_lattice_gens": [[4]]}),
+    ("sumexa", "second_system", "second", {"automorphism": [3]}),
+], ids=["pert-lattice", "sum-dual-lattice", "sum-automorphism"])
+def test_pair_on_other_lattices_exits_2(tmp_path, capsys, preset, key, name, change):
+    # the pair's members are matched index by index on the first system's
+    # lattices, so a pair on other lattices has no difference or sum system
+    scenario = build_preset(preset)
+    next(s for s in scenario["systems"] if s["name"] == name).update(change)
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"scenario error: $.args.{key}: {name!r} has other lattices or automorphisms "
+            f"than system 'main'") in err
 
 
 def _drop_dimension(scenario):
@@ -473,6 +499,57 @@ def test_compact_form_is_validated_once(tmp_path, monkeypatch, capsys):
         load_scenario(path)
 
 
+def test_validate_scenario_checks_compact_args():
+    # the compact form meets its task's args rules in validate_scenario itself,
+    # and a valid one comes back expanded
+    from gaborop.scenario import validate_scenario
+
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario({"source": "pertexa", "args": {"lambda": -1}})
+    assert err.value.problems == ["$.args.lambda: -1 is less than the minimum of 0"]
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario({"source": "thm2-tight", "task": "sum_check"})
+    assert err.value.problems == [f"$.args.{key}: required property is missing"
+                                  for key in ("system", "second_system")]
+    expanded = validate_scenario({"source": "pertexa", "mu": 0.3})
+    assert expanded["task"] == "pert_check" and expanded["args"]["mu"] == 0.3
+    assert expanded["provenance_preset"] == "pertexa"
+    # form and args problems come in one error, in path order
+    scenario = build_preset("pertexa")
+    scenario["group"]["factors"] = [0]
+    scenario["args"]["lambda"] = -1
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(scenario)
+    assert err.value.problems == ["$.args.lambda: -1 is less than the minimum of 0",
+                                  "$.group.factors[0]: 0 is less than the minimum of 1"]
+
+
+@pytest.mark.parametrize("preset,corrupt,message", [
+    ("pertexa",
+     lambda s: s["systems"][0]["windows"][0]["matrix"][0][1].update({"scale": "x"}),
+     "$.systems[0].windows[0].matrix[0][1].scale: 'x' is not of type 'number'"),
+    ("exb1",
+     lambda s: s["systems"][0]["windows"].__setitem__(
+         0, {"window": "scaled", "scale": 2.0, "of": {"window": "delta", "at": 1}}),
+     "$.systems[0].windows[0].of.at: 1 is not of type 'array'"),
+    ("exb1",
+     lambda s: s["systems"][0]["windows"].__setitem__(0, {"matrix": [[0]], "scale": 1.0}),
+     "$.systems[0].windows[0]: Additional properties are not allowed ('scale' was unexpected)"),
+    ("exb1", lambda s: s["systems"][0]["windows"].__setitem__(0, 1),
+     "$.systems[0].windows[0]: 0 was expected"),
+], ids=["matrix-entry-scale", "scaled-of-at", "matrix-extra-key", "scalar-not-zero"])
+def test_bad_nested_window_reports_its_field_path(preset, corrupt, message):
+    # a window's keys pick its branch, so an error names the offending field
+    # rather than the whole window
+    from gaborop.scenario import validate_scenario
+
+    scenario = build_preset(preset)
+    corrupt(scenario)
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(scenario)
+    assert err.value.problems == [message]
+
+
 def _oracle_scalar_window(space, spec) -> np.ndarray:
     """A scalar window entry from its definition, the transform as a direct sum."""
     from helpers import oracle_character
@@ -530,7 +607,13 @@ def test_matrix_window_takes_one_transform(monkeypatch):
     (1, {"window": "ramp"}, "unknown scalar window kind 'ramp'"),
     (2, {"matrix": [[0, 0]]}, "matrix window must be 2x2"),
     (2, {"window": "zero"}, "scalar window given for a matrix system"),
-], ids=["values-size", "indicator-index", "unknown-kind", "matrix-shape", "scalar-for-matrix"])
+    (1, {"window": "values"}, "'values' window needs 'values'"),
+    (2, {"matrix": [[0, {"window": "fourier_indicator", "scale": 2.0}], [0, 0]]},
+     "'fourier_indicator' window needs 'set'"),
+    (1, {"window": "scaled", "scale": 2.0}, "'scaled' window needs 'of'"),
+    (1, {"window": "scaled", "of": {"window": "delta"}}, "'scaled' window needs 'scale'"),
+], ids=["values-size", "indicator-index", "unknown-kind", "matrix-shape", "scalar-for-matrix",
+        "values-missing", "indicator-set-missing", "scaled-of-missing", "scaled-scale-missing"])
 def test_window_errors_keep_their_messages(n, spec, message):
     from gaborop import FiniteAbelianGroup, MeasurePair, SignalSpace
     from gaborop.scenario import _build_window
@@ -539,6 +622,15 @@ def test_window_errors_keep_their_messages(n, spec, message):
     with pytest.raises(ScenarioError) as err:
         _build_window(SignalSpace(group, n, MeasurePair.torus_like(group)), spec)
     assert err.value.problems == [f"$.windows: {message}"]
+
+
+def test_window_without_its_fields_exits_2(tmp_path, capsys):
+    scenario = build_preset("exb1")
+    scenario["systems"][0]["windows"][0] = {"window": "scaled", "scale": 2.0}
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    assert "scenario error: $.windows: 'scaled' window needs 'of'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
@@ -581,7 +673,11 @@ def _set_delta_at(scenario):
      "$.operators[0]: entry map must be 4x4, got (2, 2)"),
     (lambda s: s["group"].update({"weight_convention": {"w_group": 1.0, "w_dual": 1.0}}),
      "$.group: inconsistent normalisation"),
-], ids=["delta-rank", "lattice-rank", "automorphism", "entry-map-shape", "normalisation"])
+    (lambda s: s["operators"][0].pop("matrix"), "$.operators[0]: entry_map needs 'matrix'"),
+    (lambda s: s["operators"][0].update({"kind": "dense"}),
+     "$.operators[0]: dense needs 'data_file'"),
+], ids=["delta-rank", "lattice-rank", "automorphism", "entry-map-shape", "normalisation",
+        "entry-map-matrix", "dense-data-file"])
 def test_construction_errors_carry_their_path(tmp_path, capsys, corrupt, message):
     scenario = build_preset("remark-theta0")
     corrupt(scenario)

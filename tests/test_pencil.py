@@ -4,8 +4,8 @@ and kernel inclusion."""
 import numpy as np
 import pytest
 
-from gaborop.pencil import null_space, solve_pencils
-from helpers import bisect_max_alpha, bisect_min_beta
+from gaborop.pencil import solve_pencils
+from helpers import bisect_max_alpha, bisect_min_beta, null_space
 
 
 def _random_psd(rng, dim, rank=None):

@@ -1,11 +1,15 @@
 """Window perturbation and window-sum stability checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gaborop import (
+    Automorphism,
     MatrixSignal,
     PertHypothesis,
+    Subgroup,
     analysis,
     check_pert_hypothesis,
     check_sum_hypothesis,
@@ -181,6 +185,26 @@ def test_randomised_small_perturbations_bracket(setup, rng):
         assert prediction.predicted_lower <= rep.alpha_opt + 1e-8
         assert prediction.predicted_upper >= rep.beta_opt - 1e-8
     assert checked >= 10
+
+
+@pytest.mark.parametrize("change", [
+    "lattice", "dual_lattice", "automorphism", "dual_automorphism"])
+def test_pairs_on_other_lattices_are_rejected(setup, change):
+    # members pair up index by index on the first system's lattices, so a
+    # perturbed or second system on other lattices has no difference or sum
+    group = setup["system"].space.group
+    other = {
+        "lattice": Subgroup.full(group),
+        "dual_lattice": Subgroup.full(group, dual=True),
+        "automorphism": Automorphism(group, [3]),
+        "dual_automorphism": Automorphism(group, [3], dual=True),
+    }[change]
+    perturbed = dataclasses.replace(setup["perturbed"], **{change: other})
+    second = dataclasses.replace(setup["second"], **{change: other})
+    with pytest.raises(ValueError, match="share their lattices and automorphisms"):
+        verify_perturbation(setup["system"], perturbed, setup["theta"], 0.0, 0.2, 0.2)
+    with pytest.raises(ValueError, match="share their lattices and automorphisms"):
+        verify_sum(setup["system"], second, setup["theta"])
 
 
 def test_second_system_bounds(setup):
