@@ -473,18 +473,6 @@ class PromotionResult:
     ordinary: Optional[BoundsReport] = None
     controlled: Optional[BoundsReport] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "hypothesis_ok": self.hypothesis_ok,
-            "reason": self.reason,
-            "predicted_lower": self.predicted_lower,
-            "predicted_upper": self.predicted_upper,
-            "lower_valid": self.lower_valid,
-            "upper_valid": self.upper_valid,
-            "ordinary": self.ordinary.to_json_dict() if self.ordinary else None,
-            "controlled": self.controlled.to_json_dict() if self.controlled else None,
-        }
-
 
 def bounded_below_promotion(system, theta: SpaceOperator,
                             tol: float = DEFAULT_TOL) -> PromotionResult:

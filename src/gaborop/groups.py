@@ -412,11 +412,13 @@ class Automorphism:
         self.dual = bool(dual)
         self.matrix = arr = arr.copy()  # the caller's array stays theirs, this one frozen
         arr.flags.writeable = False
+        factors = np.asarray(group.factors, dtype=np.int64)
+        # entry (i, j) maps Z_{N_j} into Z_{N_i}, so only its residue mod N_i acts
+        self._residues = arr % factors[:, None]
         if np.array_equal(arr, np.eye(group.rank, dtype=np.int64)):
             return  # the identity is well defined and bijective on any factors
-        factors = np.asarray(group.factors, dtype=np.int64)
         # well defined on each Z_{N_j}: A_ij * N_j must vanish mod N_i
-        if np.any(arr % factors[:, None] * factors % factors[:, None]):
+        if np.any(self._residues * factors % factors[:, None]):
             raise ValueError("matrix does not define a homomorphism on these factors")
         images = _positions(group, self.apply(_coordinates(group)))
         if not np.bincount(images, minlength=group.order).all():  # every point is hit once
@@ -425,8 +427,7 @@ class Automorphism:
     def apply(self, coords) -> np.ndarray:
         """Images of integer coordinates of shape (..., rank), reduced mod the factors."""
         factors = np.asarray(self.group.factors, dtype=np.int64)
-        # entry (i, j) maps Z_{N_j} into Z_{N_i}, so it only matters mod N_i
-        return np.asarray(coords, dtype=np.int64) @ (self.matrix % factors[:, None]).T % factors
+        return np.asarray(coords, dtype=np.int64) @ self._residues.T % factors
 
     def __call__(self, elem: _Element) -> _Element:
         expected = DualElement if self.dual else GroupElement
@@ -441,7 +442,8 @@ class Automorphism:
         return cls(group, np.eye(group.rank, dtype=np.int64), dual=dual)
 
     def _key(self):
-        return self.group, self.dual, self.matrix.tobytes()
+        # one map written with other representatives of its residues is the same map
+        return self.group, self.dual, self._residues.tobytes()
 
     def __eq__(self, other):
         return isinstance(other, Automorphism) and self._key() == other._key()

@@ -274,15 +274,6 @@ class OperatorDiagnostics:
     is_mv_adjointable: bool
     self_commutator_min_eig: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "operator_norm": self.operator_norm,
-            "lower_bound": self.lower_bound,
-            "is_hyponormal": self.is_hyponormal,
-            "is_mv_adjointable": self.is_mv_adjointable,
-            "self_commutator_min_eig": self.self_commutator_min_eig,
-        }
-
 
 def diagnostics(op: SpaceOperator, tol: float = DEFAULT_TOL) -> OperatorDiagnostics:
     return _diagnostics(op, op._rep(), tol)

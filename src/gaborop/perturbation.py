@@ -70,10 +70,7 @@ class PertHypothesis:
         (1 - 2 lam) gamma - 2 mu > 0 is used instead (a documented extension
         of the stated hypothesis).
         """
-        lhs = (1.0 - 2.0 * self.lam) * self.gamma_o - 2.0 * self.mu
-        if self.eta == 0.0:
-            return lhs > 0.0
-        return lhs / (2.0 * self.eta) > (self.theta_norm / self.m_o) ** 2
+        return self.ratio_margin() > 0.0
 
     def ratio_margin(self) -> float:
         lhs = (1.0 - 2.0 * self.lam) * self.gamma_o - 2.0 * self.mu
@@ -196,18 +193,6 @@ class PertPrediction:
     lower_valid: Optional[bool]
     upper_valid: Optional[bool]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "predicted_lower": self.predicted_lower,
-            "predicted_upper": self.predicted_upper,
-            "perturbed_report": None
-            if self.perturbed_report is None
-            else self.perturbed_report.to_json_dict(),
-            "lower_valid": self.lower_valid,
-            "upper_valid": self.upper_valid,
-        }
-
 
 def verify_perturbation(system: GaborSystem, perturbed: GaborSystem,
                         theta: SpaceOperator, lam: float, mu: float, eta: float,
@@ -240,21 +225,6 @@ class SumCheck:
     m_o: Optional[float]
     theta_norm: Optional[float]
     bounds_source: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bounded_below_ok": self.bounded_below_ok,
-            "condition_ok": self.condition_ok,
-            "condition_lhs": self.condition_lhs,
-            "condition_rhs": self.condition_rhs,
-            "gamma_1": self.gamma_1,
-            "delta_1": self.delta_1,
-            "gamma_2": self.gamma_2,
-            "delta_2": self.delta_2,
-            "m_o": self.m_o,
-            "theta_norm": self.theta_norm,
-            "bounds_source": self.bounds_source,
-        }
 
 
 def check_sum_hypothesis(system: GaborSystem, second: GaborSystem,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from .constructions import (
     _omega_report,
     check_composed_image,
     check_image_frame,
-    normalize_to_parseval,
     tight_theta_frame,
 )
 from .frames import (GaborSystem, _frame_blocks, _ordinary_report, _theta_report,
@@ -279,12 +278,13 @@ def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator
 
 
 def _built(path: str, build, spec):
-    """``build(spec)``, with a library ValueError re-raised as a ScenarioError at ``path``."""
+    """``build(spec)``, with a library ValueError or a file's OSError re-raised as a
+    ScenarioError at ``path``."""
     try:
         return build(spec)
     except ScenarioError:
         raise
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise ScenarioError([f"{path}: {e}"]) from e
 
 
@@ -367,9 +367,17 @@ class _Outcome:
 
 
 def _as_json(value):
+    """A result as JSON: its own ``to_json_dict`` if it has one, else a dataclass
+    as its fields (less those marked ``metadata={"json": False}``) and a dict by
+    its values, each serialised in turn."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name)) for f in fields(value)
+                if f.metadata.get("json", True)}
     if isinstance(value, dict):
         return {key: _as_json(v) for key, v in value.items()}
-    return value.to_json_dict() if hasattr(value, "to_json_dict") else value
+    return value
 
 
 def _pinned(args: dict, key: str):
@@ -421,12 +429,11 @@ def _tight_construct(args, systems, operators, tol) -> _Outcome:
     if source.space.n != 1:
         raise ScenarioError(["$.args.source_system: source must be scalar (n=1)"])
     try:
-        source = normalize_to_parseval(source, tol)
+        construction = tight_theta_frame(
+            float(args.get("tightness", 1.0)), source, int(args["dimension"]), theta, tol
+        )
     except ValueError as e:
         raise ScenarioError([f"$.args.source_system: {e}"]) from e
-    construction = tight_theta_frame(
-        float(args.get("tightness", 1.0)), source, int(args["dimension"]), theta, tol
-    )
     if not construction.hypothesis_ok:
         return _Outcome(construction,
                         findings=[f"tight_construct: {r}" for r in construction.reasons])

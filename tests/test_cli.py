@@ -365,8 +365,28 @@ def test_pair_on_other_lattices_exits_2(tmp_path, capsys, preset, key, name, cha
             f"than system 'main'") in err
 
 
+def test_pair_on_one_automorphism_written_two_ways_runs(tmp_path):
+    # 19 = 3 mod 16: one map, so the pair shares its lattices and automorphisms
+    results = []
+    for second in (3, 19):
+        scenario = build_preset("pertexa")
+        for system, multiplier in zip(scenario["systems"], (3, second)):
+            system["automorphism"] = [multiplier]
+        path, out = tmp_path / f"auto{second}.json", tmp_path / f"report{second}.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["--scenario", str(path), "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1]
+
+
 def _drop_dimension(scenario):
     del scenario["args"]["dimension"]
+
+
+def _one_translate_source(scenario):
+    # on full lattices every window is tight; one translate of this one is not
+    scenario["systems"][0].update(
+        {"lattice": "trivial", "windows": [{"window": "values", "values": [1, 2] + [0] * 6}]})
 
 
 def _zero_second_windows(scenario):
@@ -381,8 +401,9 @@ def _zero_second_windows(scenario):
     ("pertexa", lambda s: s["args"].update({"use_paper_bounds": True, "paper_bounds": [1]}),
      "$.args.paper_bounds: "),
     ("sumexa", _zero_second_windows, "second system needs a positive upper bound"),
+    ("thm2-tight", _one_translate_source, "$.args.source_system: system is not tight"),
 ], ids=["negative-lambda", "no-dimension", "text-tightness", "short-paper-bounds",
-        "zero-second-windows"])
+        "zero-second-windows", "non-tight-source"])
 def test_malformed_task_args_exit_2(tmp_path, capsys, preset, corrupt, message):
     scenario = build_preset(preset)
     corrupt(scenario)
@@ -419,12 +440,21 @@ def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
     assert not report["results"]["controlled"]["cross_check"]["alpha_certificate"]["holds"]
 
 
-@pytest.mark.parametrize("name", ["remark-theta0", "exper1-negative"])
+# builds of S per preset report: one per system the report covers (an image
+# check's source and image; pert_check's source, difference and perturbed
+# systems; sum_check's two systems and their sum; a tight construction's
+# source, diagonal system and image)
+_BUILDS = {"exb1": 2, "ex2-negative": 2, "prop1a-image": 2,
+           "remark-theta0": 1, "exper1-negative": 1, "omega-check": 1,
+           "pertexa": 3, "sumexa": 3, "thm2-tight": 3, "ex-after-thm2": 3}
+
+
+@pytest.mark.parametrize("name", list(_BUILDS))
 def test_theta_bounds_task_builds_s_once(monkeypatch, name):
-    # the ordinary report reads the spectrum of the controlled one: one build
-    # (and one decomposition) of S per report, the same constants as the
-    # ordinary_bounds task on that system; every module namespace holding
-    # _frame_blocks is counted
+    # S is built once per system a report covers; a theta_bounds report's
+    # ordinary report reads the spectrum of the controlled one, with the same
+    # constants as the ordinary_bounds task on that system; every module
+    # namespace holding _frame_blocks is counted
     import sys
 
     from gaborop import frames
@@ -439,8 +469,11 @@ def test_theta_bounds_task_builds_s_once(monkeypatch, name):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("gaborop") and getattr(module, "_frame_blocks", None) is build:
             monkeypatch.setattr(module, "_frame_blocks", counted)
-    ordinary = run_scenario(build_preset(name))["results"]["ordinary"]
-    assert len(calls) == 1
+    report = run_scenario(build_preset(name))
+    assert len(calls) == _BUILDS[name]
+    if report["task"] != "theta_bounds":
+        return
+    ordinary = report["results"]["ordinary"]
     scenario = build_preset(name)
     scenario["task"], scenario["args"] = "ordinary_bounds", {"systems": ["main"]}
     want = run_scenario(scenario)["results"]["main"]
@@ -676,8 +709,10 @@ def _set_delta_at(scenario):
     (lambda s: s["operators"][0].pop("matrix"), "$.operators[0]: entry_map needs 'matrix'"),
     (lambda s: s["operators"][0].update({"kind": "dense"}),
      "$.operators[0]: dense needs 'data_file'"),
+    (lambda s: s["operators"][0].update({"kind": "dense", "data_file": "missing.bin"}),
+     "$.operators[0]: [Errno 2] No such file or directory"),
 ], ids=["delta-rank", "lattice-rank", "automorphism", "entry-map-shape", "normalisation",
-        "entry-map-matrix", "dense-data-file"])
+        "entry-map-matrix", "dense-data-file", "dense-missing-file"])
 def test_construction_errors_carry_their_path(tmp_path, capsys, corrupt, message):
     scenario = build_preset("remark-theta0")
     corrupt(scenario)

@@ -5,7 +5,10 @@ import pytest
 
 from gaborop import (
     FiniteAbelianGroup,
+    GaborSystem,
+    MatrixSignal,
     SpaceOperator,
+    Subgroup,
     analysis,
     check_composed_image,
     check_image_frame,
@@ -122,6 +125,28 @@ def test_construction_reports_hypothesis_failures():
     assert any("adjointable" in r for r in not_adj.reasons)
     neg = tight_theta_frame(-2.0, source, 2, SpaceOperator.identity(space))
     assert not neg.hypothesis_ok
+
+
+def test_construction_normalises_a_tight_source():
+    # phi_system is 8-tight: the construction takes it as its Parseval form
+    theta = selector_op(torus_space(16, 2))
+    have = tight_theta_frame(3.0, phi_system(), 2, theta)
+    want = tight_theta_frame(3.0, normalize_to_parseval(phi_system()), 2, theta)
+    assert have.hypothesis_ok and want.hypothesis_ok
+    for h, w in ((have.diagonal_report, want.diagonal_report),
+                 (have.image_report, want.image_report)):
+        assert (h.alpha_opt, h.beta_opt) == pytest.approx((w.alpha_opt, w.beta_opt), rel=1e-12)
+
+
+def test_construction_rejects_a_non_tight_source():
+    space = torus_space(8, 1)
+    values = np.zeros((8, 1, 1))
+    values[:2, 0, 0] = [1.0, 2.0]
+    # one translate under every modulation: S multiplies by |g|^2, not a constant
+    source = GaborSystem(space, (MatrixSignal(space, values),), Subgroup.trivial(space.group),
+                         Subgroup.full(space.group, dual=True))
+    with pytest.raises(ValueError, match="not tight"):
+        tight_theta_frame(1.0, source, 2, SpaceOperator.identity(torus_space(8, 2)))
 
 
 def test_image_under_identity_is_same_family():

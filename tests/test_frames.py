@@ -741,6 +741,36 @@ def _check_walnut_route(system, theta):
     assert max(omega.max_gram_deviation, oracle.max_gram_deviation) <= 1e-12 * top
 
 
+@pytest.mark.parametrize("dense", ["family", "operator"])
+def test_dense_omega_report_matches_oracle(dense, rng):
+    # the dense route takes the basis and gram conditions as holding by
+    # construction and solves the pencil on S; the dense Omega oracle builds
+    # Omega and its gram and checks both
+    from gaborop.frames import _frame_blocks
+
+    system = swap_window_system()
+    theta = pert_theta_op(system.space)
+    if dense == "family":
+        system = system.family()
+    else:  # nonzero off the coset blocks
+        d = system.space.dim
+        theta = SpaceOperator.from_dense(
+            system.space, theta.to_dense() + 0.1 * rng.standard_normal((d, d)))
+    blocks = _frame_blocks(system, theta)
+    assert blocks.route == "dense"
+    omega = omega_characterization(system, theta)
+    oracle = oracle_omega_report(system, blocks, DEFAULT_TOL)
+    assert (omega.basis_condition, omega.max_gram_deviation) == (True, 0.0)
+    assert oracle.basis_condition
+    top = np.abs(blocks.s).max()
+    assert oracle.max_gram_deviation <= 1e-12 * top
+    assert (omega.lower_exists, omega.upper_exists) == (oracle.lower_exists, oracle.upper_exists)
+    for have, want in ((omega.alpha, oracle.alpha), (omega.beta, oracle.beta)):
+        assert (have is None) == (want is None)
+        if want is not None:
+            assert have == pytest.approx(want, rel=1e-9, abs=1e-12 * top)
+
+
 def _split_dense_operator(system, kind, entry, rng):
     """A dense operator mapping every coset block of ``system`` into itself:
     kron(I, entry); a pointwise map whose entry matrix varies with the point
@@ -1219,6 +1249,10 @@ def test_layout_is_shared_by_value():
                           None, Automorphism(group, [3], dual=True)))
     entries = [layout, _layout_of(main, split=False)] + [_layout_of(s) for s in others]
     assert len({id(entry) for entry in entries}) == 4
+    # one map written with another representative (19 = 3 mod 16) is one entry
+    nineteen = GaborSystem(main.space, main.windows, main.lattice, main.dual_lattice,
+                           Automorphism(group, [19]))
+    assert _layout_of(nineteen) is entries[2]
 
 
 def test_systems_share_identity_automorphisms():

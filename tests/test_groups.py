@@ -313,6 +313,10 @@ def test_automorphism_equality_is_by_value():
     assert Automorphism(FiniteAbelianGroup((8,)), [3]) != Automorphism(
         FiniteAbelianGroup((16,)), [3])
     assert len({a, b, Automorphism.identity(g)}) == 2
+    # a map compares by its residues: entry (i, j) acts mod N_i
+    z16 = FiniteAbelianGroup((16,))
+    c, d = Automorphism(z16, [3]), Automorphism(z16, [19])
+    assert c == d and hash(c) == hash(d)
 
 
 def test_subgroup_closure_is_shared_by_value():
