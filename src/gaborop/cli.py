@@ -21,29 +21,28 @@ from .scenario import ScenarioError, load_scenario, run_scenario, spectra_file
 ENV_TOL = "GOF_DEFAULT_TOL"
 
 
-def _parse_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="gaborop",
-        description="Matrix-valued Gabor frame scenarios: bounds, constructions, "
-                    "perturbations.",
-    )
-    parser.add_argument("--scenario", action="append", default=[], metavar="PATH",
-                        help="JSON scenario file (repeatable).")
-    parser.add_argument("--preset", action="append", default=[], metavar="NAME",
-                        help="bundled preset name (repeatable; see --list-presets).")
-    parser.add_argument("--out", metavar="PATH",
-                        help="report destination; a directory when several "
-                             "scenarios run (default: stdout).")
-    parser.add_argument("--spectra", metavar="PATH",
-                        help="write frame-operator spectra as CSV next to the report.")
-    parser.add_argument("--tol", type=float, default=None,
-                        help=f"tolerance override (also via ${ENV_TOL}; "
-                             f"default {DEFAULT_TOL}).")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 3 when any report carries findings.")
-    parser.add_argument("--list-presets", action="store_true",
-                        help="print preset names with descriptions and exit.")
-    return parser.parse_args(argv)
+# built once: parse_args leaves the parser as it was
+_PARSER = argparse.ArgumentParser(
+    prog="gaborop",
+    description="Matrix-valued Gabor frame scenarios: bounds, constructions, "
+                "perturbations.",
+)
+_PARSER.add_argument("--scenario", action="append", default=[], metavar="PATH",
+                     help="JSON scenario file (repeatable).")
+_PARSER.add_argument("--preset", action="append", default=[], metavar="NAME",
+                     help="bundled preset name (repeatable; see --list-presets).")
+_PARSER.add_argument("--out", metavar="PATH",
+                     help="report destination; a directory when several "
+                          "scenarios run (default: stdout).")
+_PARSER.add_argument("--spectra", metavar="PATH",
+                     help="write frame-operator spectra as CSV next to the report.")
+_PARSER.add_argument("--tol", type=float, default=None,
+                     help=f"tolerance override (also via ${ENV_TOL}; "
+                          f"default {DEFAULT_TOL}).")
+_PARSER.add_argument("--strict", action="store_true",
+                     help="exit 3 when any report carries findings.")
+_PARSER.add_argument("--list-presets", action="store_true",
+                     help="print preset names with descriptions and exit.")
 
 
 def _resolve_tol(cli_value):
@@ -85,7 +84,7 @@ def _emit(report, out_path):
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
+    args = _PARSER.parse_args(argv if argv is not None else sys.argv[1:])
     if args.list_presets:
         for name, description in list_presets():
             print(f"{name:18s} {description}")

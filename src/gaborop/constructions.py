@@ -29,6 +29,7 @@ from .frames import (
     GaborSystem,
     VectorFamily,
     _as_family,
+    _coset_operator,
     _frame_blocks,
     _operator_grams,
     ordinary_bounds,
@@ -38,9 +39,10 @@ from .frames import (
 from .groups import Subgroup, _characters, _coordinates
 from .operators import (
     DEFAULT_TOL,
+    OperatorDiagnostics,
     SpaceOperator,
+    _diagnostics,
     compose,
-    is_hyponormal,
     is_hyponormal_on_range,
     is_mv_adjointable,
 )
@@ -104,6 +106,17 @@ def scalar_parseval_system(group, measure=None, lattice: Subgroup | None = None,
     )
 
 
+def _hypotheses(theta: SpaceOperator, system, tol: float) -> OperatorDiagnostics:
+    """The diagnostics behind the hyponormality and adjointability hypotheses:
+    taken on the coset blocks of the Gabor ``system`` when ``theta`` is dense
+    and maps each coset into itself, so no D x D solve runs, else on the
+    matrix of ``theta``."""
+    blocks = None
+    if theta.kind == "dense" and isinstance(system, GaborSystem):
+        blocks = _coset_operator(system, theta)
+    return _diagnostics(theta, theta._rep() if blocks is None else blocks, tol)
+
+
 @dataclass
 class TightConstruction:
     """Diagonal-window tight system and its operator image, with reports."""
@@ -140,10 +153,12 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
     if theta.space != space:
         reasons.append("operator space does not match the requested dimension")
         return TightConstruction(tightness, False, reasons)
-    hypo, _ = is_hyponormal(theta, tol)
-    if not hypo:
+    lattices = GaborSystem(space, (), scalar_system.lattice, scalar_system.dual_lattice,
+                           scalar_system.automorphism, scalar_system.dual_automorphism)
+    hypotheses = _hypotheses(theta, lattices, tol)
+    if not hypotheses.is_hyponormal:
         reasons.append("operator is not hyponormal")
-    if not is_mv_adjointable(theta, tol):
+    if not hypotheses.is_mv_adjointable:
         reasons.append("operator is not adjointable for the matrix pairing")
     if reasons:
         return TightConstruction(tightness, False, reasons)
@@ -198,11 +213,11 @@ def check_image_frame(theta: SpaceOperator, system, tol: float = DEFAULT_TOL) ->
     controlled bounds for the image family; validity is checked against the
     computed extremal constants either way.
     """
-    hypo, min_eig = is_hyponormal(theta, tol)
+    diagnosed = _hypotheses(theta, system, tol)
     hypotheses = {
-        "hyponormal": hypo,
-        "self_commutator_min_eig": min_eig,
-        "mv_adjointable": is_mv_adjointable(theta, tol),
+        "hyponormal": diagnosed.is_hyponormal,
+        "self_commutator_min_eig": diagnosed.self_commutator_min_eig,
+        "mv_adjointable": diagnosed.is_mv_adjointable,
     }
     source_report = ordinary_bounds(system, tol)
     image_report = theta_bounds(image_system(theta, system), theta, tol)

@@ -309,18 +309,19 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     op = None if theta is None else theta._rep()[None]
     if not isinstance(system, GaborSystem):
         return _dense_blocks(system, op, "not a Gabor system")
+    reason = "no operator" if theta is None else "entry map"
+    if theta is not None and theta.kind == "dense":
+        op = _coset_operator(system, theta)
+        if op is None:
+            return _dense_blocks(system, theta._rep()[None],
+                                 "dense, nonzero off the coset blocks")
+        reason = "dense, zero off the coset blocks"
     n = system.space.n
     points, phi, gather = _layout(system.lattice, system.dual_lattice, system.automorphism,
                                   system.dual_automorphism,
                                   theta is None or theta.kind == "entry_map")
     _, blocks, j, size = gather.shape
-    index = (points[:, :, None] * (n * n) + np.arange(n * n)).reshape(blocks, -1)
-    reason = "no operator" if theta is None else "entry map"
-    if theta is not None and theta.kind == "dense":
-        on_blocks = op[0][index[:, :, None], index[:, None, :]]
-        if np.count_nonzero(on_blocks) != theta.nonzeros:
-            return _dense_blocks(system, op, "dense, nonzero off the coset blocks")
-        op, reason = on_blocks, "dense, zero off the coset blocks"
+    index = _coset_index(points, n)
     # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r], as one
     # product over all rows: a batch of (n, |H|) products costs a BLAS call each
     g = np.moveaxis(_windows(system)[:, gather], 4, -1)
@@ -337,6 +338,22 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     return _Blocks("walnut", index, phi, s.reshape(blocks * size, d, d), op, reason)
 
 
+def _coset_index(points: np.ndarray, n: int) -> np.ndarray:
+    """(B, c) flat indices of each coset block's points and entries, ordered (point, entry)."""
+    return (points[:, :, None] * (n * n) + np.arange(n * n)).reshape(len(points), -1)
+
+
+def _coset_operator(system: GaborSystem, theta: SpaceOperator) -> Optional[np.ndarray]:
+    """The (B, d, d) stack of the dense ``theta``'s diagonal blocks on the
+    cosets that split the frame operator of ``system`` (H = {0}), or None when
+    ``theta`` has a nonzero entry off them (an exact test)."""
+    points = _layout(system.lattice, system.dual_lattice, system.automorphism,
+                     system.dual_automorphism, False).points
+    index = _coset_index(points, system.space.n)
+    on_blocks = theta.dense_matrix[index[:, :, None], index[:, None, :]]
+    return on_blocks if np.count_nonzero(on_blocks) == theta.nonzeros else None
+
+
 def _dense_blocks(system, op: Optional[np.ndarray], reason: str) -> _Blocks:
     s = frame_operator(system, as_operator=False)
     return _Blocks("dense", np.arange(len(s))[None], np.ones((1, 1)), s[None], op, reason)
@@ -345,11 +362,22 @@ def _dense_blocks(system, op: Optional[np.ndarray], reason: str) -> _Blocks:
 def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     """(T T*, T* T) as a (1, d, d) or (B, d, d) stack aligned with ``blocks.index``:
     the products of the operator's blocks, each repeated along the diagonal
-    of a block of S (an entry map M gives kron(I, M M*) and kron(I, M* M))."""
+    of a block of S (an entry map M gives kron(I_j, M M*) and kron(I_j, M* M),
+    built by block assignment; with j = 1 the products are the grams)."""
     t = blocks.op
     t_h = np.swapaxes(t.conj(), -1, -2)
-    eye = np.eye(blocks.s.shape[-1] // t.shape[-1])
-    return np.kron(eye, t @ t_h), np.kron(eye, t_h @ t)
+    grams = t @ t_h, t_h @ t
+    e = t.shape[-1]
+    j = blocks.s.shape[-1] // e
+    if j == 1:
+        return grams
+    repeated = []
+    for gram in grams:
+        out = np.zeros((len(gram), j, e, j, e), dtype=gram.dtype)
+        for i in range(j):
+            out[:, i, :, i, :] = gram
+        repeated.append(out.reshape(len(gram), j * e, j * e))
+    return tuple(repeated)
 
 
 @dataclass

@@ -2,15 +2,32 @@
 
 For PSD S and P the lower-side constant is the largest alpha with
 S - alpha P >= 0, the upper-side one the smallest beta with beta P - S >= 0.
-:func:`solve_pencils` reports both from one eigendecomposition each of S and
-the two grams, via the closed form of the generalized eigenproblem on the
-range of P (Golub & Van Loan, *Matrix Computations*, 8.7), and certifies each
-constant by the least eigenvalue of the pencil at it and one step past it.
 S may be given as the stack of diagonal blocks of a block-diagonal matrix,
 with grams on the same blocks or one gram block that every block repeats;
-every step then runs batched over the stack, and every threshold is taken
-relative to the top eigenvalue over all blocks, so each block is judged as
-it is inside the whole matrix.
+every threshold is taken relative to the top eigenvalue over all blocks, so
+each block is judged as it is inside the whole matrix.  :func:`solve_pencils`
+solves both sides in three batched stages:
+
+1. S and the two grams are written into one buffer, Hermitised there, and
+   take one ``eigh``.  The existence verdicts (kernel inclusion by Rayleigh
+   quotients), the spectra and the whitening below all read it.
+2. The closed form of the generalized eigenproblem on the range of each gram
+   (Golub & Van Loan, *Matrix Computations*, 8.7): with W the inverse square
+   root of a gram block on its range, beta is the top eigenvalue of W S W
+   over the blocks, and alpha the least one of W (S / ker P) W, the Schur
+   complement of S on the gram's kernel (one ``eigh`` per kernel dimension
+   inverts S there).  The whitened blocks of both sides take one
+   ``eigvalsh`` per distinct dimension, and each constant records the block
+   where it is attained.
+3. Each constant is certified by the least eigenvalue of the pencil at it
+   (``min_eig_at``, over all blocks, >= -slack) and one relative step past it
+   on the extreme block (``min_eig_past``, < 0); both sides' pencils fill one
+   buffer and take one ``eigvalsh``.  A block-diagonal pencil fails to be PSD
+   iff one of its blocks does, and one step past a correct constant the
+   extreme block is the one that must fail.  On the kernel that S and the
+   gram share there, where the pencil is zero up to rounding at every
+   constant, the step past is lifted by the slack.
+
 Bisection on the least eigenvalue of the pencil is the test oracle; it
 lives in ``tests/helpers.py``, not in the library.
 """
@@ -18,7 +35,7 @@ lives in ``tests/helpers.py``, not in the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,22 +55,35 @@ def _hermitian(h: np.ndarray) -> np.ndarray:
     return (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
 
 
-def _eigh(h: np.ndarray):
-    return np.linalg.eigh(_hermitian(h))
-
-
-def _min_eig(h: np.ndarray) -> float:
-    """Least eigenvalue of a Hermitian matrix or over a stack of them."""
-    return float(np.linalg.eigvalsh(_hermitian(h))[..., 0].min())
-
-
 def _top(vals: np.ndarray) -> float:
     return max(float(vals.max()), 0.0) if vals.size else 0.0
 
 
-def _kernel(vals: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
-    """Mask of the eigenvalues at kernel level, relative to the top one over all blocks."""
-    return vals <= rtol * _top(vals)
+class _Part(NamedTuple):
+    """One Hermitian block stack of the pencils and its eigendecomposition."""
+
+    h: np.ndarray       # (B, d, d) or (1, d, d)
+    vals: np.ndarray    # ascending per block
+    vecs: np.ndarray
+    top: float          # the top eigenvalue over all blocks, or 0
+    kernel: np.ndarray  # mask of the eigenvalues at kernel level, relative to top
+
+
+def _decomposed(*parts: np.ndarray) -> list[_Part]:
+    """The block stacks, written into one buffer, Hermitised there and
+    decomposed by one ``eigh``."""
+    stack = np.concatenate(parts)
+    stack += np.swapaxes(stack.conj(), -1, -2)
+    stack *= 0.5
+    vals, vecs = np.linalg.eigh(stack)
+    decomposed, start = [], 0
+    for part in parts:
+        rows = slice(start, start + len(part))
+        start = rows.stop
+        top = _top(vals[rows])
+        decomposed.append(_Part(stack[rows], vals[rows], vecs[rows], top,
+                                vals[rows] <= KERNEL_RTOL * top))
+    return decomposed
 
 
 def _contained(vecs: np.ndarray, kernel: np.ndarray, b: np.ndarray, b_top: float,
@@ -66,53 +96,127 @@ def _contained(vecs: np.ndarray, kernel: np.ndarray, b: np.ndarray, b_top: float
     return bool(np.max(quotients, where=kernel, initial=-np.inf) <= tol * b_top)
 
 
-def _closed_form(s: np.ndarray, s_top: float, p_eig, lower: bool) -> Optional[float]:
-    """alpha (``lower``) or beta of the block stack s against the stack p whose
-    eigendecomposition is ``p_eig``: with W the inverse square root of a block
-    of p on its range, the top eigenvalue of W s W over all blocks is beta
-    (exact once ker p <= ker s), the least one of W (s / ker p) W is alpha.
+def _congruence(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Q^* s_b Q for every block s_b of the Hermitian stack s, with Q the one
+    block of q or the block of q at the same position."""
+    if len(q) > 1:
+        return np.swapaxes(q.conj(), -1, -2) @ s @ q
+    # (s_b Q)^* Q as two 2-D products, not a stack of small ones
+    x = (s.reshape(-1, s.shape[-1]) @ q[0]).reshape(s.shape)
+    return (np.swapaxes(x, -1, -2).conj().reshape(-1, s.shape[-1]) @ q[0]).reshape(s.shape)
 
-    ``eigh`` sorts ascending, so each block's kernel columns lead; blocks of
-    equal kernel dimension run batched together.  A block where p vanishes
+
+def _whitened(s: _Part, gram: _Part, lower: bool):
+    """Yield (blocks of s, whitened matrices) for one side against ``gram``:
+    W (s / ker p) W (``lower``) or W s W on the blocks where the gram p has
+    kernel dimension k, for each k below the block size, W the inverse
+    square root of p on its range.  A block where the gram vanishes
     constrains neither side (s vanishes there too once ker p <= ker s).
+
+    ``eigh`` sorts ascending, so each block's k kernel columns lead.  One
+    congruence Q^* s Q, with Q the eigenvectors of p and its range columns
+    scaled by W, holds W s W on the range, s on the kernel and their
+    coupling; the Schur complements of one k take one ``eigh``.
     """
-    vals, vecs = p_eig
-    dims = np.count_nonzero(_kernel(vals), axis=-1)
+    dims = gram.kernel.sum(axis=-1)
+    q = gram.vecs / np.sqrt(np.where(gram.kernel, 1.0, gram.vals))[..., None, :]
+    congruent = _congruence(q, s.h)
     # where s is at rounding level on ker p it has no coupling (the level is
     # that of the whole matrix, of dimension B * d)
-    cutoff = len(s) * s.shape[-1] * np.finfo(float).eps * s_top
-    extremes = []
-    for k in sorted(set(dims[dims < vals.shape[-1]].tolist())):
+    cutoff = s.h.shape[0] * s.h.shape[-1] * np.finfo(float).eps * s.top
+    for k in sorted(set(dims[dims < gram.vals.shape[-1]].tolist())):
         rows = dims == k
-        q = vecs[rows]
-        q_r, q_k, vals_r = q[..., k:], q[..., :k], vals[rows][..., k:]
-        block = s[rows] if len(vals) > 1 else s
-        q_r_h = np.swapaxes(q_r.conj(), -1, -2)
-        s_rr = q_r_h @ block @ q_r
+        rows = slice(None) if rows.all() else rows  # a view, not a copy, when k is common
+        block = congruent[rows]
+        whitened = block[..., k:, k:]
         if lower and k:
-            # Schur complement of s on ker p
-            k_vals, k_vecs = _eigh(np.swapaxes(q_k.conj(), -1, -2) @ block @ q_k)
-            coupling = q_r_h @ block @ q_k @ k_vecs
+            k_vals, k_vecs = np.linalg.eigh(block[..., :k, :k])
+            coupling = block[..., k:, :k] @ k_vecs
             inverse = np.divide(1.0, k_vals, out=np.zeros_like(k_vals), where=k_vals > cutoff)
-            s_rr = s_rr - (coupling * inverse[..., None, :]) @ np.swapaxes(coupling.conj(), -1, -2)
-        w = 1.0 / np.sqrt(vals_r)
-        eigs = np.linalg.eigvalsh(w[..., :, None] * _hermitian(s_rr) * w[..., None, :])
-        extremes.append(eigs[..., 0].min() if lower else eigs[..., -1].max())
-    if not extremes:
-        # p = 0: every alpha works; beta is 0 since ker p <= ker s forces s = 0
-        return None if lower else 0.0
-    return max(0.0, float(min(extremes) if lower else max(extremes)))
+            whitened = whitened - (coupling * inverse[..., None, :]) @ np.swapaxes(
+                coupling.conj(), -1, -2)
+        yield rows, whitened
 
 
-def _certificate(s: np.ndarray, s_top: float, p: np.ndarray, p_top: float,
-                 const: float, sign: float) -> dict:
-    """The least eigenvalue of sign * (s - c p) at c = const must be >= -slack
-    and, unless const is 0, < 0 at c = const * (1 + sign * CERT_STEP)."""
-    slack = CERT_SLACK_RTOL * max(s_top, const * p_top)
-    at = _min_eig(sign * (s - const * p))
-    past = _min_eig(sign * (s - const * (1.0 + sign * CERT_STEP) * p)) if const > 0 else None
-    return {"min_eig_at": at, "min_eig_past": past, "slack": slack,
-            "holds": bool(at >= -slack and (past is None or past < 0.0))}
+def _closed_form(spectra: dict, pieces: list, count: int, lower: bool) -> np.ndarray:
+    """The extreme eigenvalue of one side's whitened matrix on each of the
+    ``count`` blocks: the least one (``lower``) or the top one, and +inf or
+    -inf on a block the gram does not constrain.  ``pieces`` lists
+    (side, blocks, dimension, rows) of the solved ``spectra``, one ascending
+    eigenvalue stack per dimension."""
+    extremes = np.full(count, np.inf if lower else -np.inf)
+    for side, blocks, dim, rows in pieces:
+        if side == lower:
+            extremes[blocks] = spectra[dim][rows, 0 if lower else -1]
+    return extremes
+
+
+def _closed_forms(s: _Part, grams: dict) -> dict:
+    """{side: per-block extremes} for the sides {lower: gram}, with the
+    whitened matrices of both sides solved in one ``eigvalsh`` per distinct
+    dimension."""
+    pieces, stacks = [], {}
+    for lower, gram in grams.items():
+        for blocks, whitened in _whitened(s, gram, lower):
+            dim = whitened.shape[-1]
+            stack = stacks.setdefault(dim, [])
+            start = sum(map(len, stack))
+            pieces.append((lower, blocks, dim, slice(start, start + len(whitened))))
+            stack.append(whitened)
+    spectra = {dim: np.linalg.eigvalsh(stack[0] if len(stack) == 1 else np.concatenate(stack))
+               for dim, stack in stacks.items()}
+    return {lower: _closed_form(spectra, pieces, len(s.h), lower) for lower in grams}
+
+
+def _pencil(s: np.ndarray, p: np.ndarray, c: float, lower: bool, out: np.ndarray) -> None:
+    """Write s - c p (``lower``) or c p - s into ``out``."""
+    np.multiply(p, c, out=out)
+    if lower:
+        np.subtract(s, out, out=out)
+    else:
+        np.subtract(out, s, out=out)
+
+
+def _certificates(s: _Part, constants: dict) -> dict:
+    """{name: certificate} for the sides {name: (gram, constant, extreme
+    block)}: the least eigenvalue of sign * (s - c p) at c = const over all
+    blocks must be >= -slack and, unless const is 0, < 0 at
+    c = const * (1 + sign * CERT_STEP) on the extreme block (sign = +1 for
+    alpha, -1 for beta).  Every pencil fills one buffer for one ``eigvalsh``.
+
+    On the kernel that s and p share (ker s for alpha, ker p for beta) the
+    pencil is zero up to rounding at every c, so there the step past is
+    lifted by the slack: a rounding error below zero would pass a constant
+    that is not extremal.  Adding a PSD term keeps a negative eigenvalue a
+    proof that the pencil is not PSD."""
+    count = len(s.h)
+    pencils = np.empty((sum(count + (const > 0) for _, const, _ in constants.values()),)
+                       + s.h.shape[1:], dtype=s.h.dtype)
+    start, spans, slacks = 0, {}, {}
+    for name, (gram, const, block) in constants.items():
+        lower = name == "alpha"
+        spans[name] = start
+        slacks[name] = CERT_SLACK_RTOL * max(s.top, const * gram.top)
+        _pencil(s.h, gram.h, const, lower, pencils[start:start + count])
+        start += count
+        if const > 0:
+            g = block if len(gram.h) > 1 else 0
+            past = const * (1.0 + (CERT_STEP if lower else -CERT_STEP))
+            _pencil(s.h[block], gram.h[g], past, lower, pencils[start])
+            shared, b = (s, block) if lower else (gram, g)
+            q = shared.vecs[b][:, shared.kernel[b]]
+            if q.size:
+                pencils[start] += slacks[name] * (q @ q.conj().T)
+            start += 1
+    least = np.linalg.eigvalsh(pencils)[:, 0]
+    certificates = {}
+    for name, (_, const, _) in constants.items():
+        start, slack = spans[name], slacks[name]
+        at = float(least[start:start + count].min())
+        past = float(least[start + count]) if const > 0 else None
+        certificates[name] = {"min_eig_at": at, "min_eig_past": past, "slack": slack,
+                              "holds": bool(at >= -slack and (past is None or past < 0.0))}
+    return certificates
 
 
 @dataclass(frozen=True)
@@ -145,21 +249,25 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
     eigenvalue (``tol``).  alpha is None also when lower_gram vanishes.  The
     spectra hold all B * d eigenvalues.
     """
-    s, lower_gram, upper_gram = _stack(s), _stack(lower_gram), _stack(upper_gram)
-    s_vals, s_vecs = _eigh(s)
-    lo_vals, lo_vecs = _eigh(lower_gram)
-    up_vals, up_vecs = _eigh(upper_gram)
-    s_top, lo_top, up_top = _top(s_vals), _top(lo_vals), _top(up_vals)
-    lower_exists = _contained(s_vecs, _kernel(s_vals), lower_gram, lo_top, tol)
-    upper_exists = _contained(up_vecs, _kernel(up_vals), s, s_top, tol)
-    alpha = _closed_form(s, s_top, (lo_vals, lo_vecs), True) if lower_exists else None
-    beta = _closed_form(s, s_top, (up_vals, up_vecs), False) if upper_exists else None
-    certificates = {}
-    if alpha is not None:
-        certificates["alpha"] = _certificate(s, s_top, lower_gram, lo_top, alpha, 1.0)
-    if beta is not None:
-        certificates["beta"] = _certificate(s, s_top, upper_gram, up_top, beta, -1.0)
-    spectra = {name: np.sort(np.broadcast_to(vals, s_vals.shape), axis=None).tolist()
-               for name, vals in (("frame_operator", s_vals), ("lower_gram", lo_vals),
-                                  ("upper_gram", up_vals))}
+    s, lo, up = _decomposed(_stack(s), _stack(lower_gram), _stack(upper_gram))
+    lower_exists = _contained(s.vecs, s.kernel, lo.h, lo.top, tol)
+    upper_exists = _contained(up.vecs, up.kernel, s.h, s.top, tol)
+    grams = {lower: gram for lower, gram, exists in ((True, lo, lower_exists),
+                                                     (False, up, upper_exists)) if exists}
+    constants = {}
+    for lower, extremes in _closed_forms(s, grams).items():
+        block = int(np.argmin(extremes) if lower else np.argmax(extremes))
+        if np.isfinite(extremes[block]):
+            const = max(0.0, float(extremes[block]))
+        elif lower:
+            continue  # the gram vanishes: every alpha works
+        else:
+            const = 0.0  # ker p <= ker s with p = 0 forces s = 0
+        constants["alpha" if lower else "beta"] = (grams[lower], const, block)
+    certificates = _certificates(s, constants) if constants else {}
+    alpha, beta = (constants[name][1] if name in constants else None
+                   for name in ("alpha", "beta"))
+    # a gram given as one block repeats its eigenvalues on every block
+    spectra = {name: np.repeat(np.sort(part.vals, axis=None), len(s.h) // len(part.h)).tolist()
+               for name, part in (("frame_operator", s), ("lower_gram", lo), ("upper_gram", up))}
     return PencilSolution(lower_exists, upper_exists, alpha, beta, spectra, certificates)

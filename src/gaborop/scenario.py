@@ -310,13 +310,14 @@ def _need(args: dict, key: str, table: dict, what: str):
 
 
 def _cross_check_findings(label: str, report) -> list[str]:
-    """A finding for every reported constant that fails its residual certificate."""
+    """A finding, naming the report by ``label``, for every reported constant
+    that fails its residual certificate."""
     findings = []
     for side, name in (("lower", "alpha"), ("upper", "beta")):
         cert = report.cross_check.get(f"{name}_certificate")
         if cert is not None and not cert["holds"]:
             findings.append(
-                f"{label}: the {side} constant fails its residual certificate "
+                f"{label} report: the {side} constant fails its residual certificate "
                 f"(min eigenvalue {cert['min_eig_at']} at it, {cert['min_eig_past']} "
                 f"past it, slack {cert['slack']})"
             )
@@ -358,7 +359,9 @@ def spectra_file(base, label: str, single: bool) -> Path:
 class _Outcome:
     """A task's result: report objects (or dicts of them and plain values)
     serialised as ``results``, the bounds reports whose spectra may be
-    written, keyed by file label, findings and provenance entries."""
+    written, keyed by file label, findings and provenance entries.  A failed
+    certificate of any of those bounds reports is a finding too, added by
+    :func:`run_scenario`."""
 
     results: object
     spectra: dict = field(default_factory=dict)
@@ -415,7 +418,6 @@ def _theta_bounds(args, systems, operators, tol) -> _Outcome:
         {"ordinary": ordinary, "controlled": controlled,
          "operator": _diagnostics(theta, blocks.op, tol)},
         {"ordinary": ordinary, "controlled": controlled},
-        _cross_check_findings("theta_bounds", controlled),
     )
 
 
@@ -565,6 +567,8 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
     args = scenario.get("args", {})
     _check_cross_references(scenario["task"], args, systems, operators)
     outcome = TASKS[scenario["task"]](args, systems, operators, tolerance)
+    for label, rep in outcome.spectra.items():
+        outcome.findings += _cross_check_findings(f"{scenario['task']}: {label}", rep)
     if "provenance_preset" in scenario:
         outcome.provenance["preset"] = scenario["provenance_preset"]
 

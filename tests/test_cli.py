@@ -38,6 +38,19 @@ def test_list_presets_output(capsys):
     assert "exb1" in out and "sumexa" in out
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once; options of one call never leak into the next
+    out = tmp_path / "report.json"
+    assert main(["--preset", "exb1", "--preset", "sumexa", "--out", str(tmp_path)]) == 0
+    assert main(["--preset", "exb1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["provenance"]["preset"] == "exb1"
+    assert main([]) == 2
+    assert "nothing to do" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-such-option"])
+    assert exc.value.code == 2
+
+
 def test_run_preset_exb1(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["--preset", "exb1", "--out", str(out)]) == 0
@@ -438,6 +451,30 @@ def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
     assert "the lower constant fails its residual certificate" in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert not report["results"]["controlled"]["cross_check"]["alpha_certificate"]["holds"]
+
+
+@pytest.mark.parametrize("preset,labels", [
+    ("pertexa", ["pert_check: perturbed"]),
+    ("sumexa", ["sum_check: summed"]),
+    ("omega-check", ["omega_check: controlled"]),
+    ("ex2-negative", ["image_check: source", "image_check: image"]),
+    ("prop1a-image", ["image_check: image"]),
+    ("ex-after-thm2", ["tight_construct: image"]),
+])
+def test_failed_certificate_is_a_finding_in_every_task(tmp_path, monkeypatch, preset, labels):
+    # every bounds report a task writes is certified, not only theta_bounds'
+    import gaborop.pencil as pencil
+
+    assert run_scenario(build_preset(preset))["findings"] == []
+    closed_form = pencil._closed_form
+    monkeypatch.setattr(pencil, "_closed_form", lambda spectra, pieces, count, lower: (
+        1.01 if lower else 1.0) * closed_form(spectra, pieces, count, lower))
+    out = tmp_path / "report.json"
+    assert main(["--preset", preset, "--out", str(out), "--strict"]) == 3
+    findings = json.loads(out.read_text())["findings"]
+    for label in labels:
+        assert any(finding.startswith(f"{label} report: the lower constant fails its "
+                                      "residual certificate") for finding in findings), label
 
 
 # builds of S per preset report: one per system the report covers (an image

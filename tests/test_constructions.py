@@ -23,6 +23,7 @@ from gaborop import (
     tight_theta_frame,
 )
 from helpers import (
+    PERT_THETA,
     ZERO_MID_COLUMN_3,
     flip_op,
     pert_theta_op,
@@ -36,6 +37,8 @@ from helpers import (
     swap_window_system,
     torus_space,
 )
+from gaborop.operators import is_hyponormal, is_mv_adjointable
+from gaborop.signals import SignalSpace
 
 
 def test_scalar_parseval_default_z8(rng):
@@ -262,3 +265,55 @@ def test_omega_matches_direct_verdicts_randomised(rng):
             assert via_omega.alpha == pytest.approx(direct.alpha_opt, rel=1e-6, abs=1e-8)
         if direct.beta_opt is not None and via_omega.beta is not None:
             assert via_omega.beta == pytest.approx(direct.beta_opt, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("matrix", [PERT_THETA, np.eye(4)], ids=["pert_theta", "identity"])
+def test_dense_split_operator_hypotheses_solve_on_the_blocks(monkeypatch, matrix):
+    # a dense kron(I_|G|, M) maps every coset into itself, so the hypothesis
+    # checks read it on the coset blocks: no D x D svd or eigvalsh, and the
+    # verdicts of the checks on its D x D matrix
+    import gaborop.constructions as constructions
+
+    system = swap_window_system(4)
+    scalar = scalar_parseval_system(system.space.group)
+    space = SignalSpace(scalar.space.group, 2, scalar.space.measure)
+    dense = np.kron(np.eye(space.group.order), matrix)
+    assert space.dim == 128
+    sizes, quiet = [], []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
+        def recorded(*args, _solve=getattr(np.linalg, name), **kwargs):
+            if not quiet:
+                sizes.append(args[0].shape[-1])
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    def quietly(*args, _bounds=constructions.theta_bounds, **kwargs):
+        # the image family of a dense operator is no Gabor system: its
+        # controlled report is one dense block, outside the hypothesis checks
+        quiet.append(True)
+        try:
+            return _bounds(*args, **kwargs)
+        finally:
+            quiet.pop()
+
+    monkeypatch.setattr(constructions, "theta_bounds", quietly)
+    for theta, run in (
+        (SpaceOperator.from_dense(system.space, dense),
+         lambda theta: check_image_frame(theta, system).hypotheses),
+        (SpaceOperator.from_dense(space, dense),
+         lambda theta: tight_theta_frame(1.0, scalar, 2, theta).reasons),
+    ):
+        quiet.append(True)
+        hypo, min_eig = is_hyponormal(theta)  # the D x D checks
+        adjointable = is_mv_adjointable(theta)
+        quiet.pop()
+        sizes.clear()
+        got = run(theta)
+        assert sizes and max(sizes) <= 32, sizes
+        if isinstance(got, dict):
+            assert got["hyponormal"] == hypo and got["mv_adjointable"] == adjointable
+            assert got["self_commutator_min_eig"] == pytest.approx(min_eig, abs=1e-12)
+        else:
+            assert ("operator is not hyponormal" in got) == (not hypo)
+            assert ("operator is not adjointable for the matrix pairing" in got) \
+                == (not adjointable)

@@ -445,7 +445,7 @@ def test_theta_bounds_eigensolver_budget(monkeypatch):
         assert rep.tight
         counts[system.space.dim] = len(calls)
     assert sorted(counts) == [64, 128]
-    assert counts[64] == counts[128] <= 12
+    assert counts[64] == counts[128] <= 5
 
 
 def _relabelled(system, matrix):

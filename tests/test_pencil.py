@@ -3,6 +3,8 @@ and kernel inclusion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborop.pencil import solve_pencils
 from helpers import bisect_max_alpha, bisect_min_beta, null_space
@@ -185,3 +187,56 @@ def test_schur_complement_ignores_rounding_on_ker_p(rng):
         proj = np.eye(dim) - nb @ nb.conj().T
         sol = solve_pencils(proj @ s @ proj, p, p)
         assert all(cert["holds"] for cert in sol.certificates.values())
+
+
+def _block_diagonal(stack, count):
+    """The block-diagonal matrix of ``count`` blocks of ``stack`` (one block repeats)."""
+    d = stack.shape[-1]
+    dense = np.zeros((count * d, count * d), dtype=complex)
+    for b in range(count):
+        dense[b * d:(b + 1) * d, b * d:(b + 1) * d] = stack[b % len(stack)]
+    return dense
+
+
+@settings(max_examples=80)
+@given(blocks=st.integers(1, 6), dim=st.integers(1, 6), one_gram=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_pencils_match_the_oracle_and_certify(blocks, dim, one_gram, seed):
+    # S stacked on B blocks against grams on the same blocks, with a mixed
+    # kernel dimension per block, or one gram block that every block repeats.
+    # With P the upper gram, S_b = proj A_b proj and the lower gram
+    # proj C proj, proj the projector on the range of P's block, both
+    # constants exist
+    import gaborop.pencil as pencil
+
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(0, dim + 1, size=1 if one_gram else blocks)
+    ranks[0] = max(ranks[0], 1)
+    upper = np.stack([_random_psd(rng, dim, rank=int(r)) for r in ranks])
+    proj = np.stack([np.eye(dim) - nb @ nb.conj().T for nb in map(null_space, upper)])
+    lower = proj @ np.stack([_random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+                             for _ in ranks]) @ proj
+    s = np.stack([proj[b % len(proj)] @ _random_psd(rng, dim) @ proj[b % len(proj)]
+                  for b in range(blocks)])
+    sol = solve_pencils(s, lower, upper)
+    assert sol.lower_exists and sol.upper_exists
+    dense_s = _block_diagonal(s, blocks)
+    assert sol.alpha == pytest.approx(
+        bisect_max_alpha(dense_s, _block_diagonal(lower, blocks)), rel=1e-6)
+    assert sol.beta == pytest.approx(
+        bisect_min_beta(dense_s, _block_diagonal(upper, blocks)), rel=1e-6)
+    assert all(cert["holds"] for cert in sol.certificates.values())
+    assert sol.certificates.keys() == {"alpha", "beta"}
+    # too large an alpha (too small a beta) breaks feasibility; too small an
+    # alpha (too large a beta) leaves the step past it feasible on the extreme block
+    closed_form = pencil._closed_form
+    for which in ("alpha", "beta"):
+        for factor in (0.99, 1.01):
+            lower_side = which == "alpha"
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pencil, "_closed_form", lambda spectra, pieces, count, side: (
+                    factor if side == lower_side else 1.0) * closed_form(spectra, pieces,
+                                                                         count, side))
+                bad = solve_pencils(s, lower, upper)
+            assert getattr(bad, which) == pytest.approx(factor * getattr(sol, which))
+            assert not bad.certificates[which]["holds"], (which, factor)
