@@ -13,8 +13,8 @@
   the standard coefficient basis onto the family, Omega Omega^* equals the
   frame operator, and the pencil constants of Omega Omega^* reproduce the
   two-sided bound verdicts.  No route builds Omega: on the dense route both
-  conditions hold by construction, and the coset blocks check its
-  factorisation.
+  conditions hold by construction, and on the coset blocks they are exact
+  integer checks on the coset points.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .frames import (
     _as_family,
     _coset_operator,
     _frame_blocks,
-    _operator_grams,
+    _theta_report,
     ordinary_bounds,
     theta_bounds,
     valid_bounds,
 )
-from .groups import Subgroup, _characters, _coordinates
+from .groups import Subgroup, _coordinates, _pairing
 from .operators import (
     DEFAULT_TOL,
     OperatorDiagnostics,
@@ -46,7 +46,6 @@ from .operators import (
     is_hyponormal_on_range,
     is_mv_adjointable,
 )
-from .pencil import solve_pencils
 from .signals import MatrixSignal, SignalSpace
 
 __all__ = [
@@ -272,46 +271,47 @@ def omega_characterization(system, theta: SpaceOperator,
     """Synthesis-operator route to the two-sided bound verdicts.
 
     Checks that Omega maps the standard coefficient basis onto the family and
-    compares Omega Omega^* with the frame operator S; the constants come from
-    the pencil of Omega Omega^* on the blocks of S.  On the dense route S is
-    A^* A for the analysis matrix A, and Omega = A^*, so both conditions hold
-    by construction and the pencil is that of S.  On the coset blocks, the
-    characters of Gamma are constant on each coset of its annihilator, so on
-    the rows of coset b Omega is H_b (x) phi_b (the translate stack, and the
-    phase row phi_b(gamma) = chi_gamma(x_b)).
-    With P = phi phi^*, Omega Omega^* is w P_bb' H_b H_b'^* on blocks (b, b'),
-    and S_b = w |Gamma| H_b H_b^*.  So the basis condition is that phi_b holds
-    at every point of coset b; Omega Omega^* is (P_bb / |Gamma|) S_b on the
-    blocks, and off them each entry is at most |P_bb'| sqrt(max diag S_b
-    max diag S_b') / |Gamma| (Cauchy-Schwarz), zero when distinct phase rows
-    are orthogonal (Walnut's identity).
+    compares Omega Omega^* with the frame operator S; the verdicts and
+    constants are those of the controlled report on the blocks of S.  On the
+    dense route S is A^* A for the analysis matrix A, and Omega = A^*, so both
+    conditions hold by construction.  On the coset blocks, the rows of coset b
+    of Omega are H_b (x) phi_b (the translate stack, and the phase row
+    phi_b(gamma) = chi_gamma(x_b)); with P = phi phi^*, Omega Omega^* is
+    w P_bb' H_b H_b'^* on blocks (b, b'), and S_b = w |Gamma| H_b H_b^*.  Both
+    conditions are exact integer facts about the coset points: the basis
+    condition holds iff each generator of Gamma pairs constantly along every
+    coset, and P_bb' / |Gamma| is 1 when cosets b and b' share their pairings
+    (their label) and 0 otherwise (orthogonality of characters, Walnut 1992).
+    So the blocks of Omega Omega^* are S's own; off them an entry is at most
+    sqrt(max diag S_b max diag S_b') (Cauchy-Schwarz) between cosets with one
+    label, and exactly 0 between distinct labels.
     """
-    return _omega_report(system, _frame_blocks(system, theta), tol)
+    blocks = _frame_blocks(system, theta)
+    return _omega_report(system, blocks, _theta_report(blocks, tol))
 
 
-def _omega_report(system, blocks, tol: float) -> OmegaReport:
-    """The Omega report against the frame-operator blocks of ``system``, built
-    with the operator."""
-    if blocks.route == "dense":
-        # Omega = A^* maps the basis onto the family by construction, and
-        # Omega Omega^* = A^* A is S itself: building it would compare S with
-        # itself (tests/helpers.py::oracle_omega_report keeps the dense Omega)
-        basis_condition, max_dev, gram = True, 0.0, blocks.s
-    else:
-        group, n2, size = system.space.group, system.space.n ** 2, len(blocks.phi)
-        etas = system.dual_automorphism.apply(system.dual_lattice.coords)
-        # chars[gamma, b, k]: chi_gamma at point k of coset b, x_b = point 0
-        chars = _characters(group, etas[:, None, None, :],
-                            _coordinates(group)[blocks.index[:, ::n2] // n2])
-        basis_condition = bool(np.all(np.abs(chars - chars[:, :, :1]) <= tol))
-        p = chars[:, :, 0].T @ chars[:, :, 0].conj() / len(etas)  # P / |Gamma|
-        s = blocks.s.reshape(len(p), size, *blocks.s.shape[1:])  # [b, chi]: Zak block (b, chi)
+def _omega_report(system, blocks, controlled: BoundsReport) -> OmegaReport:
+    """The Omega report against the frame-operator blocks of ``system``, with
+    the verdicts and constants of the ``controlled`` report on them."""
+    # on the dense route Omega = A^*, so both conditions hold by construction
+    # (tests/helpers.py::oracle_omega_report keeps the dense Omega)
+    basis_condition, max_dev = True, 0.0
+    if blocks.route == "walnut":
+        group, n2 = system.space.group, system.space.n ** 2
+        gens = system.dual_automorphism.apply(
+            np.reshape([m.coords for m in system.dual_lattice.generators], (-1, group.rank)))
+        # labels[b, k, i]: the pairing of generator i with point k of coset b
+        points = _coordinates(group)[blocks.index[:, ::n2] // n2]
+        labels = _pairing(group, gens, points[:, :, None, :])
+        basis_condition = bool(np.all(labels == labels[:, :1]))
         # the diagonal of a coset block is the mean of its Zak blocks' diagonals
+        s = blocks.s.reshape(len(labels), len(blocks.phi), *blocks.s.shape[1:])
         diag = np.diagonal(s, axis1=2, axis2=3).real.mean(axis=1).max(axis=1, initial=0.0)
-        dev = np.abs(p) * np.sqrt(np.outer(diag, diag))
-        np.fill_diagonal(dev, np.abs(np.diagonal(p) - 1.0) * np.abs(s).max(axis=(1, 2, 3)))
-        max_dev = float(dev.max())
-        gram = (np.diagonal(p).real[:, None, None, None] * s).reshape(blocks.s.shape)
-    sol = solve_pencils(gram, *_operator_grams(blocks), tol)
-    return OmegaReport(basis_condition, max_dev, sol.lower_exists, sol.upper_exists,
-                       sol.alpha, sol.beta)
+        # sorted by label, then by diagonal, largest first: the two largest
+        # diagonals of cosets that share a label are neighbours
+        order = np.lexsort((-diag, *labels[:, 0].T))
+        heads, diag = labels[order, 0], diag[order]
+        shared = (heads[1:] == heads[:-1]).all(axis=-1)
+        max_dev = float(np.sqrt(diag[1:] * diag[:-1]).max(where=shared, initial=0.0))
+    return OmegaReport(basis_condition, max_dev, controlled.lower_exists,
+                       controlled.upper_exists, controlled.alpha_opt, controlled.beta_opt)

@@ -168,8 +168,10 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
     d = _frame_blocks(_difference_system(system, perturbed), theta).s
     lower_gram, upper_gram = _operator_grams(source_blocks)
     rhs = lam * source_blocks.s + mu * lower_gram + eta * upper_gram
-    margin = float(np.linalg.eigvalsh(rhs - d)[..., 0].min())
-    difference_ok = margin >= -tol * float(np.linalg.eigvalsh(rhs)[..., -1].max())
+    # one eigvalsh over both stacks: rhs - d for the margin, rhs for its scale
+    eigs = np.linalg.eigvalsh(np.concatenate((rhs - d, rhs)))
+    margin = float(eigs[:len(d), 0].min())
+    difference_ok = margin >= -tol * float(eigs[len(d):, -1].max())
     ratio_ok = hyp.ratio_ok()
     return PertCheck(hyp, True, ratio_ok, difference_ok, margin,
                      ratio_ok and difference_ok, source)

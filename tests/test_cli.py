@@ -523,23 +523,28 @@ def test_theta_bounds_task_builds_s_once(monkeypatch, name):
 
 def test_omega_check_task_builds_s_once(monkeypatch):
     # the omega report and the controlled report share one build of the coset
-    # blocks; every module namespace holding _frame_blocks is counted
+    # blocks and one pencil solve, and the omega checks read integer pairings,
+    # not characters; every module namespace holding a counted function is
+    # patched, after a first run has memoised the layout (whose DFT over H
+    # takes characters)
     import sys
 
-    from gaborop import frames
+    from gaborop import frames, groups, pencil
 
-    calls = []
-    build = frames._frame_blocks
+    run_scenario(build_preset("omega-check"))
+    calls = {}
+    for original in (frames._frame_blocks, pencil.solve_pencils, groups._characters):
+        name = original.__name__
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gaborop") and getattr(module, "_frame_blocks", None) is build:
-            monkeypatch.setattr(module, "_frame_blocks", counted)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("gaborop") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     report = run_scenario(build_preset("omega-check"))
-    assert len(calls) == 1
+    assert calls == {"_frame_blocks": 1, "solve_pencils": 1}
     assert report["results"]["verdicts_agree"] and not report["findings"]
 
 

@@ -261,10 +261,8 @@ def test_omega_matches_direct_verdicts_randomised(rng):
         via_omega = omega_characterization(system, theta)
         assert via_omega.lower_exists == direct.lower_exists
         assert via_omega.upper_exists == direct.upper_exists
-        if direct.alpha_opt is not None and via_omega.alpha is not None:
-            assert via_omega.alpha == pytest.approx(direct.alpha_opt, rel=1e-6, abs=1e-8)
-        if direct.beta_opt is not None and via_omega.beta is not None:
-            assert via_omega.beta == pytest.approx(direct.beta_opt, rel=1e-6, abs=1e-8)
+        assert via_omega.alpha == direct.alpha_opt
+        assert via_omega.beta == direct.beta_opt
 
 
 @pytest.mark.parametrize("matrix", [PERT_THETA, np.eye(4)], ids=["pert_theta", "identity"])

@@ -310,6 +310,19 @@ def test_perturbation_builds_each_system_once(setup, monkeypatch):
     assert len(builds) == 3 and not dense
 
 
+def test_domination_test_takes_one_eigvalsh(setup, monkeypatch):
+    # the margin of rhs - D and the scale of rhs come from one eigvalsh over
+    # both stacks; pinned bounds keep the source's pencil out of the count
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+    counted = lambda a, *args, **kwargs: stacks.append(a.shape) or eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    check = check_pert_hypothesis(setup["system"], setup["perturbed"], setup["theta"],
+                                  0.0, 0.2, 0.2, bounds=(2.5, 10.0))
+    assert check.holds and check.bounds_source == "paper_pinned"
+    assert len(stacks) == 1
+
+
 def test_sum_tests_the_operator_before_the_bounds(setup):
     # a first system with zero windows has no lower bound; the invertible
     # operator is still bounded below, so only the condition fails
