@@ -38,8 +38,8 @@ import numpy as np
 
 from .groups import (Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates,
                      _cosets, _positions, _subgroup_characters, annihilator, intersection)
-from .operators import DEFAULT_TOL, SpaceOperator, _norm_and_lower_bound
-from .pencil import KERNEL_RTOL, _hermitian, solve_pencils
+from .operators import DEFAULT_TOL, KERNEL_RTOL, SpaceOperator, _norm_and_lower_bound
+from .pencil import _hermitian, solve_pencils
 from .signals import MatrixSignal, SignalSpace
 
 __all__ = [
@@ -470,7 +470,7 @@ def _theta_report(blocks: _Blocks, tol: float) -> BoundsReport:
         beta_opt=sol.beta,
         tight=sol.lower_exists and sol.upper_exists and _tightness(sol.alpha, sol.beta, tol),
         tolerance=tol,
-        spectra=sol.spectra,
+        spectra={"frame_operator": sol.spectrum},
         cross_check=cross,
         route={**blocks.to_json_dict(), "reason": blocks.reason},
     )

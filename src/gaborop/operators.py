@@ -25,7 +25,9 @@ against the largest entry compared, and a PSD margin against the top
 eigenvalue of the matrix it is taken on.  Operator norms of entry maps are
 taken on the n^2 x n^2 matrix, never on the dense expansion, and the norm
 and the lower bound of an operator come from one SVD of its matrix or of the
-stack of its diagonal blocks (:func:`_norm_and_lower_bound`).
+stack of its diagonal blocks (:func:`_norm_and_lower_bound`).  A kernel is
+split off at ``KERNEL_RTOL`` below: the eigenvalues (or singular values) at
+most that times the top one.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9  # the ``tol`` of the tolerance rule in the module docstring
+KERNEL_RTOL = 1e-9  # eigenvalues and singular values at most this times the top are kernel
 
 
 class SpaceOperator:
@@ -224,8 +227,6 @@ def is_hyponormal_on_range(op: SpaceOperator, range_of: SpaceOperator,
     is not used; this compression is the documented interpretation.  Two
     entry maps are tested on their n^2 x n^2 matrices (both split off I_|G|).
     """
-    from .pencil import KERNEL_RTOL  # pencil imports DEFAULT_TOL from here
-
     _, k, m = _pair(op, range_of)
     u, s, _ = np.linalg.svd(m)
     cutoff = (s[0] * KERNEL_RTOL) if s.size and s[0] > 0 else np.inf

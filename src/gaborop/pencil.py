@@ -5,28 +5,30 @@ S - alpha P >= 0, the upper-side one the smallest beta with beta P - S >= 0.
 S may be given as the stack of diagonal blocks of a block-diagonal matrix,
 with grams on the same blocks or one gram block that every block repeats;
 every threshold is taken relative to the top eigenvalue over all blocks, so
-each block is judged as it is inside the whole matrix.  :func:`solve_pencils`
-solves both sides in three batched stages:
+each block is judged as it is inside the whole matrix.  Both sides follow one
+rule on a pair (by, other): (S, P) for alpha and (P, S) for beta, each
+solved on the range of ``by``.  :func:`solve_pencils` solves both sides in
+three batched stages:
 
 1. S and the two grams are written into one buffer, Hermitised there, and
-   take one ``eigh``.  The existence verdicts (kernel inclusion by Rayleigh
-   quotients), the spectra and the whitening below all read it.
-2. The closed form of the generalized eigenproblem on the range of each gram
+   take one ``eigh``.  The existence verdicts (ker by <= ker other, by
+   Rayleigh quotients), the spectrum and the whitening below all read it.
+2. The closed form of the generalized eigenproblem on the range of ``by``
    (Golub & Van Loan, *Matrix Computations*, 8.7): with W the inverse square
-   root of a gram block on its range, beta is the top eigenvalue of W S W
-   over the blocks, and alpha the least one of W (S / ker P) W, the Schur
-   complement of S on the gram's kernel (one ``eigh`` per kernel dimension
-   inverts S there).  The whitened blocks of both sides take one
-   ``eigvalsh`` per distinct dimension, and each constant records the block
-   where it is attained.
+   root of a block of ``by`` on its range and 0 on its kernel, beta is the
+   top eigenvalue of W S W over the blocks, and alpha the reciprocal of the
+   top eigenvalue of W P W.  Once ker by <= ker other, other vanishes on
+   ker by up to the existence tolerance, so nothing couples there.  The
+   whitened blocks of both sides, all of the full block size, take one
+   ``eigvalsh``, and each constant records the block where it is attained.
 3. Each constant is certified by the least eigenvalue of the pencil at it
    (``min_eig_at``, over all blocks, >= -slack) and one relative step past it
    on the extreme block (``min_eig_past``, < 0); both sides' pencils fill one
    buffer and take one ``eigvalsh``.  A block-diagonal pencil fails to be PSD
    iff one of its blocks does, and one step past a correct constant the
-   extreme block is the one that must fail.  On the kernel that S and the
-   gram share there, where the pencil is zero up to rounding at every
-   constant, the step past is lifted by the slack.
+   extreme block is the one that must fail.  On ker by, where the pencil is
+   zero up to rounding at every constant, the step past is lifted by the
+   slack.
 
 Bisection on the least eigenvalue of the pencil is the test oracle; it
 lives in ``tests/helpers.py``, not in the library.
@@ -39,15 +41,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .operators import DEFAULT_TOL
+from .operators import DEFAULT_TOL, KERNEL_RTOL
 
 __all__ = [
     "PencilSolution",
     "solve_pencils",
 ]
 
-KERNEL_RTOL = 1e-9  # relative eigenvalue threshold for kernel detection
-CERT_SLACK_RTOL = 1e-12  # relative to the larger top eigenvalue of S and c * P
+CERT_SLACK_RTOL = 1e-12  # relative to the larger top eigenvalue of the pencil's two terms
 CERT_STEP = 1e-6
 
 
@@ -86,19 +87,19 @@ def _decomposed(*parts: np.ndarray) -> list[_Part]:
     return decomposed
 
 
-def _contained(vecs: np.ndarray, kernel: np.ndarray, b: np.ndarray, b_top: float,
-               tol: float) -> bool:
-    """Whether the Rayleigh quotients of b on the eigenvector columns ``vecs``
-    marked ``kernel`` are <= tol * b_top (either side may be a block stack)."""
-    if b_top <= 0.0 or not kernel.any():
-        return True  # b vanishes, or nothing to contain
-    quotients = np.real(np.sum(np.conj(vecs) * (b @ vecs), axis=-2))
-    return bool(np.max(quotients, where=kernel, initial=-np.inf) <= tol * b_top)
+def _contained(by: _Part, other: _Part, tol: float) -> bool:
+    """Whether ker by <= ker other: the Rayleigh quotients of ``other`` on the
+    kernel eigenvectors of ``by`` are <= tol * other.top (either may be one
+    block that every block repeats)."""
+    if other.top <= 0.0 or not by.kernel.any():
+        return True  # other vanishes, or nothing to contain
+    quotients = np.real(np.sum(np.conj(by.vecs) * (other.h @ by.vecs), axis=-2))
+    return bool(np.max(quotients, where=by.kernel, initial=-np.inf) <= tol * other.top)
 
 
 def _congruence(q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Q^* s_b Q for every block s_b of the Hermitian stack s, with Q the one
-    block of q or the block of q at the same position."""
+    """Q^* s_b Q at every block position of the stacks q and s (either may be
+    one block that every block repeats)."""
     if len(q) > 1:
         return np.swapaxes(q.conj(), -1, -2) @ s @ q
     # (s_b Q)^* Q as two 2-D products, not a stack of small ones
@@ -106,111 +107,80 @@ def _congruence(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (np.swapaxes(x, -1, -2).conj().reshape(-1, s.shape[-1]) @ q[0]).reshape(s.shape)
 
 
-def _whitened(s: _Part, gram: _Part, lower: bool):
-    """Yield (blocks of s, whitened matrices) for one side against ``gram``:
-    W (s / ker p) W (``lower``) or W s W on the blocks where the gram p has
-    kernel dimension k, for each k below the block size, W the inverse
-    square root of p on its range.  A block where the gram vanishes
-    constrains neither side (s vanishes there too once ker p <= ker s).
-
-    ``eigh`` sorts ascending, so each block's k kernel columns lead.  One
-    congruence Q^* s Q, with Q the eigenvectors of p and its range columns
-    scaled by W, holds W s W on the range, s on the kernel and their
-    coupling; the Schur complements of one k take one ``eigh``.
-    """
-    dims = gram.kernel.sum(axis=-1)
-    q = gram.vecs / np.sqrt(np.where(gram.kernel, 1.0, gram.vals))[..., None, :]
-    congruent = _congruence(q, s.h)
-    # where s is at rounding level on ker p it has no coupling (the level is
-    # that of the whole matrix, of dimension B * d)
-    cutoff = s.h.shape[0] * s.h.shape[-1] * np.finfo(float).eps * s.top
-    for k in sorted(set(dims[dims < gram.vals.shape[-1]].tolist())):
-        rows = dims == k
-        rows = slice(None) if rows.all() else rows  # a view, not a copy, when k is common
-        block = congruent[rows]
-        whitened = block[..., k:, k:]
-        if lower and k:
-            k_vals, k_vecs = np.linalg.eigh(block[..., :k, :k])
-            coupling = block[..., k:, :k] @ k_vecs
-            inverse = np.divide(1.0, k_vals, out=np.zeros_like(k_vals), where=k_vals > cutoff)
-            whitened = whitened - (coupling * inverse[..., None, :]) @ np.swapaxes(
-                coupling.conj(), -1, -2)
-        yield rows, whitened
+def _whitened(by: _Part, other: _Part) -> np.ndarray:
+    """W other_b W on every block, with W the inverse square root of the
+    block of ``by`` on its range and 0 on its kernel: the congruence by the
+    eigenvectors of ``by`` scaled by W.  It vanishes on a block where ``by``
+    does, and so does ``other`` there once ker by <= ker other."""
+    q = by.vecs / np.sqrt(np.where(by.kernel, np.inf, by.vals))[..., None, :]
+    return _congruence(q, other.h)
 
 
-def _closed_form(spectra: dict, pieces: list, count: int, lower: bool) -> np.ndarray:
-    """The extreme eigenvalue of one side's whitened matrix on each of the
-    ``count`` blocks: the least one (``lower``) or the top one, and +inf or
-    -inf on a block the gram does not constrain.  ``pieces`` lists
-    (side, blocks, dimension, rows) of the solved ``spectra``, one ascending
-    eigenvalue stack per dimension."""
-    extremes = np.full(count, np.inf if lower else -np.inf)
-    for side, blocks, dim, rows in pieces:
-        if side == lower:
-            extremes[blocks] = spectra[dim][rows, 0 if lower else -1]
-    return extremes
+def _closed_form(spectra: np.ndarray, start: int, count: int, lower: bool) -> np.ndarray:
+    """One side's constant on each of its ``count`` blocks, whose ascending
+    whitened eigenvalues are the rows of ``spectra`` from ``start``: the
+    reciprocal of the top one for alpha (``lower``; +inf on a block where
+    the top is not positive, which does not constrain alpha), the top one
+    for beta."""
+    tops = spectra[start:start + count, -1]
+    if not lower:
+        return tops
+    return np.divide(1.0, tops, out=np.full(count, np.inf), where=tops > 0.0)
 
 
-def _closed_forms(s: _Part, grams: dict) -> dict:
-    """{side: per-block extremes} for the sides {lower: gram}, with the
-    whitened matrices of both sides solved in one ``eigvalsh`` per distinct
-    dimension."""
-    pieces, stacks = [], {}
-    for lower, gram in grams.items():
-        for blocks, whitened in _whitened(s, gram, lower):
-            dim = whitened.shape[-1]
-            stack = stacks.setdefault(dim, [])
-            start = sum(map(len, stack))
-            pieces.append((lower, blocks, dim, slice(start, start + len(whitened))))
-            stack.append(whitened)
-    spectra = {dim: np.linalg.eigvalsh(stack[0] if len(stack) == 1 else np.concatenate(stack))
-               for dim, stack in stacks.items()}
-    return {lower: _closed_form(spectra, pieces, len(s.h), lower) for lower in grams}
+def _closed_forms(sides: dict) -> dict:
+    """{name: per-block constants} for the sides {name: (by, other)}, with
+    the whitened blocks of all sides solved in one ``eigvalsh``."""
+    whitened = [_whitened(by, other) for by, other in sides.values()]
+    spectra = np.linalg.eigvalsh(whitened[0] if len(whitened) == 1 else np.concatenate(whitened))
+    count = len(whitened[0])
+    return {name: _closed_form(spectra, i * count, count, name == "alpha")
+            for i, name in enumerate(sides)}
 
 
-def _pencil(s: np.ndarray, p: np.ndarray, c: float, lower: bool, out: np.ndarray) -> None:
-    """Write s - c p (``lower``) or c p - s into ``out``."""
-    np.multiply(p, c, out=out)
+def _pencil(by: np.ndarray, other: np.ndarray, c: float, lower: bool, out: np.ndarray) -> None:
+    """Write by - c other (``lower``: S - c P) or c by - other (c P - S) into ``out``."""
+    np.multiply(other if lower else by, c, out=out)
     if lower:
-        np.subtract(s, out, out=out)
+        np.subtract(by, out, out=out)
     else:
-        np.subtract(out, s, out=out)
+        np.subtract(out, other, out=out)
 
 
 def _certificates(s: _Part, constants: dict) -> dict:
-    """{name: certificate} for the sides {name: (gram, constant, extreme
-    block)}: the least eigenvalue of sign * (s - c p) at c = const over all
-    blocks must be >= -slack and, unless const is 0, < 0 at
-    c = const * (1 + sign * CERT_STEP) on the extreme block (sign = +1 for
-    alpha, -1 for beta).  Every pencil fills one buffer for one ``eigvalsh``.
+    """{name: certificate} for the sides {name: (by, other, constant, extreme
+    block)}: the least eigenvalue of the pencil S - c P (alpha) or c P - S
+    (beta) at c = const over all blocks must be >= -slack and, unless const
+    is 0, < 0 one relative step past it, at c = const * (1 + CERT_STEP) for
+    alpha and const * (1 - CERT_STEP) for beta, on the extreme block.  Every
+    pencil fills one buffer for one ``eigvalsh``.
 
-    On the kernel that s and p share (ker s for alpha, ker p for beta) the
-    pencil is zero up to rounding at every c, so there the step past is
-    lifted by the slack: a rounding error below zero would pass a constant
-    that is not extremal.  Adding a PSD term keeps a negative eigenvalue a
-    proof that the pencil is not PSD."""
+    On ker by the pencil is zero up to rounding at every c, so there the step
+    past is lifted by the slack: a rounding error below zero would pass a
+    constant that is not extremal.  Adding a PSD term keeps a negative
+    eigenvalue a proof that the pencil is not PSD."""
     count = len(s.h)
-    pencils = np.empty((sum(count + (const > 0) for _, const, _ in constants.values()),)
+    pencils = np.empty((sum(count + (const > 0) for *_, const, _ in constants.values()),)
                        + s.h.shape[1:], dtype=s.h.dtype)
     start, spans, slacks = 0, {}, {}
-    for name, (gram, const, block) in constants.items():
+    for name, (by, other, const, block) in constants.items():
         lower = name == "alpha"
         spans[name] = start
-        slacks[name] = CERT_SLACK_RTOL * max(s.top, const * gram.top)
-        _pencil(s.h, gram.h, const, lower, pencils[start:start + count])
+        terms = (by.top, const * other.top) if lower else (const * by.top, other.top)
+        slacks[name] = CERT_SLACK_RTOL * max(terms)
+        _pencil(by.h, other.h, const, lower, pencils[start:start + count])
         start += count
         if const > 0:
-            g = block if len(gram.h) > 1 else 0
+            b, o = block % len(by.h), block % len(other.h)
             past = const * (1.0 + (CERT_STEP if lower else -CERT_STEP))
-            _pencil(s.h[block], gram.h[g], past, lower, pencils[start])
-            shared, b = (s, block) if lower else (gram, g)
-            q = shared.vecs[b][:, shared.kernel[b]]
+            _pencil(by.h[b], other.h[o], past, lower, pencils[start])
+            q = by.vecs[b][:, by.kernel[b]]
             if q.size:
                 pencils[start] += slacks[name] * (q @ q.conj().T)
             start += 1
     least = np.linalg.eigvalsh(pencils)[:, 0]
     certificates = {}
-    for name, (_, const, _) in constants.items():
+    for name, (*_, const, _) in constants.items():
         start, slack = spans[name], slacks[name]
         at = float(least[start:start + count].min())
         past = float(least[start + count]) if const > 0 else None
@@ -221,14 +191,14 @@ def _certificates(s: _Part, constants: dict) -> dict:
 
 @dataclass(frozen=True)
 class PencilSolution:
-    """Verdicts, constants (None when absent), ascending spectra of S and both
-    grams, and a certificate per constant keyed ``alpha``/``beta``."""
+    """Verdicts, constants (None when absent), the ascending spectrum of S
+    and a certificate per constant keyed ``alpha``/``beta``."""
 
     lower_exists: bool
     upper_exists: bool
     alpha: Optional[float]
     beta: Optional[float]
-    spectra: dict
+    spectrum: list
     certificates: dict
 
 
@@ -247,27 +217,20 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
     positive alpha exists iff ker S <= ker lower_gram and a finite beta iff
     ker upper_gram <= ker S, judged by Rayleigh quotients relative to the top
     eigenvalue (``tol``).  alpha is None also when lower_gram vanishes.  The
-    spectra hold all B * d eigenvalues.
+    spectrum holds all B * d eigenvalues of S.
     """
     s, lo, up = _decomposed(_stack(s), _stack(lower_gram), _stack(upper_gram))
-    lower_exists = _contained(s.vecs, s.kernel, lo.h, lo.top, tol)
-    upper_exists = _contained(up.vecs, up.kernel, s.h, s.top, tol)
-    grams = {lower: gram for lower, gram, exists in ((True, lo, lower_exists),
-                                                     (False, up, upper_exists)) if exists}
+    sides = {"alpha": (s, lo), "beta": (up, s)}  # (by, other): solved on the range of by
+    exists = {name: _contained(by, other, tol) for name, (by, other) in sides.items()}
+    solved = {name: side for name, side in sides.items() if exists[name]}
     constants = {}
-    for lower, extremes in _closed_forms(s, grams).items():
-        block = int(np.argmin(extremes) if lower else np.argmax(extremes))
-        if np.isfinite(extremes[block]):
-            const = max(0.0, float(extremes[block]))
-        elif lower:
+    for name, per_block in (_closed_forms(solved) if solved else {}).items():
+        block = int(np.argmin(per_block) if name == "alpha" else np.argmax(per_block))
+        if np.isinf(per_block[block]):
             continue  # the gram vanishes: every alpha works
-        else:
-            const = 0.0  # ker p <= ker s with p = 0 forces s = 0
-        constants["alpha" if lower else "beta"] = (grams[lower], const, block)
+        constants[name] = (*solved[name], max(0.0, float(per_block[block])), block)
     certificates = _certificates(s, constants) if constants else {}
-    alpha, beta = (constants[name][1] if name in constants else None
+    alpha, beta = (constants[name][2] if name in constants else None
                    for name in ("alpha", "beta"))
-    # a gram given as one block repeats its eigenvalues on every block
-    spectra = {name: np.repeat(np.sort(part.vals, axis=None), len(s.h) // len(part.h)).tolist()
-               for name, part in (("frame_operator", s), ("lower_gram", lo), ("upper_gram", up))}
-    return PencilSolution(lower_exists, upper_exists, alpha, beta, spectra, certificates)
+    return PencilSolution(exists["alpha"], exists["beta"], alpha, beta,
+                          np.sort(s.vals, axis=None).tolist(), certificates)

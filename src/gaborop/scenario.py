@@ -575,7 +575,7 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
             name = spectra_file(spectra_path, label, len(outcome.spectra) == 1)
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("index,eigenvalue\n")
-                for i, v in enumerate(sorted(rep.spectra.get("frame_operator", []))):
+                for i, v in enumerate(rep.spectra["frame_operator"]):
                     fh.write(f"{i},{v!r}\n")
             spectra_files[label] = rep.spectrum_file = str(name)
 

@@ -428,8 +428,9 @@ def test_window_scaling_scales_constants(case, c, phase):
 
 
 def test_theta_bounds_eigensolver_budget(monkeypatch):
-    # one eigendecomposition per matrix plus a fixed number of small and
-    # certificate solves, independent of the group size
+    # one eigh of S and both grams, one eigvalsh of the whitened blocks of
+    # both sides and one of both certificates' pencils, whatever the size or
+    # the kernels
     calls = []
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
         def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
@@ -445,7 +446,7 @@ def test_theta_bounds_eigensolver_budget(monkeypatch):
         assert rep.tight
         counts[system.space.dim] = len(calls)
     assert sorted(counts) == [64, 128]
-    assert counts[64] == counts[128] <= 5
+    assert counts[64] == counts[128] == 3
 
 
 def _relabelled(system, matrix):

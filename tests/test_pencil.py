@@ -39,9 +39,10 @@ def test_reference_pencil_values():
     assert abs(sol.beta - 10.0) < 1e-10
 
 
-def test_coupled_kernel_needs_schur_complement():
-    # kernel of p couples to s: the optimum uses the kernel direction, and
-    # the Schur-complement closed form must match the bisection exactly
+def test_coupled_kernel_alpha_matches_bisection():
+    # the kernel of p couples to s: the optimum uses the kernel direction,
+    # and the reciprocal form, 1 / top(S^-1/2 p S^-1/2), must match the
+    # bisection exactly
     s = np.array([[1.0, 0.9], [0.9, 1.0]], dtype=complex)
     p = np.diag([1.0, 0.0]).astype(complex)
     alpha_bis = bisect_max_alpha(s, p)
@@ -175,10 +176,11 @@ def test_certificate_rejects_a_corrupted_constant(monkeypatch, which, factor):
     assert not bad.certificates[which]["holds"]
 
 
-def test_schur_complement_ignores_rounding_on_ker_p(rng):
-    # s = proj s proj vanishes on ker p only up to rounding; inverting that
-    # noise in the Schur complement puts alpha off by ~1e-12 relative, past
-    # the slack of its certificate
+def test_reciprocal_form_ignores_rounding_on_ker_p(rng):
+    # s = proj s proj vanishes on ker p only up to rounding; the reciprocal
+    # form whitens by s on its range only, since scaling p's rounding on that
+    # noise by its inverse square root would put alpha off, past the slack of
+    # its certificate
     dim = 6
     for _ in range(1000):
         s = _random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
