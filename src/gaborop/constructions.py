@@ -6,9 +6,9 @@
   into a t-tight matrix-valued system, then the image under a hyponormal,
   matrix-adjointable operator as a t-tight operator-controlled frame;
 * operator images, with companion checkers for the frame-preservation
-  statements they are expected to satisfy: an entry map acts pointwise, so
-  it commutes with translations and modulations and the image of a Gabor
-  system is the Gabor system of the mapped windows;
+  statements they are expected to satisfy: the image of a Gabor system
+  under an operator that maps each coset of the Walnut blocks into itself
+  is a Gabor system, and one build of its blocks serves each checker;
 * the coefficient-side characterisation: the synthesis operator Omega maps
   the standard coefficient basis onto the family, Omega Omega^* equals the
   frame operator, and the pencil constants of Omega Omega^* reproduce the
@@ -19,7 +19,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,14 +32,14 @@ from .frames import (
     _coset_operator,
     _frame_blocks,
     _theta_report,
+    _translates,
     ordinary_bounds,
     theta_bounds,
     valid_bounds,
 )
-from .groups import Subgroup, _coordinates, _pairing
+from .groups import GroupMismatchError, Subgroup, _coordinates, _pairing
 from .operators import (
     DEFAULT_TOL,
-    OperatorDiagnostics,
     SpaceOperator,
     _diagnostics,
     compose,
@@ -105,17 +105,6 @@ def scalar_parseval_system(group, measure=None, lattice: Subgroup | None = None,
     )
 
 
-def _hypotheses(theta: SpaceOperator, system, tol: float) -> OperatorDiagnostics:
-    """The diagnostics behind the hyponormality and adjointability hypotheses:
-    taken on the coset blocks of the Gabor ``system`` when ``theta`` is dense
-    and maps each coset into itself, so no D x D solve runs, else on the
-    matrix of ``theta``."""
-    blocks = None
-    if theta.kind == "dense" and isinstance(system, GaborSystem):
-        blocks = _coset_operator(system, theta)
-    return _diagnostics(theta, theta._rep() if blocks is None else blocks, tol)
-
-
 @dataclass
 class TightConstruction:
     """Diagonal-window tight system and its operator image, with reports."""
@@ -152,9 +141,14 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
     if theta.space != space:
         reasons.append("operator space does not match the requested dimension")
         return TightConstruction(tightness, False, reasons)
-    lattices = GaborSystem(space, (), scalar_system.lattice, scalar_system.dual_lattice,
-                           scalar_system.automorphism, scalar_system.dual_automorphism)
-    hypotheses = _hypotheses(theta, lattices, tol)
+    # a non-positive tightness is a reason above; its windows vanish
+    root = np.sqrt(max(tightness, 0.0))
+    diagonal = replace(scalar_system, space=space, windows=tuple(
+        MatrixSignal(space, root * w.values[:, :1, :1] * np.eye(n))
+        for w in scalar_system.windows))
+    # one build of the image's blocks serves the hypotheses and its report
+    blocks = _frame_blocks(image_system(theta, diagonal), theta)
+    hypotheses = _diagnostics(theta, blocks.op, tol)
     if not hypotheses.is_hyponormal:
         reasons.append("operator is not hyponormal")
     if not hypotheses.is_mv_adjointable:
@@ -162,18 +156,8 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
     if reasons:
         return TightConstruction(tightness, False, reasons)
 
-    root = np.sqrt(tightness)
-    eye = np.eye(n)
-    windows = []
-    for w in scalar_system.windows:
-        values = root * w.values[:, 0, 0][:, None, None] * eye[None, :, :]
-        windows.append(MatrixSignal(space, values))
-    diagonal = GaborSystem(
-        space, tuple(windows), scalar_system.lattice, scalar_system.dual_lattice,
-        scalar_system.automorphism, scalar_system.dual_automorphism,
-    )
     diag_report = ordinary_bounds(diagonal, tol)
-    image_report = theta_bounds(image_system(theta, diagonal), theta, tol)
+    image_report = _theta_report(blocks, tol)
     lower_valid, upper_valid = valid_bounds(image_report, tightness, tightness, tol)
     return TightConstruction(
         tightness, True, [], diagonal, diag_report, image_report,
@@ -184,13 +168,24 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
 def image_system(op: SpaceOperator, system) -> GaborSystem | VectorFamily:
     """The images of every system member under ``op``.
 
-    An entry map commutes with every translation and modulation, so the image
-    of a Gabor system is the Gabor system of the mapped windows on the same
-    lattices and automorphisms; a dense operator or a family gives the
-    family of mapped members.
+    An entry map commutes with every translation and modulation, and a dense
+    operator that maps each coset of Gamma^perp into itself commutes with
+    every modulation in Gamma, which is constant on a coset.  So the image of
+    a Gabor system is the Gabor system of the mapped windows on the same
+    lattices, or of the mapped translates T(g_l(. - A a)), in (l, a) order,
+    over the trivial lattice and the same modulations.  Any other operator,
+    or a family, gives the family of mapped members.
     """
+    if op.space != system.space:
+        raise GroupMismatchError("operator does not act on the system's space")
     if isinstance(system, GaborSystem) and op.kind == "entry_map":
         return system.with_windows([op(w) for w in system.windows])
+    if isinstance(system, GaborSystem) and _coset_operator(system, op) is not None:
+        translates = _translates(system)
+        mapped = op.apply_array(translates).reshape(-1, *translates.shape[2:])
+        return GaborSystem(system.space, VectorFamily(system.space, mapped).members,
+                           Subgroup.trivial(system.space.group), system.dual_lattice,
+                           dual_automorphism=system.dual_automorphism)
     return _as_family(system).transformed(op)
 
 
@@ -212,14 +207,16 @@ def check_image_frame(theta: SpaceOperator, system, tol: float = DEFAULT_TOL) ->
     controlled bounds for the image family; validity is checked against the
     computed extremal constants either way.
     """
-    diagnosed = _hypotheses(theta, system, tol)
+    # one build of the image's blocks serves the hypotheses and its report
+    blocks = _frame_blocks(image_system(theta, system), theta)
+    diagnosed = _diagnostics(theta, blocks.op, tol)
     hypotheses = {
         "hyponormal": diagnosed.is_hyponormal,
         "self_commutator_min_eig": diagnosed.self_commutator_min_eig,
         "mv_adjointable": diagnosed.is_mv_adjointable,
     }
     source_report = ordinary_bounds(system, tol)
-    image_report = theta_bounds(image_system(theta, system), theta, tol)
+    image_report = _theta_report(blocks, tol)
     bounds_valid = None
     if source_report.lower_exists:
         bounds_valid = all(valid_bounds(image_report, source_report.alpha_opt,

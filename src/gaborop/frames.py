@@ -124,9 +124,7 @@ class GaborSystem:
         group = self.space.group
         etas = self.dual_automorphism.apply(self.dual_lattice.coords)
         phases = _characters(group, etas[:, None, :], _coordinates(group))  # (|Gamma|, |G|)
-        # g_l(x - A k) for every window l, lattice point k and point x
-        shifts = self.automorphism.apply(self.lattice.coords)
-        shifted = _windows(self)[:, _positions(group, _coordinates(group) - shifts[:, None, :])]
+        shifted = _translates(self)
         array = shifted[:, :, None] * phases[:, :, None, None]
         ks, ms = self.lattice.coords.tolist(), self.dual_lattice.coords.tolist()
         labels = [(l, tuple(k), tuple(m)) for l in range(len(self.windows)) for k in ks for m in ms]
@@ -145,6 +143,14 @@ def _windows(system: GaborSystem) -> np.ndarray:
     # the reshape gives zero windows their (0, |G|, n, n) shape
     return np.array([w.values for w in system.windows], dtype=np.complex128).reshape(
         len(system.windows), group.order, n, n)
+
+
+def _translates(system: GaborSystem) -> np.ndarray:
+    """g_l(x - A a) for every window l, lattice point a and point x, as one
+    (L, |lattice|, |G|, n, n) array."""
+    group = system.space.group
+    shifts = system.automorphism.apply(system.lattice.coords)
+    return _windows(system)[:, _positions(group, _coordinates(group) - shifts[:, None, :])]
 
 
 def _as_family(obj) -> VectorFamily:

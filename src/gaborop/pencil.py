@@ -11,8 +11,8 @@ solved on the range of ``by``.  :func:`solve_pencils` solves both sides in
 three batched stages:
 
 1. S and the two grams are written into one buffer, Hermitised there, and
-   take one ``eigh``.  The existence verdicts (ker by <= ker other, by
-   Rayleigh quotients), the spectrum and the whitening below all read it.
+   take one ``eigh``.  The existence verdicts (ker by <= ker other, by the
+   trace of other on ker by), the spectrum and the whitening below all read it.
 2. The closed form of the generalized eigenproblem on the range of ``by``
    (Golub & Van Loan, *Matrix Computations*, 8.7): with W the inverse square
    root of a block of ``by`` on its range and 0 on its kernel, beta is the
@@ -26,9 +26,9 @@ three batched stages:
    on the extreme block (``min_eig_past``, < 0); both sides' pencils fill one
    buffer and take one ``eigvalsh``.  A block-diagonal pencil fails to be PSD
    iff one of its blocks does, and one step past a correct constant the
-   extreme block is the one that must fail.  On ker by, where the pencil is
-   zero up to rounding at every constant, the step past is lifted by the
-   slack.
+   extreme block is the one that must fail.  On ker by the pencil is the
+   negated other term, which the existence test bounds by tol times its top
+   (by its trace there), so every pencil is lifted there by that much.
 
 Bisection on the least eigenvalue of the pencil is the test oracle; it
 lives in ``tests/helpers.py``, not in the library.
@@ -88,13 +88,14 @@ def _decomposed(*parts: np.ndarray) -> list[_Part]:
 
 
 def _contained(by: _Part, other: _Part, tol: float) -> bool:
-    """Whether ker by <= ker other: the Rayleigh quotients of ``other`` on the
-    kernel eigenvectors of ``by`` are <= tol * other.top (either may be one
-    block that every block repeats)."""
+    """Whether ker by <= ker other: on every block, the sum of the Rayleigh
+    quotients of ``other`` on the kernel eigenvectors of ``by`` (the trace of
+    ``other`` on ker by, which bounds its top eigenvalue there) is
+    <= tol * other.top (either may be one block that every block repeats)."""
     if other.top <= 0.0 or not by.kernel.any():
         return True  # other vanishes, or nothing to contain
     quotients = np.real(np.sum(np.conj(by.vecs) * (other.h @ by.vecs), axis=-2))
-    return bool(np.max(quotients, where=by.kernel, initial=-np.inf) <= tol * other.top)
+    return bool(np.sum(quotients, axis=-1, where=by.kernel).max() <= tol * other.top)
 
 
 def _congruence(q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -147,7 +148,13 @@ def _pencil(by: np.ndarray, other: np.ndarray, c: float, lower: bool, out: np.nd
         np.subtract(out, other, out=out)
 
 
-def _certificates(s: _Part, constants: dict) -> dict:
+def _kernel_projector(by: _Part) -> np.ndarray:
+    """The orthogonal projector on ker by, per block of ``by``."""
+    q = by.vecs * by.kernel[..., None, :]
+    return q @ np.swapaxes(q.conj(), -1, -2)
+
+
+def _certificates(s: _Part, constants: dict, tol: float) -> dict:
     """{name: certificate} for the sides {name: (by, other, constant, extreme
     block)}: the least eigenvalue of the pencil S - c P (alpha) or c P - S
     (beta) at c = const over all blocks must be >= -slack and, unless const
@@ -155,10 +162,12 @@ def _certificates(s: _Part, constants: dict) -> dict:
     alpha and const * (1 - CERT_STEP) for beta, on the extreme block.  Every
     pencil fills one buffer for one ``eigvalsh``.
 
-    On ker by the pencil is zero up to rounding at every c, so there the step
-    past is lifted by the slack: a rounding error below zero would pass a
-    constant that is not extremal.  Adding a PSD term keeps a negative
-    eigenvalue a proof that the pencil is not PSD."""
+    On ker by the pencil is the negated other term up to rounding, at most
+    tol times its top there once ker by <= ker other (the existence test
+    bounds its trace).  So every pencil, at and past, is lifted there by tol
+    times the top of its other term: the rounding neither fails a correct
+    constant nor, below zero, passes one that is not extremal.  Adding a PSD
+    term keeps a negative eigenvalue a proof that the pencil is not PSD."""
     count = len(s.h)
     pencils = np.empty((sum(count + (const > 0) for *_, const, _ in constants.values()),)
                        + s.h.shape[1:], dtype=s.h.dtype)
@@ -168,15 +177,19 @@ def _certificates(s: _Part, constants: dict) -> dict:
         spans[name] = start
         terms = (by.top, const * other.top) if lower else (const * by.top, other.top)
         slacks[name] = CERT_SLACK_RTOL * max(terms)
+        kernel = _kernel_projector(by) if by.kernel.any() else None
+        # tol times the top of the pencil's other term at c: c P for alpha, S for beta
+        lift = lambda c: tol * (c if lower else 1.0) * other.top
         _pencil(by.h, other.h, const, lower, pencils[start:start + count])
+        if kernel is not None:
+            pencils[start:start + count] += lift(const) * kernel
         start += count
         if const > 0:
             b, o = block % len(by.h), block % len(other.h)
             past = const * (1.0 + (CERT_STEP if lower else -CERT_STEP))
             _pencil(by.h[b], other.h[o], past, lower, pencils[start])
-            q = by.vecs[b][:, by.kernel[b]]
-            if q.size:
-                pencils[start] += slacks[name] * (q @ q.conj().T)
+            if kernel is not None:
+                pencils[start] += lift(past) * kernel[b]
             start += 1
     least = np.linalg.eigvalsh(pencils)[:, 0]
     certificates = {}
@@ -215,9 +228,9 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
     a block-diagonal S; each gram is a (B, d, d) stack on the same blocks or
     one (d, d) block (or a (1, d, d) stack) that every block repeats.  A
     positive alpha exists iff ker S <= ker lower_gram and a finite beta iff
-    ker upper_gram <= ker S, judged by Rayleigh quotients relative to the top
-    eigenvalue (``tol``).  alpha is None also when lower_gram vanishes.  The
-    spectrum holds all B * d eigenvalues of S.
+    ker upper_gram <= ker S, judged by the trace of the one on the kernel of
+    the other, relative to its top eigenvalue (``tol``).  alpha is None also
+    when lower_gram vanishes.  The spectrum holds all B * d eigenvalues of S.
     """
     s, lo, up = _decomposed(_stack(s), _stack(lower_gram), _stack(upper_gram))
     sides = {"alpha": (s, lo), "beta": (up, s)}  # (by, other): solved on the range of by
@@ -229,7 +242,7 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
         if np.isinf(per_block[block]):
             continue  # the gram vanishes: every alpha works
         constants[name] = (*solved[name], max(0.0, float(per_block[block])), block)
-    certificates = _certificates(s, constants) if constants else {}
+    certificates = _certificates(s, constants, tol) if constants else {}
     alpha, beta = (constants[name][2] if name in constants else None
                    for name in ("alpha", "beta"))
     return PencilSolution(exists["alpha"], exists["beta"], alpha, beta,

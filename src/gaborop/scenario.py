@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
 from .constructions import (
@@ -94,8 +94,19 @@ def validate_scenario(raw: dict) -> dict:
     if isinstance(task, str) and task in _ARGS_VALIDATORS:
         errors += [(["args", *e.absolute_path], e)
                    for e in _ARGS_VALIDATORS[task].iter_errors(raw.get("args", {}))]
-    _check(errors)
+    _check(errors + _lattices_given_twice(raw))
     return raw
+
+
+def _lattices_given_twice(raw: dict) -> list:
+    """A (path, error) pair for each system lattice given both as ``lattice``
+    and as the flat ``lattice_gens`` (or both dual spellings): the schema lets
+    the pair through, and the build would ignore the ``_gens`` key."""
+    systems = raw.get("systems")
+    return [(["systems", i, f"{key}_gens"], ValidationError(f"not allowed with {key!r}"))
+            for i, system in enumerate(systems if isinstance(systems, list) else [])
+            if isinstance(system, dict)
+            for key in ("lattice", "dual_lattice") if {key, f"{key}_gens"} <= system.keys()]
 
 
 def _check(errors: list) -> None:
@@ -513,10 +524,14 @@ def _sum_check(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     second = _need(args, "second_system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
-    check, prediction = verify_sum(
-        system, second, theta, _pinned(args, "paper_bounds_first"),
-        _pinned(args, "paper_bounds_second"), tol,
-    )
+    try:
+        check, prediction = verify_sum(
+            system, second, theta, _pinned(args, "paper_bounds_first"),
+            _pinned(args, "paper_bounds_second"), tol,
+        )
+    except ValueError as e:  # the second system's upper bound, pinned or computed
+        key = "paper_bounds_second" if args.get("use_paper_bounds") else "second_system"
+        raise ScenarioError([f"$.args.{key}: {e}"]) from e
     return _Outcome(
         {"hypothesis": check, "prediction": prediction},
         {} if prediction.perturbed_report is None

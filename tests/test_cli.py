@@ -16,6 +16,7 @@ from gaborop.scenario import (
     ScenarioError,
     load_scenario,
     run_scenario,
+    validate_scenario,
 )
 
 REQUIRED_PRESETS = {
@@ -183,6 +184,29 @@ def test_dense_operator_from_file(tmp_path):
     reference = run_scenario(build_preset("exper1-negative"))
     assert report["results"]["controlled"]["lower_exists"] == \
         reference["results"]["controlled"]["lower_exists"]
+
+
+@pytest.mark.parametrize("preset", ["prop1a-image", "ex-after-thm2"])
+def test_dense_split_image_takes_the_coset_blocks(tmp_path, preset):
+    # the entry map written out as the dense kron(I, M) maps each coset into
+    # itself: its image is a Gabor system on the coset blocks, with the
+    # verdicts and (to 1e-12 relative) the constants of the entry map's report
+    scenario = build_preset(preset)
+    spec = scenario["operators"][0]
+    matrix = np.array(spec["matrix"], dtype=np.complex128)
+    np.kron(np.eye(scenario["group"]["factors"][0]), matrix).astype("<c16").tofile(
+        tmp_path / "op.bin")
+    scenario["operators"] = [{"name": spec["name"], "kind": "dense", "n": spec["n"],
+                              "data_file": "op.bin"}]
+    have = run_scenario(validate_scenario(scenario), base_dir=tmp_path)["results"]
+    have = have["image_report"]
+    want = run_scenario(build_preset(preset))["results"]["image_report"]
+    assert have["route"]["name"] == "walnut"
+    assert have["route"]["reason"] == "dense, zero off the coset blocks"
+    for name in ("lower_exists", "upper_exists", "tight"):
+        assert have[name] == want[name]
+    for name in ("alpha_opt", "beta_opt"):
+        assert have[name] == pytest.approx(want[name], rel=1e-12, abs=0.0)
 
 
 def test_values_window_scenario(tmp_path):
@@ -413,10 +437,14 @@ def _zero_second_windows(scenario):
     ("thm2-tight", lambda s: s["args"].update({"tightness": "x"}), "$.args.tightness: "),
     ("pertexa", lambda s: s["args"].update({"use_paper_bounds": True, "paper_bounds": [1]}),
      "$.args.paper_bounds: "),
-    ("sumexa", _zero_second_windows, "second system needs a positive upper bound"),
+    ("sumexa", _zero_second_windows,
+     "$.args.second_system: second system needs a positive upper bound"),
+    ("sumexa", lambda s: s["args"].update({"use_paper_bounds": True,
+                                           "paper_bounds_second": [0.0, 0.0]}),
+     "$.args.paper_bounds_second: second system needs a positive upper bound"),
     ("thm2-tight", _one_translate_source, "$.args.source_system: system is not tight"),
 ], ids=["negative-lambda", "no-dimension", "text-tightness", "short-paper-bounds",
-        "zero-second-windows", "non-tight-source"])
+        "zero-second-windows", "zero-pinned-second-bound", "non-tight-source"])
 def test_malformed_task_args_exit_2(tmp_path, capsys, preset, corrupt, message):
     scenario = build_preset(preset)
     corrupt(scenario)
@@ -424,6 +452,19 @@ def test_malformed_task_args_exit_2(tmp_path, capsys, preset, corrupt, message):
     path.write_text(json.dumps(scenario))
     assert main(["--scenario", str(path)]) == 2
     assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("lattice", "full"), ("dual_lattice", "trivial")])
+def test_lattice_given_twice_exits_2(tmp_path, capsys, key, value):
+    # a lattice given both ways would run on one and silently drop the other
+    scenario = build_preset("remark-theta0")
+    assert f"{key}_gens" in scenario["systems"][0]
+    scenario["systems"][0][key] = value
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    assert (f"scenario error: $.systems[0].{key}_gens: not allowed with {key!r}"
+            in capsys.readouterr().err)
 
 
 def test_missing_operator_file_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from gaborop import (
     FiniteAbelianGroup,
     GaborSystem,
+    GroupMismatchError,
     MatrixSignal,
     SpaceOperator,
     Subgroup,
@@ -160,6 +161,34 @@ def test_image_under_identity_is_same_family():
         assert np.abs(got.values - want.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["entry_map", "dense"])
+def test_image_under_an_operator_on_another_space_raises(kind):
+    system = swap_window_system()
+    other = torus_space(system.space.group.order, 1)
+    op = SpaceOperator.identity(other)
+    if kind == "dense":
+        op = SpaceOperator.from_dense(other, op.to_dense())
+    for image_of in (system, system.family()):
+        with pytest.raises(GroupMismatchError):
+            image_system(op, image_of)
+
+
+def test_dense_split_image_is_the_gabor_system_of_the_mapped_translates():
+    # kron(I, M) maps each coset into itself: the image is the Gabor system
+    # of the mapped translates over the trivial lattice, whose family is the
+    # image family in the order (l, a, m)
+    system = swap_window_system()
+    theta = pert_theta_op(system.space)
+    dense = SpaceOperator.from_dense(system.space, theta.to_dense())
+    image = image_system(dense, system)
+    assert isinstance(image, GaborSystem)
+    assert len(image.windows) == len(system.windows) * len(system.lattice)
+    assert (len(image.lattice), image.dual_lattice) == (1, system.dual_lattice)
+    assert image.dual_automorphism == system.dual_automorphism
+    want = system.family().transformed(theta).array
+    assert np.abs(image.family().array - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_selector_image_keeps_ten_tight_bounds():
     system = swap_window_system()
     report = check_image_frame(selector_op(system.space), system)
@@ -267,11 +296,10 @@ def test_omega_matches_direct_verdicts_randomised(rng):
 
 @pytest.mark.parametrize("matrix", [PERT_THETA, np.eye(4)], ids=["pert_theta", "identity"])
 def test_dense_split_operator_hypotheses_solve_on_the_blocks(monkeypatch, matrix):
-    # a dense kron(I_|G|, M) maps every coset into itself, so the hypothesis
-    # checks read it on the coset blocks: no D x D svd or eigvalsh, and the
-    # verdicts of the checks on its D x D matrix
-    import gaborop.constructions as constructions
-
+    # a dense kron(I_|G|, M) maps every coset into itself, so the image is a
+    # Gabor system, and the hypothesis checks and the image report read it
+    # on the coset blocks: no D x D svd or eigvalsh, and the verdicts of the
+    # checks on its D x D matrix
     system = swap_window_system(4)
     scalar = scalar_parseval_system(system.space.group)
     space = SignalSpace(scalar.space.group, 2, scalar.space.measure)
@@ -284,17 +312,6 @@ def test_dense_split_operator_hypotheses_solve_on_the_blocks(monkeypatch, matrix
                 sizes.append(args[0].shape[-1])
             return _solve(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
-
-    def quietly(*args, _bounds=constructions.theta_bounds, **kwargs):
-        # the image family of a dense operator is no Gabor system: its
-        # controlled report is one dense block, outside the hypothesis checks
-        quiet.append(True)
-        try:
-            return _bounds(*args, **kwargs)
-        finally:
-            quiet.pop()
-
-    monkeypatch.setattr(constructions, "theta_bounds", quietly)
     for theta, run in (
         (SpaceOperator.from_dense(system.space, dense),
          lambda theta: check_image_frame(theta, system).hypotheses),

@@ -35,6 +35,7 @@ from gaborop import (
     verify_perturbation,
     verify_sum,
 )
+from gaborop.frames import valid_bounds
 from gaborop.operators import DEFAULT_TOL
 from gaborop.scenario import TASKS
 from helpers import (
@@ -711,7 +712,8 @@ def _check_walnut_route(system, theta):
     _assert_same_report(ordinary, ordinary_bounds(system.family()))
     # the image under an entry map is the Gabor system of the mapped windows,
     # alone and with the composed operator; under the same map as a dense
-    # matrix it stays a family on the dense route
+    # matrix, which maps each coset into itself, it is the Gabor system of
+    # the mapped translates over the trivial lattice, on the coset blocks
     image = image_system(theta, system)
     image_report = theta_bounds(image, theta)
     _assert_zak_route(image_report, system)
@@ -721,10 +723,14 @@ def _check_walnut_route(system, theta):
     _assert_same_report(theta_bounds(image, squared), theta_bounds(family_image, squared))
     dense = SpaceOperator.from_dense(system.space, theta.to_dense())
     dense_image = image_system(dense, system)
-    assert isinstance(dense_image, VectorFamily)
+    assert isinstance(dense_image, GaborSystem) and len(dense_image.lattice) == 1
     dense_report = theta_bounds(dense_image, dense)
-    assert dense_report.route["reason"] == "not a Gabor system"
-    _assert_same_report(image_report, dense_report)
+    assert dense_report.route["reason"] == "dense, zero off the coset blocks"
+    _assert_zak_route(dense_report, dense_image)
+    family_report = theta_bounds(system.family().transformed(dense), dense)
+    assert family_report.route["reason"] == "not a Gabor system"
+    _assert_same_report(dense_report, family_report)
+    _assert_same_report(image_report, family_report)
     # the omega report on the coset factorisation of Omega against the dense
     # Omega oracle, whose gram is compared with S entry by entry (Zak cross
     # terms and off-block entries included)
@@ -842,6 +848,77 @@ def test_split_dense_operator_matches_dense_route(factors, seed, kind):
         rep = theta_bounds(system, SpaceOperator.from_dense(system.space, coupled))
         assert rep.route == {"name": "dense", "blocks": 1, "block_dim": system.space.dim,
                              "zak": 1, "reason": "dense, nonzero off the coset blocks"}
+
+
+@settings(max_examples=40)
+@given(factors=st.sampled_from([(8,), (12,), (4, 6)]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(_SPLIT_KINDS), hermitian=st.booleans())
+@example(factors=(4, 6), seed=1522, kind="right", hermitian=True)  # both hypotheses hold
+@example(factors=(8,), seed=0, kind="kron", hermitian=True)  # not adjointable, bounds fail
+def test_split_operator_images_match_family_route(factors, seed, kind, hermitian):
+    # the image check and the tight construction under a dense operator that
+    # maps each coset into itself (T, or the normal T + T*) take the image as
+    # the Gabor system of the mapped translates, on the coset blocks: the
+    # verdicts, constants and hypothesis fields of the family route, which
+    # maps every member and solves one D x D block; one nonzero entry off the
+    # blocks keeps the image a family
+    from gaborop import check_image_frame, scalar_parseval_system, tight_theta_frame
+    from gaborop.frames import _frame_blocks
+
+    system, theta = _walnut_case(factors, seed)
+    order = system.space.group.order
+    assume(len(system.lattice) < order and len(system.dual_lattice) < order)
+    rng = np.random.default_rng(seed)
+
+    def split(carrier):
+        op = _split_dense_operator(carrier, kind, theta.entry_matrix, rng)
+        return SpaceOperator.from_dense(carrier.space, op.to_dense() + op.to_dense().conj().T) \
+            if hermitian else op
+
+    op = split(system)
+    image = image_system(op, system)
+    assert isinstance(image, GaborSystem) and len(image.lattice) == 1
+    report = check_image_frame(op, system)
+    hypotheses, want = report.hypotheses, diagnostics(op)  # the D x D checks
+    assert (hypotheses["hyponormal"], hypotheses["mv_adjointable"]) == \
+        (want.is_hyponormal, want.is_mv_adjointable)
+    assert hypotheses["self_commutator_min_eig"] == pytest.approx(
+        want.self_commutator_min_eig, rel=0.0, abs=1e-12 * max(1.0, want.operator_norm) ** 2)
+    family = theta_bounds(system.family().transformed(op), op)
+    assert report.image_report.route["reason"] == "dense, zero off the coset blocks"
+    _assert_same_report(report.image_report, family)
+    source = report.source_report
+    assert report.bounds_valid == (
+        all(valid_bounds(family, source.alpha_opt, source.beta_opt))
+        if source.lower_exists else None)
+
+    index = _frame_blocks(system).index
+    if len(index) > 1:
+        coupled = op.to_dense().copy()
+        coupled[index[0, 0], index[1, -1]] = 1.0
+        coupled = SpaceOperator.from_dense(system.space, coupled)
+        assert isinstance(image_system(coupled, system), VectorFamily)
+        assert check_image_frame(coupled, system).image_report.route["reason"] == \
+            "not a Gabor system"
+
+    # the tight construction over a Parseval source on the full lattices,
+    # whose cosets are points: its split operators are pointwise
+    source = scalar_parseval_system(system.space.group)
+    space = SignalSpace(system.space.group, system.space.n, source.space.measure)
+    carrier = GaborSystem(space, (space.zero_signal(),), source.lattice, source.dual_lattice)
+    op = split(carrier)
+    construction = tight_theta_frame(2.0, source, space.n, op)
+    want = diagnostics(op)
+    assert construction.reasons == [reason for reason, holds in (
+        ("operator is not hyponormal", want.is_hyponormal),
+        ("operator is not adjointable for the matrix pairing", want.is_mv_adjointable),
+    ) if not holds]
+    if construction.hypothesis_ok:
+        diagonal = construction.diagonal_system
+        family = theta_bounds(diagonal.family().transformed(op), op)
+        _assert_same_report(construction.image_report, family)
+        assert (construction.lower_valid, construction.upper_valid) == \
+            valid_bounds(family, 2.0, 2.0)
 
 
 @settings(max_examples=30)

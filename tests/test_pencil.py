@@ -155,6 +155,35 @@ def test_vanishing_matrices_need_no_special_case():
     assert sol.upper_exists and sol.beta == 0.0 and sol.alpha is None
 
 
+def test_declared_side_passes_its_certificate():
+    # S's mass on ker P (6e-6) is within tol of S's top (9e4), so beta
+    # exists; the pencil beta P - S is -6e-6 there, below the slack of 9e-8,
+    # and passes only because the certificate lifts ker P by tol * top(S)
+    s = np.array([9e4, 1.0, 2.0, 3.0, 6e-6])[:, None, None].astype(complex)
+    upper = np.array([1.0, 1.0, 1.0, 1.0, 0.0])[:, None, None].astype(complex)
+    sol = solve_pencils(s, np.ones((1, 1, 1), dtype=complex), upper)
+    assert sol.upper_exists and sol.beta == pytest.approx(9e4, rel=1e-12)
+    cert = sol.certificates["beta"]
+    assert cert["slack"] < 6e-6 and cert["holds"], cert
+
+
+@pytest.mark.parametrize("mass,exists", [(0.4e-9, True), (0.6e-9, False)])
+def test_kernel_mass_is_bounded_by_its_trace(mass, exists):
+    # on the second block the gram vanishes in 2 dimensions, where S is
+    # mass * [[1, 1], [1, 1]]: each Rayleigh quotient on the gram's kernel
+    # basis is mass, but S's top eigenvalue there is 2 * mass, which the
+    # trace bounds; beta exists iff 2 * mass <= tol * top(S), and then its
+    # certificate holds
+    s = np.stack([np.eye(2), mass * np.ones((2, 2))]).astype(complex)
+    gram = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+    sol = solve_pencils(s, gram, gram)
+    assert sol.upper_exists == exists
+    assert sol.lower_exists and sol.alpha == pytest.approx(1.0, rel=1e-12)
+    if exists:
+        assert sol.beta == pytest.approx(1.0, rel=1e-12)
+    assert all(cert["holds"] for cert in sol.certificates.values()), sol.certificates
+
+
 @pytest.mark.parametrize("which,factor", [
     ("alpha", 1.01), ("alpha", 0.99), ("beta", 0.99), ("beta", 1.01),
 ])
