@@ -15,10 +15,10 @@ import json
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
+from numbers import Number
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
 from .constructions import (
@@ -58,13 +58,205 @@ SCENARIO_SCHEMA, REPORT_SCHEMA = (
     for name in ("scenario", "report")
 )
 
+# ---------------------------------------------------------------------------
+# schema checks: a compiled closure accepts, jsonschema explains a rejection
+
+
+def _is_number(x) -> bool:
+    """JSON Schema's ``number`` as jsonschema reads it: any Number but a bool."""
+    return type(x) in (int, float) or (not isinstance(x, bool) and isinstance(x, Number))
+
+
+def _is_integer(x) -> bool:
+    """JSON Schema's ``integer``: an int but a bool, or a float without a fraction."""
+    return ((isinstance(x, int) and not isinstance(x, bool))
+            or (isinstance(x, float) and x.is_integer()))
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+# the keywords the compiler turns into checks, and those it reads past
+_KEYWORDS = {"type", "enum", "const", "properties", "additionalProperties", "required",
+             "items", "minItems", "maxItems", "minimum", "exclusiveMinimum", "anyOf", "oneOf",
+             "if", "then", "else", "$ref"}
+_ANNOTATIONS = {"$defs", "$id", "$schema", "title"}
+
+
+def _equals_any(values: list):
+    """A check that an instance equals one of the scalar ``values``; as in
+    jsonschema, a bool equals only a bool."""
+    if all(isinstance(v, str) for v in values):
+        allowed = frozenset(values)
+        return lambda x: isinstance(x, str) and x in allowed
+    checks = []
+    for v in values:
+        if isinstance(v, bool):
+            checks.append(lambda x, v=v: x is v)
+        elif isinstance(v, str):
+            checks.append(lambda x, v=v: isinstance(x, str) and x == v)
+        elif _is_number(v):
+            checks.append(lambda x, v=v: _is_number(x) and x == v)
+        else:
+            raise ValueError(f"enum or const value {v!r} is not a scalar")
+    return lambda x: any(check(x) for check in checks)
+
+
+def _compiler(defs: dict):
+    """The function that compiles a schema into a check ``instance -> bool``.
+
+    The check answers only whether the instance is valid, as jsonschema's
+    Draft 2020-12 validator would; it gives no messages.  A ``$ref`` must name
+    an entry of ``defs`` (``#/$defs/<name>``); each entry is compiled once, a
+    recursive one looking itself up at call time.  A keyword outside
+    ``_KEYWORDS`` raises ValueError, so no rule of the schema goes unchecked.
+    """
+    table: dict = {}
+
+    def ref(target: str):
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in defs:
+            raise ValueError(f"$ref {target!r} is not an entry of the local $defs")
+        if name not in table:
+            table[name] = None  # a reference back into this entry resolves at call time
+            table[name] = compile(defs[name])
+        return table[name] or (lambda x: table[name](x))
+
+    def compile(schema: dict):
+        unknown = schema.keys() - _KEYWORDS - _ANNOTATIONS
+        if unknown:
+            raise ValueError(f"schema keyword(s) {sorted(unknown)} have no compiled check")
+        checks = []
+        if "type" in schema:
+            kind = schema["type"]
+            if not isinstance(kind, str) or kind not in _TYPES:
+                raise ValueError(f"type {kind!r} has no compiled check")
+            checks.append(_TYPES[kind])
+        if "enum" in schema:
+            checks.append(_equals_any(schema["enum"]))
+        if "const" in schema:
+            checks.append(_equals_any([schema["const"]]))
+        if "minimum" in schema:  # NaN compares false, so it passes, as in jsonschema
+            low = schema["minimum"]
+            checks.append(lambda x: not (_is_number(x) and x < low))
+        if "exclusiveMinimum" in schema:
+            above = schema["exclusiveMinimum"]
+            checks.append(lambda x: not (_is_number(x) and x <= above))
+        if schema.keys() & {"properties", "additionalProperties", "required"}:
+            checks.append(object_check(schema))
+        if schema.keys() & {"items", "minItems", "maxItems"}:
+            checks.append(array_check(schema))
+        if "anyOf" in schema:
+            any_of = [compile(s) for s in schema["anyOf"]]
+            checks.append(lambda x: any(check(x) for check in any_of))
+        if "oneOf" in schema:
+            one_of = [compile(s) for s in schema["oneOf"]]
+            checks.append(lambda x: sum(1 for check in one_of if check(x)) == 1)
+        if "if" in schema:
+            checks.append(conditional_check(schema))
+        if "$ref" in schema:
+            checks.append(ref(schema["$ref"]))
+        if len(checks) == 1:
+            return checks[0]
+
+        def check(x) -> bool:
+            for c in checks:
+                if not c(x):
+                    return False
+            return True
+
+        return check
+
+    def object_check(schema: dict):
+        props = {key: compile(s) for key, s in schema.get("properties", {}).items()}
+        extra = schema.get("additionalProperties", True)
+        if isinstance(extra, dict):
+            extra = compile(extra)
+        required = tuple(schema.get("required", ()))
+
+        def check(x) -> bool:
+            if not isinstance(x, dict):
+                return True
+            for key in required:
+                if key not in x:
+                    return False
+            for key, value in x.items():
+                prop = props.get(key)
+                if prop is not None:
+                    if not prop(value):
+                        return False
+                elif extra is not True and (extra is False or not extra(value)):
+                    return False
+            return True
+
+        return check
+
+    def conditional_check(schema: dict):
+        cond, then, other = (compile(schema[key]) if key in schema else None
+                             for key in ("if", "then", "else"))
+
+        def check(x) -> bool:
+            branch = then if cond(x) else other
+            return branch is None or branch(x)
+
+        return check
+
+    def array_check(schema: dict):
+        item = compile(schema["items"]) if "items" in schema else None
+        low, high = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+        return lambda x: not isinstance(x, list) or (
+            low <= len(x) <= high and (item is None or all(map(item, x))))
+
+    for name in defs:  # every entry meets the keyword rule, referenced or not
+        ref(f"#/$defs/{name}")
+    return compile
+
+
+class _Schema:
+    """One schema, accepted by its compiled check; jsonschema, imported and
+    built on the first rejection, explains what the check rejects."""
+
+    def __init__(self, schema: dict, compile):
+        self.schema = schema
+        self.accepts = compile(schema)
+        self._validator = None
+
+    def validator(self):
+        if self._validator is None:
+            from jsonschema import Draft202012Validator
+
+            self._validator = Draft202012Validator(self.schema)
+        return self._validator
+
+    def problems(self, instance, path=()) -> list:
+        """A (path, message) pair for every jsonschema error of ``instance``,
+        whose own paths follow ``path``; none when the compiled check accepts."""
+        if self.accepts(instance):
+            return []
+        pairs = []
+        for e in self.validator().iter_errors(instance):
+            at = [*path, *e.absolute_path]
+            if e.validator == "required":  # each missing key at its own path
+                pairs += [(at, f"{_where(at)}.{key}: required property is missing")
+                          for key in e.validator_value if key not in e.instance]
+            else:
+                pairs.append((at, f"{_where(at)}: {e.message}"))
+        return pairs
+
+
 _DEFS = SCENARIO_SCHEMA["$defs"]
-# one validator per scenario form, keyed on whether the form names a preset 'source'
-_FORM_VALIDATORS = {
-    "source" in form["properties"]: Draft202012Validator({"$defs": _DEFS, **form})
+_compile_scenario = _compiler(_DEFS)
+# one schema per scenario form, keyed on whether the form names a preset 'source'
+_FORMS = {
+    "source" in form["properties"]: _Schema({"$defs": _DEFS, **form}, _compile_scenario)
     for form in SCENARIO_SCHEMA["oneOf"]
 }
-_REPORT_VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
+_REPORT = _Schema(REPORT_SCHEMA, _compiler(REPORT_SCHEMA.get("$defs", {})))
 
 
 class ScenarioError(ValueError):
@@ -85,40 +277,37 @@ def validate_scenario(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ScenarioError(["$: scenario must be a JSON object"])
-    form = _FORM_VALIDATORS["source" in raw]
-    errors = [(list(e.absolute_path), e) for e in form.iter_errors(raw)]
+    errors = _FORMS["source" in raw].problems(raw)
     if "source" in raw:
         _check(errors)
         raw = expand_scenario(raw)
     task = raw.get("task")
-    if isinstance(task, str) and task in _ARGS_VALIDATORS:
-        errors += [(["args", *e.absolute_path], e)
-                   for e in _ARGS_VALIDATORS[task].iter_errors(raw.get("args", {}))]
+    if isinstance(task, str) and task in _ARGS:
+        errors += _ARGS[task].problems(raw.get("args", {}), ["args"])
     _check(errors + _lattices_given_twice(raw))
     return raw
 
 
+def _where(path) -> str:
+    """A field path as ``$.key[index]...``."""
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
 def _lattices_given_twice(raw: dict) -> list:
-    """A (path, error) pair for each system lattice given both as ``lattice``
+    """A (path, message) pair for each system lattice given both as ``lattice``
     and as the flat ``lattice_gens`` (or both dual spellings): the schema lets
     the pair through, and the build would ignore the ``_gens`` key."""
     systems = raw.get("systems")
-    return [(["systems", i, f"{key}_gens"], ValidationError(f"not allowed with {key!r}"))
+    return [(["systems", i, f"{key}_gens"],
+             f"$.systems[{i}].{key}_gens: not allowed with {key!r}")
             for i, system in enumerate(systems if isinstance(systems, list) else [])
             if isinstance(system, dict)
             for key in ("lattice", "dual_lattice") if {key, f"{key}_gens"} <= system.keys()]
 
 
 def _check(errors: list) -> None:
-    """Raise a ScenarioError naming the field path of every (path, schema error) pair."""
-    problems = []
-    for path, e in sorted(errors, key=lambda pair: pair[0]):
-        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-        if e.validator == "required":  # each missing key at its own path
-            problems += [f"{where}.{key}: required property is missing"
-                         for key in e.validator_value if key not in e.instance]
-        else:
-            problems.append(f"{where}: {e.message}")
+    """Raise a ScenarioError listing the messages of the (path, message) pairs in path order."""
+    problems = [message for _, message in sorted(errors, key=lambda pair: pair[0])]
     if problems:
         raise ScenarioError(dict.fromkeys(problems))  # a required error repeats per missing key
 
@@ -554,9 +743,9 @@ TASKS = {
     "pert_check": _pert_check,
     "sum_check": _sum_check,
 }
-# one args validator per task, keyed by the task: its $defs/<task>_args entry
-_ARGS_VALIDATORS = {task: Draft202012Validator({"$defs": _DEFS, **_DEFS[f"{task}_args"]})
-                    for task in TASKS}
+# one args schema per task, keyed by the task: its $defs/<task>_args entry
+_ARGS = {task: _Schema({"$defs": _DEFS, **_DEFS[f"{task}_args"]}, _compile_scenario)
+         for task in TASKS}
 
 
 def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
@@ -605,5 +794,6 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
         "provenance": {**outcome.provenance, "spectra_files": spectra_files},
         "timing_seconds": time.perf_counter() - start,
     }
-    _REPORT_VALIDATOR.validate(report)
+    if not _REPORT.accepts(report):
+        _REPORT.validator().validate(report)
     return report
