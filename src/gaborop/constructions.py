@@ -131,7 +131,7 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
     source raises ``ValueError``.
     """
     reasons: list[str] = []
-    if tightness <= 0:
+    if not tightness > 0:  # NaN fails too
         reasons.append("tightness must be positive")
     if scalar_system.space.n != 1:
         reasons.append("source system must be scalar (n=1)")
@@ -141,8 +141,8 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
     if theta.space != space:
         reasons.append("operator space does not match the requested dimension")
         return TightConstruction(tightness, False, reasons)
-    # a non-positive tightness is a reason above; its windows vanish
-    root = np.sqrt(max(tightness, 0.0))
+    # a tightness that is not positive is a reason above; its windows vanish
+    root = np.sqrt(tightness) if tightness > 0 else 0.0
     diagonal = replace(scalar_system, space=space, windows=tuple(
         MatrixSignal(space, root * w.values[:, :1, :1] * np.eye(n))
         for w in scalar_system.windows))

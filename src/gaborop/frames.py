@@ -453,9 +453,13 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
 
     The closed-form constants of :func:`gaborop.pencil.solve_pencils` are
     reported and repeated in ``cross_check`` (``alpha_pinv``/``beta_pinv``)
-    beside their residual certificates (``alpha_certificate``/...); ``route``
-    says whether the coset blocks or the dense matrix were solved, and its
-    ``reason`` why the operator took that route.
+    beside their residual certificates (``alpha_certificate``/...).  Both
+    sides solve for the least c with c by - other >= 0, beta = c on
+    (T* T, S) and alpha = 1 / c on (S, T T*); so each certificate reads its
+    pencil in that form, beta T* T - S and (1/alpha) S - T T*, the lower
+    pencil divided by alpha.  ``route`` says whether the coset blocks or the
+    dense matrix were solved, and its ``reason`` why the operator took that
+    route.
     """
     return _theta_report(_frame_blocks(system, theta), tol)
 

@@ -470,9 +470,10 @@ class MeasurePair:
     order: int
 
     def __post_init__(self):
-        if self.w_group <= 0 or self.w_dual <= 0:
+        # each test is written so that NaN fails it
+        if not (self.w_group > 0 and self.w_dual > 0):
             raise ValueError("point masses must be positive")
-        if abs(self.w_group * self.w_dual * self.order - 1.0) > 1e-12:
+        if not abs(self.w_group * self.w_dual * self.order - 1.0) <= 1e-12:
             raise ValueError(
                 "inconsistent normalisation: w_group * w_dual * |G| must equal 1"
             )

@@ -5,29 +5,32 @@ S - alpha P >= 0, the upper-side one the smallest beta with beta P - S >= 0.
 S may be given as the stack of diagonal blocks of a block-diagonal matrix,
 with grams on the same blocks or one gram block that every block repeats;
 every threshold is taken relative to the top eigenvalue over all blocks, so
-each block is judged as it is inside the whole matrix.  Both sides follow one
-rule on a pair (by, other): (S, P) for alpha and (P, S) for beta, each
-solved on the range of ``by``.  :func:`solve_pencils` solves both sides in
-three batched stages:
+each block is judged as it is inside the whole matrix.  Since
+S - alpha P >= 0 iff (1/alpha) S - P >= 0, both sides are one problem on a
+pair (by, other): the least c with c by - other >= 0.  The pair is (S, P)
+for alpha, which is 1 / c, and (P, S) for beta, which is c.
+:func:`solve_pencils` solves both sides in three batched stages:
 
 1. S and the two grams are written into one buffer, Hermitised there, and
    take one ``eigh``.  The existence verdicts (ker by <= ker other, by the
    trace of other on ker by), the spectrum and the whitening below all read it.
 2. The closed form of the generalized eigenproblem on the range of ``by``
    (Golub & Van Loan, *Matrix Computations*, 8.7): with W the inverse square
-   root of a block of ``by`` on its range and 0 on its kernel, beta is the
-   top eigenvalue of W S W over the blocks, and alpha the reciprocal of the
-   top eigenvalue of W P W.  Once ker by <= ker other, other vanishes on
-   ker by up to the existence tolerance, so nothing couples there.  The
-   whitened blocks of both sides, all of the full block size, take one
-   ``eigvalsh``, and each constant records the block where it is attained.
-3. Each constant is certified by the least eigenvalue of the pencil at it
-   (``min_eig_at``, over all blocks, >= -slack) and one relative step past it
-   on the extreme block (``min_eig_past``, < 0); both sides' pencils fill one
-   buffer and take one ``eigvalsh``.  A block-diagonal pencil fails to be PSD
-   iff one of its blocks does, and one step past a correct constant the
-   extreme block is the one that must fail.  On ker by the pencil is the
-   negated other term, which the existence test bounds by tol times its top
+   root of a block of ``by`` on its range and 0 on its kernel, c is the top
+   eigenvalue of W other W over the blocks, clamped at 0.  Once
+   ker by <= ker other, other vanishes on ker by up to the existence
+   tolerance, so nothing couples there.  The whitened blocks of both sides,
+   all of the full block size, take one ``eigvalsh``, and each c records the
+   block where it is attained.  A c of 0 for alpha means the gram vanishes:
+   every alpha works, and alpha is None.
+3. Each c is certified by the least eigenvalue of c by - other
+   (``min_eig_at``, over all blocks, >= -slack) and one relative step below
+   c on the extreme block (``min_eig_past``, < 0); both sides' pencils fill
+   one buffer and take one ``eigvalsh``.  So the alpha certificate reads
+   (1/alpha) S - P, the lower pencil divided by alpha.  A block-diagonal
+   pencil fails to be PSD iff one of its blocks does, and one step below a
+   correct c the extreme block is the one that must fail.  On ker by the
+   pencil is -other, which the existence test bounds by tol times its top
    (by its trace there), so every pencil is lifted there by that much.
 
 Bisection on the least eigenvalue of the pencil is the test oracle; it
@@ -117,86 +120,61 @@ def _whitened(by: _Part, other: _Part) -> np.ndarray:
     return _congruence(q, other.h)
 
 
-def _closed_form(spectra: np.ndarray, start: int, count: int, lower: bool) -> np.ndarray:
-    """One side's constant on each of its ``count`` blocks, whose ascending
-    whitened eigenvalues are the rows of ``spectra`` from ``start``: the
-    reciprocal of the top one for alpha (``lower``; +inf on a block where
-    the top is not positive, which does not constrain alpha), the top one
-    for beta."""
-    tops = spectra[start:start + count, -1]
-    if not lower:
-        return tops
-    return np.divide(1.0, tops, out=np.full(count, np.inf), where=tops > 0.0)
-
-
-def _closed_forms(sides: dict) -> dict:
-    """{name: per-block constants} for the sides {name: (by, other)}, with
-    the whitened blocks of all sides solved in one ``eigvalsh``."""
+def _least_constants(sides: dict) -> dict:
+    """{name: (c, extreme block)} for the sides {name: (by, other)}: c is the
+    least constant with c by - other >= 0, the top eigenvalue of W other W
+    over all blocks, clamped at 0.  The whitened blocks of all sides are
+    solved in one ``eigvalsh``."""
     whitened = [_whitened(by, other) for by, other in sides.values()]
     spectra = np.linalg.eigvalsh(whitened[0] if len(whitened) == 1 else np.concatenate(whitened))
-    count = len(whitened[0])
-    return {name: _closed_form(spectra, i * count, count, name == "alpha")
-            for i, name in enumerate(sides)}
-
-
-def _pencil(by: np.ndarray, other: np.ndarray, c: float, lower: bool, out: np.ndarray) -> None:
-    """Write by - c other (``lower``: S - c P) or c by - other (c P - S) into ``out``."""
-    np.multiply(other if lower else by, c, out=out)
-    if lower:
-        np.subtract(by, out, out=out)
-    else:
-        np.subtract(out, other, out=out)
-
-
-def _kernel_projector(by: _Part) -> np.ndarray:
-    """The orthogonal projector on ker by, per block of ``by``."""
-    q = by.vecs * by.kernel[..., None, :]
-    return q @ np.swapaxes(q.conj(), -1, -2)
+    tops = spectra[:, -1].reshape(len(sides), -1)
+    return {name: (max(0.0, float(top.max())), int(top.argmax()))
+            for name, top in zip(sides, tops)}
 
 
 def _certificates(s: _Part, constants: dict, tol: float) -> dict:
-    """{name: certificate} for the sides {name: (by, other, constant, extreme
-    block)}: the least eigenvalue of the pencil S - c P (alpha) or c P - S
-    (beta) at c = const over all blocks must be >= -slack and, unless const
-    is 0, < 0 one relative step past it, at c = const * (1 + CERT_STEP) for
-    alpha and const * (1 - CERT_STEP) for beta, on the extreme block.  Every
-    pencil fills one buffer for one ``eigvalsh``.
+    """{name: certificate} for the sides {name: (by, other, c, extreme
+    block)}: the least eigenvalue of the pencil c by - other over all blocks
+    must be >= -slack and, unless c is 0, < 0 one relative step below it, at
+    c * (1 - CERT_STEP), on the extreme block.  Every pencil fills one buffer
+    for one ``eigvalsh``.
 
-    On ker by the pencil is the negated other term up to rounding, at most
-    tol times its top there once ker by <= ker other (the existence test
-    bounds its trace).  So every pencil, at and past, is lifted there by tol
-    times the top of its other term: the rounding neither fails a correct
-    constant nor, below zero, passes one that is not extremal.  Adding a PSD
-    term keeps a negative eigenvalue a proof that the pencil is not PSD."""
+    On ker by the pencil is -other up to rounding, at most tol times the top
+    of other there once ker by <= ker other (the existence test bounds its
+    trace).  So every pencil, at c and below it, is lifted there by tol times
+    the top of other: the rounding neither fails a correct constant nor,
+    below zero, passes one that is not extremal.  Adding a PSD term keeps a
+    negative eigenvalue a proof that the pencil is not PSD."""
     count = len(s.h)
-    pencils = np.empty((sum(count + (const > 0) for *_, const, _ in constants.values()),)
+    pencils = np.empty((sum(count + (c > 0) for *_, c, _ in constants.values()),)
                        + s.h.shape[1:], dtype=s.h.dtype)
-    start, spans, slacks = 0, {}, {}
-    for name, (by, other, const, block) in constants.items():
-        lower = name == "alpha"
+    start, spans = 0, {}
+    for name, (by, other, c, block) in constants.items():
         spans[name] = start
-        terms = (by.top, const * other.top) if lower else (const * by.top, other.top)
-        slacks[name] = CERT_SLACK_RTOL * max(terms)
-        kernel = _kernel_projector(by) if by.kernel.any() else None
-        # tol times the top of the pencil's other term at c: c P for alpha, S for beta
-        lift = lambda c: tol * (c if lower else 1.0) * other.top
-        _pencil(by.h, other.h, const, lower, pencils[start:start + count])
-        if kernel is not None:
-            pencils[start:start + count] += lift(const) * kernel
+        at = pencils[start:start + count]
+        np.multiply(by.h, c, out=at)
+        at -= other.h
+        lift = None
+        if by.kernel.any():
+            q = by.vecs * by.kernel[..., None, :]  # the projector on ker by is Q Q^*
+            lift = tol * other.top * (q @ np.swapaxes(q.conj(), -1, -2))
+            at += lift
         start += count
-        if const > 0:
+        if c > 0:  # one relative step below c, on the extreme block
             b, o = block % len(by.h), block % len(other.h)
-            past = const * (1.0 + (CERT_STEP if lower else -CERT_STEP))
-            _pencil(by.h[b], other.h[o], past, lower, pencils[start])
-            if kernel is not None:
-                pencils[start] += lift(past) * kernel[b]
+            past = pencils[start]
+            np.multiply(by.h[b], c * (1.0 - CERT_STEP), out=past)
+            past -= other.h[o]
+            if lift is not None:
+                past += lift[b]
             start += 1
     least = np.linalg.eigvalsh(pencils)[:, 0]
     certificates = {}
-    for name, (*_, const, _) in constants.items():
-        start, slack = spans[name], slacks[name]
+    for name, (by, other, c, _) in constants.items():
+        start = spans[name]
+        slack = CERT_SLACK_RTOL * max(c * by.top, other.top)
         at = float(least[start:start + count].min())
-        past = float(least[start + count]) if const > 0 else None
+        past = float(least[start + count]) if c > 0 else None
         certificates[name] = {"min_eig_at": at, "min_eig_past": past, "slack": slack,
                               "holds": bool(at >= -slack and (past is None or past < 0.0))}
     return certificates
@@ -233,17 +211,15 @@ def solve_pencils(s: np.ndarray, lower_gram: np.ndarray, upper_gram: np.ndarray,
     when lower_gram vanishes.  The spectrum holds all B * d eigenvalues of S.
     """
     s, lo, up = _decomposed(_stack(s), _stack(lower_gram), _stack(upper_gram))
-    sides = {"alpha": (s, lo), "beta": (up, s)}  # (by, other): solved on the range of by
+    sides = {"alpha": (s, lo), "beta": (up, s)}  # (by, other): the least c with c by - other >= 0
     exists = {name: _contained(by, other, tol) for name, (by, other) in sides.items()}
     solved = {name: side for name, side in sides.items() if exists[name]}
-    constants = {}
-    for name, per_block in (_closed_forms(solved) if solved else {}).items():
-        block = int(np.argmin(per_block) if name == "alpha" else np.argmax(per_block))
-        if np.isinf(per_block[block]):
-            continue  # the gram vanishes: every alpha works
-        constants[name] = (*solved[name], max(0.0, float(per_block[block])), block)
+    least = _least_constants(solved) if solved else {}
+    if "alpha" in least and least["alpha"][0] == 0.0:
+        del least["alpha"]  # the gram vanishes: every alpha works
+    constants = {name: (*sides[name], *c_block) for name, c_block in least.items()}
     certificates = _certificates(s, constants, tol) if constants else {}
-    alpha, beta = (constants[name][2] if name in constants else None
-                   for name in ("alpha", "beta"))
+    alpha = 1.0 / least["alpha"][0] if "alpha" in least else None
+    beta = least["beta"][0] if "beta" in least else None
     return PencilSolution(exists["alpha"], exists["beta"], alpha, beta,
                           np.sort(s.vals, axis=None).tolist(), certificates)

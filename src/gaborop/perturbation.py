@@ -60,7 +60,7 @@ class PertHypothesis:
     theta_norm: float
 
     def __post_init__(self):
-        if min(self.lam, self.mu, self.eta) < 0:
+        if not all(c >= 0 for c in (self.lam, self.mu, self.eta)):  # NaN fails too
             raise ValueError("lambda, mu, eta must be nonnegative")
 
     def ratio_ok(self) -> bool:
@@ -257,7 +257,7 @@ def check_sum_hypothesis(system: GaborSystem, second: GaborSystem,
         bounds_second = (gamma_2, rep2.beta_opt)
     gamma_1, delta_1 = bounds_first
     gamma_2, delta_2 = bounds_second
-    if delta_2 is None or delta_2 <= 0:
+    if delta_2 is None or not delta_2 > 0:  # NaN fails too
         raise ValueError("second system needs a positive upper bound (zero windows rejected)")
     if not bounded_below:
         return SumCheck(False, False, None, None, gamma_1, delta_1, gamma_2, delta_2,

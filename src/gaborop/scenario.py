@@ -11,11 +11,13 @@ the ``timing_seconds`` field.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
-from numbers import Number
+from numbers import Integral, Number
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,15 @@ def _is_number(x) -> bool:
     return type(x) in (int, float) or (not isinstance(x, bool) and isinstance(x, Number))
 
 
+def _is_finite_number(x) -> bool:
+    """JSON Schema's ``number`` that is also finite: JSON has no NaN or
+    Infinity, though Python's ``json`` reads both (and 1e400 as inf)."""
+    kind = type(x)
+    if kind is float:
+        return math.isfinite(x)
+    return kind is int or (_is_number(x) and (isinstance(x, Integral) or cmath.isfinite(x)))
+
+
 def _is_integer(x) -> bool:
     """JSON Schema's ``integer``: an int but a bool, or a float without a fraction."""
     return ((isinstance(x, int) and not isinstance(x, bool))
@@ -78,7 +89,7 @@ _TYPES = {
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
     "boolean": lambda x: isinstance(x, bool),
-    "number": _is_number,
+    "number": _is_finite_number,
     "integer": _is_integer,
 }
 # the keywords the compiler turns into checks, and those it reads past
@@ -111,7 +122,8 @@ def _compiler(defs: dict):
     """The function that compiles a schema into a check ``instance -> bool``.
 
     The check answers only whether the instance is valid, as jsonschema's
-    Draft 2020-12 validator would; it gives no messages.  A ``$ref`` must name
+    Draft 2020-12 validator would with a finite ``number`` (see
+    :meth:`_Schema.validator`); it gives no messages.  A ``$ref`` must name
     an entry of ``defs`` (``#/$defs/<name>``); each entry is compiled once, a
     recursive one looking itself up at call time.  A keyword outside
     ``_KEYWORDS`` raises ValueError, so no rule of the schema goes unchecked.
@@ -228,25 +240,45 @@ class _Schema:
 
     def validator(self):
         if self._validator is None:
-            from jsonschema import Draft202012Validator
+            from jsonschema import Draft202012Validator, validators
 
-            self._validator = Draft202012Validator(self.schema)
+            # a number is finite here as in the compiled checks
+            types = Draft202012Validator.TYPE_CHECKER.redefine(
+                "number", lambda _, x: _is_finite_number(x))
+            self._validator = validators.extend(Draft202012Validator, type_checker=types)(
+                self.schema)
         return self._validator
 
     def problems(self, instance, path=()) -> list:
-        """A (path, message) pair for every jsonschema error of ``instance``,
-        whose own paths follow ``path``; none when the compiled check accepts."""
+        """A (path, message) pair for every jsonschema error of ``instance``
+        and for every NaN or infinity in it, whose own paths follow ``path``;
+        none when the compiled check accepts."""
         if self.accepts(instance):
             return []
-        pairs = []
+        pairs = _non_finite(instance, list(path))
         for e in self.validator().iter_errors(instance):
             at = [*path, *e.absolute_path]
+            if e.validator == "type" and isinstance(e.instance, float) \
+                    and not math.isfinite(e.instance):
+                continue  # listed by _non_finite
             if e.validator == "required":  # each missing key at its own path
                 pairs += [(at, f"{_where(at)}.{key}: required property is missing")
                           for key in e.validator_value if key not in e.instance]
             else:
                 pairs.append((at, f"{_where(at)}: {e.message}"))
         return pairs
+
+
+def _non_finite(instance, path: list) -> list:
+    """A (path, message) pair for every NaN or infinity in ``instance``, at
+    its own path even inside an ``anyOf`` or ``oneOf``."""
+    if isinstance(instance, dict):
+        return [pair for key, value in instance.items() for pair in _non_finite(value, [*path, key])]
+    if isinstance(instance, list):
+        return [pair for i, value in enumerate(instance) for pair in _non_finite(value, [*path, i])]
+    if isinstance(instance, float) and not math.isfinite(instance):
+        return [(path, f"{_where(path)}: {json.dumps(instance)} is not a finite number")]
+    return []
 
 
 _DEFS = SCENARIO_SCHEMA["$defs"]
@@ -361,60 +393,65 @@ def _complex_entry(v) -> complex:
     return complex(v[0], v[1])
 
 
-def _field(spec: dict, key: str):
-    """``spec[key]``, or a ScenarioError naming the window kind that lacks it."""
+def _field(spec: dict, key: str, path: str):
+    """``spec[key]``, or a ScenarioError at ``path`` naming the window kind that lacks it."""
     if key not in spec:
-        raise ScenarioError([f"$.windows: {spec['window']!r} window needs {key!r}"])
+        raise ScenarioError([f"{path}.{key}: {spec['window']!r} window needs {key!r}"])
     return spec[key]
 
 
-def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.ndarray) -> complex:
-    """Write one scalar window entry into ``primal`` (point values) or, for a
-    ``fourier_indicator``, into ``hat`` (dual-side values); return the product
-    of the ``scaled`` factors around it."""
+def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.ndarray,
+                  path: str) -> complex:
+    """Write the scalar window entry at field path ``path`` into ``primal``
+    (point values) or, for a ``fourier_indicator``, into ``hat`` (dual-side
+    values); return the product of the ``scaled`` factors around it."""
     if spec == 0 or spec is None:
         return 1.0
     kind = spec["window"]
     if kind == "zero":
         return 1.0
     if kind == "scaled":
-        return complex(_field(spec, "scale")) * _build_scalar(group, _field(spec, "of"), primal, hat)
+        return complex(_field(spec, "scale", path)) * _build_scalar(
+            group, _field(spec, "of", path), primal, hat, f"{path}.of")
     if kind == "values":
-        vals = [_complex_entry(v) for v in _field(spec, "values")]
+        vals = [_complex_entry(v) for v in _field(spec, "values", path)]
         if len(vals) != group.order:
             raise ScenarioError(
-                [f"$.windows: 'values' must list {group.order} entries, got {len(vals)}"]
+                [f"{path}.values: 'values' must list {group.order} entries, got {len(vals)}"]
             )
         primal[:] = vals
     elif kind == "delta":
         primal[group.element(spec.get("at", [0] * group.rank)).index] = spec.get("scale", 1.0)
     elif kind == "fourier_indicator":
-        for idx in _field(spec, "set"):
+        for idx in _field(spec, "set", path):
             if not 0 <= idx < group.order:
                 raise ScenarioError(
-                    [f"$.windows: fourier_indicator index {idx} outside the dual group"]
+                    [f"{path}.set: fourier_indicator index {idx} outside the dual group"]
                 )
         hat[spec["set"]] = spec.get("scale", 1.0)
     else:
-        raise ScenarioError([f"$.windows: unknown scalar window kind {kind!r}"])
+        raise ScenarioError([f"{path}.window: unknown scalar window kind {kind!r}"])
     return 1.0
 
 
-def _build_window(space: SignalSpace, spec) -> MatrixSignal:
-    """A window as one (|G|, n, n) array: the ``fourier_indicator`` entries are
-    collected on the dual side and take one inverse transform together."""
+def _build_window(space: SignalSpace, spec, path: str) -> MatrixSignal:
+    """The window at field path ``path`` as one (|G|, n, n) array: the
+    ``fourier_indicator`` entries are collected on the dual side and take one
+    inverse transform together."""
     n = space.n
     if isinstance(spec, dict) and "matrix" in spec:
         grid = spec["matrix"]
         if len(grid) != n or any(len(row) != n for row in grid):
-            raise ScenarioError([f"$.windows: matrix window must be {n}x{n}"])
+            raise ScenarioError([f"{path}.matrix: matrix window must be {n}x{n}"])
+        where = lambda i, j: f"{path}.matrix[{i}][{j}]"
     elif n != 1:
-        raise ScenarioError(["$.windows: scalar window given for a matrix system"])
+        raise ScenarioError([f"{path}: scalar window given for a matrix system"])
     else:
-        grid = [[spec]]
+        grid, where = [[spec]], lambda i, j: path
     primal = np.zeros((space.group.order, n, n), dtype=np.complex128)
     hat = np.zeros_like(primal)
-    factors = np.array([[_build_scalar(space.group, grid[i][j], primal[:, i, j], hat[:, i, j])
+    factors = np.array([[_build_scalar(space.group, grid[i][j], primal[:, i, j], hat[:, i, j],
+                                       where(i, j))
                          for j in range(n)] for i in range(n)], dtype=np.complex128)
     if hat.any():
         primal += inverse_fourier(MatrixSignal(space, hat, dual=True)).values
@@ -430,9 +467,10 @@ def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool) -> Subgroup:
     return Subgroup(group, [make(c) for c in spec["gens"]], dual=dual)
 
 
-def _build_system(group, measure, spec: dict) -> GaborSystem:
+def _build_system(group, measure, spec: dict, path: str) -> GaborSystem:
     space = SignalSpace(group, spec["n"], measure)
-    windows = tuple(_build_window(space, w) for w in spec["windows"])
+    windows = tuple(_build_window(space, w, f"{path}.windows[{j}]")
+                    for j, w in enumerate(spec["windows"]))
     # 'lattice_gens' is the flat generator-list spelling of {'gens': ...}
     lat_spec = spec.get("lattice")
     if lat_spec is None and "lattice_gens" in spec:
@@ -477,11 +515,11 @@ def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator
     return SpaceOperator.from_dense(space, data.reshape(dim, dim))
 
 
-def _built(path: str, build, spec):
-    """``build(spec)``, with a library ValueError or a file's OSError re-raised as a
+def _built(path: str, build, *args):
+    """``build(*args)``, with a library ValueError or a file's OSError re-raised as a
     ScenarioError at ``path``."""
     try:
-        return build(spec)
+        return build(*args)
     except ScenarioError:
         raise
     except (ValueError, OSError) as e:
@@ -489,12 +527,14 @@ def _built(path: str, build, spec):
 
 
 def _named(scenario: dict, key: str, build) -> dict:
-    """The objects built from the specs under ``key``, by their unique names."""
+    """The objects ``build(spec, path)`` builds from the specs under ``key``,
+    by their unique names."""
     table = {}
     for i, spec in enumerate(scenario.get(key, [])):
+        path = f"$.{key}[{i}]"
         if spec["name"] in table:
-            raise ScenarioError([f"$.{key}[{i}].name: duplicate name {spec['name']!r}"])
-        table[spec["name"]] = _built(f"$.{key}[{i}]", build, spec)
+            raise ScenarioError([f"{path}.name: duplicate name {spec['name']!r}"])
+        table[spec["name"]] = _built(path, build, spec, path)
     return table
 
 
@@ -762,9 +802,9 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
         raise ScenarioError([f"$.tolerance: must be a finite number > 0, got {tolerance!r}"])
     group, measure = _built("$.group", _build_group, scenario["group"])
     systems = _named(scenario, "systems",
-                     lambda spec: _build_system(group, measure, spec))
+                     lambda spec, path: _build_system(group, measure, spec, path))
     operators = _named(scenario, "operators",
-                       lambda spec: _build_operator(group, measure, spec, base_dir))
+                       lambda spec, path: _build_operator(group, measure, spec, base_dir))
     args = scenario.get("args", {})
     _check_cross_references(scenario["task"], args, systems, operators)
     outcome = TASKS[scenario["task"]](args, systems, operators, tolerance)

@@ -30,6 +30,7 @@ from gaborop import (
 from gaborop.constructions import OmegaReport
 from gaborop.frames import _as_family, _operator_grams, analysis_matrix
 from gaborop.operators import DEFAULT_TOL
+from gaborop import pencil
 from gaborop.pencil import KERNEL_RTOL, solve_pencils
 
 # ---------------------------------------------------------------------------
@@ -331,6 +332,16 @@ def bisect_min_beta(s: np.ndarray, p: np.ndarray, width: float = 1e-11,
         else:
             lo = mid
     return hi
+
+
+def corrupt_constant(patch, which: str, factor: float) -> None:
+    """Make the pencil solve scale the least constant c of side ``which``
+    (c by - other >= 0) by ``factor``: beta scales with it, alpha = 1 / c
+    against it.  ``patch`` is a pytest monkeypatch."""
+    least_constants = pencil._least_constants
+    patch.setattr(pencil, "_least_constants", lambda sides: {
+        name: (factor * c if name == which else c, block)
+        for name, (c, block) in least_constants(sides).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ def _preset_instances():
         scenario = build_preset(name)
         group, measure = _build_group(scenario["group"])
         systems = {
-            s["name"]: _build_system(group, measure, s)
-            for s in scenario.get("systems", [])
+            s["name"]: _build_system(group, measure, s, f"$.systems[{i}]")
+            for i, s in enumerate(scenario.get("systems", []))
         }
         operators = {
             o["name"]: _build_operator(group, measure, o, None)

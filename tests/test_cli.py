@@ -18,6 +18,7 @@ from gaborop.scenario import (
     run_scenario,
     validate_scenario,
 )
+from helpers import corrupt_constant
 
 REQUIRED_PRESETS = {
     "exb1", "remark-theta0", "exper1-negative", "pertexa",
@@ -479,14 +480,10 @@ def test_missing_operator_file_exits_2(tmp_path, capsys):
 
 
 def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
-    import gaborop.pencil as pencil
-
     clean = run_scenario(build_preset("remark-theta0"))
     cert = clean["results"]["controlled"]["cross_check"]["alpha_certificate"]
     assert cert["holds"] and cert["min_eig_past"] < 0.0
-    closed_form = pencil._closed_form
-    monkeypatch.setattr(pencil, "_closed_form", lambda s, s_top, split, lower: (
-        1.01 if lower else 1.0) * closed_form(s, s_top, split, lower))
+    corrupt_constant(monkeypatch, "alpha", 1.01)
     out = tmp_path / "report.json"
     assert main(["--preset", "remark-theta0", "--out", str(out), "--strict"]) == 3
     assert "the lower constant fails its residual certificate" in capsys.readouterr().err
@@ -504,12 +501,8 @@ def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
 ])
 def test_failed_certificate_is_a_finding_in_every_task(tmp_path, monkeypatch, preset, labels):
     # every bounds report a task writes is certified, not only theta_bounds'
-    import gaborop.pencil as pencil
-
     assert run_scenario(build_preset(preset))["findings"] == []
-    closed_form = pencil._closed_form
-    monkeypatch.setattr(pencil, "_closed_form", lambda spectra, pieces, count, lower: (
-        1.01 if lower else 1.0) * closed_form(spectra, pieces, count, lower))
+    corrupt_constant(monkeypatch, "alpha", 1.01)
     out = tmp_path / "report.json"
     assert main(["--preset", preset, "--out", str(out), "--strict"]) == 3
     findings = json.loads(out.read_text())["findings"]
@@ -704,7 +697,7 @@ def test_matrix_window_takes_one_transform(monkeypatch):
     transform = gscenario.inverse_fourier
     monkeypatch.setattr(gscenario, "inverse_fourier",
                         lambda signal: calls.append(signal) or transform(signal))
-    window = gscenario._build_window(space, spec)
+    window = gscenario._build_window(space, spec, "$.systems[0].windows[0]")
     assert len(calls) == 1
     for i in range(2):
         for j in range(2):
@@ -712,32 +705,38 @@ def test_matrix_window_takes_one_transform(monkeypatch):
             assert np.allclose(window.values[:, i, j], want, rtol=0.0, atol=1e-13)
     calls.clear()
     plain = {"matrix": [[{"window": "delta", "at": [0, 0]}, 0], [{"window": "zero"}, 0]]}
-    assert gscenario._build_window(space, plain).values[0, 0, 0] == 1.0
+    assert gscenario._build_window(space, plain, "$.systems[0].windows[0]").values[0, 0, 0] == 1.0
     assert not calls
 
 
 @pytest.mark.parametrize("n,spec,message", [
-    (1, {"window": "values", "values": [1.0, 2.0]}, "'values' must list 8 entries, got 2"),
+    (1, {"window": "values", "values": [1.0, 2.0]},
+     ".values: 'values' must list 8 entries, got 2"),
     (2, {"matrix": [[0, {"window": "fourier_indicator", "set": [3, 8]}], [0, 0]]},
-     "fourier_indicator index 8 outside the dual group"),
-    (1, {"window": "ramp"}, "unknown scalar window kind 'ramp'"),
-    (2, {"matrix": [[0, 0]]}, "matrix window must be 2x2"),
-    (2, {"window": "zero"}, "scalar window given for a matrix system"),
-    (1, {"window": "values"}, "'values' window needs 'values'"),
+     ".matrix[0][1].set: fourier_indicator index 8 outside the dual group"),
+    (1, {"window": "ramp"}, ".window: unknown scalar window kind 'ramp'"),
+    (2, {"matrix": [[0, 0]]}, ".matrix: matrix window must be 2x2"),
+    (2, {"window": "zero"}, ": scalar window given for a matrix system"),
+    (1, {"window": "values"}, ".values: 'values' window needs 'values'"),
     (2, {"matrix": [[0, {"window": "fourier_indicator", "scale": 2.0}], [0, 0]]},
-     "'fourier_indicator' window needs 'set'"),
-    (1, {"window": "scaled", "scale": 2.0}, "'scaled' window needs 'of'"),
-    (1, {"window": "scaled", "of": {"window": "delta"}}, "'scaled' window needs 'scale'"),
+     ".matrix[0][1].set: 'fourier_indicator' window needs 'set'"),
+    (1, {"window": "scaled", "scale": 2.0}, ".of: 'scaled' window needs 'of'"),
+    (1, {"window": "scaled", "of": {"window": "delta"}}, ".scale: 'scaled' window needs 'scale'"),
+    (1, {"window": "scaled", "scale": 2.0, "of": {"window": "scaled", "scale": 2.0}},
+     ".of.of: 'scaled' window needs 'of'"),
 ], ids=["values-size", "indicator-index", "unknown-kind", "matrix-shape", "scalar-for-matrix",
-        "values-missing", "indicator-set-missing", "scaled-of-missing", "scaled-scale-missing"])
+        "values-missing", "indicator-set-missing", "scaled-of-missing", "scaled-scale-missing",
+        "nested-of-missing"])
 def test_window_errors_keep_their_messages(n, spec, message):
+    # each message names the field path of the window entry at fault
     from gaborop import FiniteAbelianGroup, MeasurePair, SignalSpace
     from gaborop.scenario import _build_window
 
     group = FiniteAbelianGroup((8,))
     with pytest.raises(ScenarioError) as err:
-        _build_window(SignalSpace(group, n, MeasurePair.torus_like(group)), spec)
-    assert err.value.problems == [f"$.windows: {message}"]
+        _build_window(SignalSpace(group, n, MeasurePair.torus_like(group)), spec,
+                      "$.systems[1].windows[2]")
+    assert err.value.problems == [f"$.systems[1].windows[2]{message}"]
 
 
 def test_window_without_its_fields_exits_2(tmp_path, capsys):
@@ -746,7 +745,48 @@ def test_window_without_its_fields_exits_2(tmp_path, capsys):
     path = tmp_path / "window.json"
     path.write_text(json.dumps(scenario))
     assert main(["--scenario", str(path)]) == 2
-    assert "scenario error: $.windows: 'scaled' window needs 'of'" in capsys.readouterr().err
+    assert ("scenario error: $.systems[0].windows[0].of: 'scaled' window needs 'of'"
+            in capsys.readouterr().err)
+
+
+def test_window_index_error_exits_2_at_its_field_path(tmp_path, capsys):
+    scenario = build_preset("remark-theta0")
+    scenario["systems"][0]["windows"][0]["matrix"][0][1]["set"] = [0, 99]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 2
+    assert ("scenario error: $.systems[0].windows[0].matrix[0][1].set: fourier_indicator "
+            "index 99 outside the dual group" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("preset,path,value,where,shown", [
+    ("pertexa", ("args", "paper_bounds"), "[NaN, 1]", "$.args.paper_bounds[0]", "NaN"),
+    ("sumexa", ("args", "paper_bounds_second"), "[0.1, NaN]",
+     "$.args.paper_bounds_second[1]", "NaN"),
+    ("exb1", ("group", "weight_convention"), '{"w_group": NaN, "w_dual": 1}',
+     "$.group.weight_convention.w_group", "NaN"),
+    ("remark-theta0", ("systems", 0, "windows", 0, "matrix", 0, 1, "scale"), "Infinity",
+     "$.systems[0].windows[0].matrix[0][1].scale", "Infinity"),
+    ("remark-theta0", ("systems", 0, "windows", 0, "matrix", 0, 1, "scale"), "1e400",
+     "$.systems[0].windows[0].matrix[0][1].scale", "Infinity"),
+    ("thm2-tight", ("args", "tightness"), "-Infinity", "$.args.tightness", "-Infinity"),
+    ("pertexa", ("operators", 0, "matrix", 1, 0), "NaN", "$.operators[0].matrix[1][0]", "NaN"),
+], ids=["paper-bounds", "sum-bounds", "weights", "scale-inf", "scale-1e400", "tightness",
+        "entry-map"])
+def test_non_finite_numbers_exit_2_at_their_field_path(tmp_path, capsys, preset, path,
+                                                       value, where, shown):
+    # Python's json reads NaN, Infinity and 1e400 (as inf); JSON has none of them
+    scenario = build_preset(preset)
+    if "use_paper_bounds" in scenario["args"]:
+        scenario["args"]["use_paper_bounds"] = True  # pinned bounds are read only then
+    parent = scenario
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = "@"
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(scenario).replace('"@"', value))
+    assert main(["--scenario", str(file), "--strict"]) == 2
+    assert f"scenario error: {where}: {shown} is not a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

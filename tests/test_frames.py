@@ -1297,7 +1297,8 @@ def _pertexa_systems():
 
     scenario = build_preset("pertexa")
     group, measure = _build_group(scenario["group"])
-    return [_build_system(group, measure, spec) for spec in scenario["systems"]]
+    return [_build_system(group, measure, spec, f"$.systems[{i}]")
+            for i, spec in enumerate(scenario["systems"])]
 
 
 def test_layout_is_shared_by_value():

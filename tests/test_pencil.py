@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborop.pencil import solve_pencils
-from helpers import bisect_max_alpha, bisect_min_beta, null_space
+from helpers import bisect_max_alpha, bisect_min_beta, corrupt_constant, null_space
 
 
 def _random_psd(rng, dim, rank=None):
@@ -184,24 +184,24 @@ def test_kernel_mass_is_bounded_by_its_trace(mass, exists):
     assert all(cert["holds"] for cert in sol.certificates.values()), sol.certificates
 
 
+def _scaled(which, factor):
+    """What scaling c by ``factor`` does to the constant ``which``."""
+    return 1.0 / factor if which == "alpha" else factor
+
+
 @pytest.mark.parametrize("which,factor", [
     ("alpha", 1.01), ("alpha", 0.99), ("beta", 0.99), ("beta", 1.01),
 ])
 def test_certificate_rejects_a_corrupted_constant(monkeypatch, which, factor):
-    # too large an alpha (too small a beta) breaks feasibility; too small an
-    # alpha (too large a beta) leaves the step past it feasible
-    import gaborop.pencil as pencil
-
+    # too small a c (too large an alpha, too small a beta) breaks
+    # feasibility; too large a c leaves the step below it feasible
     L = np.array([[0, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex)
     s = 10.0 * np.eye(4)
     exact = solve_pencils(s, L @ L.conj().T, L.conj().T @ L)
     assert exact.certificates[which]["holds"]
-    closed_form = pencil._closed_form
-    lower = which == "alpha"
-    monkeypatch.setattr(pencil, "_closed_form", lambda s, s_top, split, side: (
-        factor if side == lower else 1.0) * closed_form(s, s_top, split, side))
+    corrupt_constant(monkeypatch, which, factor)
     bad = solve_pencils(s, L @ L.conj().T, L.conj().T @ L)
-    assert getattr(bad, which) == pytest.approx(factor * getattr(exact, which))
+    assert getattr(bad, which) == pytest.approx(_scaled(which, factor) * getattr(exact, which))
     assert not bad.certificates[which]["holds"]
 
 
@@ -238,8 +238,6 @@ def test_stacked_pencils_match_the_oracle_and_certify(blocks, dim, one_gram, see
     # With P the upper gram, S_b = proj A_b proj and the lower gram
     # proj C proj, proj the projector on the range of P's block, both
     # constants exist
-    import gaborop.pencil as pencil
-
     rng = np.random.default_rng(seed)
     ranks = rng.integers(0, dim + 1, size=1 if one_gram else blocks)
     ranks[0] = max(ranks[0], 1)
@@ -258,16 +256,36 @@ def test_stacked_pencils_match_the_oracle_and_certify(blocks, dim, one_gram, see
         bisect_min_beta(dense_s, _block_diagonal(upper, blocks)), rel=1e-6)
     assert all(cert["holds"] for cert in sol.certificates.values())
     assert sol.certificates.keys() == {"alpha", "beta"}
-    # too large an alpha (too small a beta) breaks feasibility; too small an
-    # alpha (too large a beta) leaves the step past it feasible on the extreme block
-    closed_form = pencil._closed_form
+    # too small a c breaks feasibility; too large a c leaves the step below it
+    # feasible on the extreme block
     for which in ("alpha", "beta"):
         for factor in (0.99, 1.01):
-            lower_side = which == "alpha"
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(pencil, "_closed_form", lambda spectra, pieces, count, side: (
-                    factor if side == lower_side else 1.0) * closed_form(spectra, pieces,
-                                                                         count, side))
+                corrupt_constant(patch, which, factor)
                 bad = solve_pencils(s, lower, upper)
-            assert getattr(bad, which) == pytest.approx(factor * getattr(sol, which))
+            assert getattr(bad, which) == pytest.approx(
+                _scaled(which, factor) * getattr(sol, which))
             assert not bad.certificates[which]["holds"], (which, factor)
+
+
+@settings(max_examples=100)
+@given(blocks=st.integers(1, 5), dim=st.integers(1, 5), contained=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_both_sides_are_one_pencil_form(blocks, dim, contained, seed):
+    # S >= alpha P is P <= (1/alpha) S: the lower side of S against P is the
+    # upper side of P against S, the same least c with c S - P >= 0, so the
+    # verdicts agree, the constants are reciprocal and the certificates equal.
+    # With ``contained``, P is projected on the range of S, so both exist
+    rng = np.random.default_rng(seed)
+    s, p, x, y = (np.stack([_random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+                            for _ in range(blocks)]) for _ in range(4))
+    if contained:
+        proj = np.stack([np.eye(dim) - nb @ nb.conj().T for nb in map(null_space, s)])
+        p = proj @ p @ proj
+    a = solve_pencils(s, p, x)
+    b = solve_pencils(p, y, s)
+    assert a.lower_exists == b.upper_exists
+    assert a.lower_exists or not contained
+    if a.lower_exists:
+        assert a.alpha * b.beta == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert a.certificates["alpha"] == b.certificates["beta"]

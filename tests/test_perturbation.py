@@ -7,16 +7,21 @@ import pytest
 
 from gaborop import (
     Automorphism,
+    FiniteAbelianGroup,
     MatrixSignal,
+    MeasurePair,
     PertHypothesis,
+    SpaceOperator,
     Subgroup,
     analysis,
     check_pert_hypothesis,
     check_sum_hypothesis,
     frobenius_norm,
     pert_predicted_bounds,
+    scalar_parseval_system,
     sum_predicted_bounds,
     theta_bounds,
+    tight_theta_frame,
     verify_perturbation,
     verify_sum,
 )
@@ -27,6 +32,7 @@ from helpers import (
     random_signal,
     selector_op,
     swap_window_system,
+    torus_space,
 )
 
 
@@ -366,3 +372,32 @@ def test_split_dense_operator_memory():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, name
+
+
+_NAN = float("nan")
+
+
+def _tight(tightness):
+    """A tight construction at ``tightness``, its reasons raised as a ValueError."""
+    result = tight_theta_frame(tightness, scalar_parseval_system(FiniteAbelianGroup((8,))), 2,
+                               SpaceOperator.identity(torus_space(8, 2)))
+    if not result.hypothesis_ok:
+        raise ValueError("; ".join(result.reasons))
+    return result
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda setup: MeasurePair(_NAN, _NAN, 8), "point masses must be positive"),
+    (lambda setup: MeasurePair(1.0 / 8.0, _NAN, 8), "point masses must be positive"),
+    (lambda setup: PertHypothesis(_NAN, 0.1, 0.1, 2.5, 10.0, 1.0, 1.0), "nonnegative"),
+    (lambda setup: PertHypothesis(0.0, _NAN, 0.1, 2.5, 10.0, 1.0, 1.0), "nonnegative"),
+    (lambda setup: check_sum_hypothesis(setup["system"], setup["second"], setup["theta"],
+                                        (2.5, 10.0), (0.1, _NAN)),
+     "positive upper bound"),
+    (lambda setup: _tight(_NAN), "tightness must be positive"),
+], ids=["measure", "measure-dual", "pert-lambda", "pert-mu", "sum-delta", "tightness"])
+def test_library_guards_reject_nan(setup, call, message):
+    # each guard is written so that NaN fails it: NaN compares false, so a
+    # guard of the form "x <= 0 raises" lets it through
+    with pytest.raises(ValueError, match=message):
+        call(setup)

@@ -3,11 +3,13 @@
 A scenario or report is accepted when its compiled check says valid; only a
 rejection runs jsonschema, whose messages and paths are the ones reported.
 The checks must agree with jsonschema's Draft 2020-12 validator on every
-input, and above all never accept what it rejects.
+input, and above all never accept what it rejects.  A JSON number is finite:
+JSON has no NaN or Infinity, though Python's ``json`` reads both.
 """
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 
 from gaborop.presets import PRESETS, build_preset
 from gaborop.scenario import (
@@ -51,12 +53,18 @@ def _explicit_weights() -> dict:
     return scenario
 
 
+# Draft 2020-12 with a finite ``number``, as the compiled checks read it
+_FINITE = Draft202012Validator.TYPE_CHECKER.redefine(
+    "number", lambda checker, x: Draft202012Validator.TYPE_CHECKER.is_type(x, "number")
+    and (not isinstance(x, float) or math.isfinite(x)))
+_Validator = validators.extend(Draft202012Validator, type_checker=_FINITE)
+
 _BASES = [build_preset(name) for name in PRESETS] + _COMPACT + [_explicit_weights()]
 
 _SCENARIO_CHECK = _compiler(_DEFS)(SCENARIO_SCHEMA)
-_SCENARIO_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
-_FORM_VALIDATORS = {compact: Draft202012Validator(form.schema) for compact, form in _FORMS.items()}
-_ARGS_VALIDATORS = {task: Draft202012Validator(schema.schema) for task, schema in _ARGS.items()}
+_SCENARIO_VALIDATOR = _Validator(SCENARIO_SCHEMA)
+_FORM_VALIDATORS = {compact: _Validator(form.schema) for compact, form in _FORMS.items()}
+_ARGS_VALIDATORS = {task: _Validator(schema.schema) for task, schema in _ARGS.items()}
 
 
 def _property_names(schema) -> set:
@@ -194,7 +202,7 @@ def reports():
 
 
 def test_report_check_agrees_with_jsonschema(reports):
-    validator = Draft202012Validator(REPORT_SCHEMA)
+    validator = _Validator(REPORT_SCHEMA)
 
     @settings(max_examples=200)
     @given(_mutated(reports))
@@ -220,6 +228,7 @@ _RECURSIVE = {"$defs": {"node": {"type": "object", "additionalProperties": False
     ({"type": "integer", "minimum": 1}, [1, 1.0, 0, 2.5, True, float("nan"), float("inf")]),
     ({"type": "number", "exclusiveMinimum": 0}, [0, 0.0, 1e-300, -1, float("nan"), True]),
     ({"minimum": 0}, [-1, "x", None, [-1], False]),
+    ({"type": "number"}, [float("nan"), float("inf"), -float("inf"), 1e308, 10**400, 0]),
     ({"type": "array", "items": {"type": "string"}, "minItems": 1, "maxItems": 2},
      [[], ["a"], ["a", "b", "c"], [1], "ab", ("a",)]),
     ({"type": "object", "required": ["a"], "properties": {"a": {"type": "boolean"}}},
@@ -233,7 +242,7 @@ _RECURSIVE = {"$defs": {"node": {"type": "object", "additionalProperties": False
 def test_compiled_keywords_match_jsonschema(schema, instances):
     # each keyword's edge cases, where a schema of this package may not reach
     check = _compiler(schema.get("$defs", {}))(schema)
-    validator = Draft202012Validator(schema)
+    validator = _Validator(schema)
     for instance in instances:
         assert check(instance) == _valid(validator, instance), instance
 
