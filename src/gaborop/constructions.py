@@ -301,14 +301,15 @@ def _omega_report(system, blocks, controlled: BoundsReport) -> OmegaReport:
         points = _coordinates(group)[blocks.index[:, ::n2] // n2]
         labels = _pairing(group, gens, points[:, :, None, :])
         basis_condition = bool(np.all(labels == labels[:, :1]))
-        # the diagonal of a coset block is the mean of its Zak blocks' diagonals
-        s = blocks.s.reshape(len(labels), len(blocks.phi), *blocks.s.shape[1:])
-        diag = np.diagonal(s, axis1=2, axis2=3).real.mean(axis=1).max(axis=1, initial=0.0)
+        # the diagonal of a coset block is the mean of its Zak blocks' diagonals,
+        # and that of I_n (x) K repeats the diagonal of K
+        k = blocks.k.reshape(len(labels), len(blocks.phi), *blocks.k.shape[1:])
+        diag = np.diagonal(k, axis1=2, axis2=3).real.mean(axis=1).max(axis=1, initial=0.0)
         # sorted by label, then by diagonal, largest first: the two largest
         # diagonals of cosets that share a label are neighbours
         order = np.lexsort((-diag, *labels[:, 0].T))
         heads, diag = labels[order, 0], diag[order]
         shared = (heads[1:] == heads[:-1]).all(axis=-1)
-        max_dev = float(np.sqrt(diag[1:] * diag[:-1]).max(where=shared, initial=0.0))
+        max_dev = float((np.sqrt(diag[1:]) * np.sqrt(diag[:-1])).max(where=shared, initial=0.0))
     return OmegaReport(basis_condition, max_dev, controlled.lower_exists,
                        controlled.upper_exists, controlled.alpha_opt, controlled.beta_opt)

@@ -15,8 +15,10 @@ operator that vanishes off those blocks, are computed on them; any other
 family or operator is one dense block.  The frame operator, and the grams of
 an entry map, also commute with translation by H, the lattice translations
 that lie in that annihilator, so a DFT over H splits each coset block
-further into |H| blocks (the Zak or Zibulski-Zeevi representation).  The
-operator-controlled two-sided bounds
+further into |H| blocks (the Zak or Zibulski-Zeevi representation), built
+from one lattice translate per coset of H.  Every block is I_n (x) K, and
+ordinary bounds take the eigenvalues of K alone.  The operator-controlled
+two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
                                 <=  beta * ||T f||^2
@@ -230,17 +232,33 @@ class _Blocks(NamedTuple):
     points of coset b ordered t_bj + h over (j, h) and ``index[b]`` their flat
     indices, block (b, chi), at position b |H| + chi of ``s``, is U S U^* for
     the rows (j, entry) of U that are sum_h phi[chi, h] e_index[b, (j, h, entry)]^T.
-    A trivial H (phi = [[1]]) gives the coset blocks themselves."""
+    A trivial H (phi = [[1]]) gives the coset blocks themselves.
+
+    Every block is I_n (x) K: the frame operator acts on each row of a matrix
+    signal alone, so with the entry (p, r) of point j as row (j, p, r),
+    S[(j, p, r), (j', t, s)] = delta(p, t) K[(j, r), (j', s)].  Only K is
+    kept; ``s`` forms S for a pencil, and ordinary bounds read K."""
 
     route: str          # "walnut" (coset blocks) or "dense" (one block)
     index: np.ndarray   # (B, c) flat indices of each coset block, ordered (j, h, entry)
     phi: np.ndarray     # (|H|, |H|) the unitary DFT over H, phi[chi, h] = chi(h) / sqrt|H|
-    s: np.ndarray       # (B |H|, d, d) the blocks, d = c / |H|
+    k: np.ndarray       # (B |H|, J n, J n) the factor K of each block, J n = c / (|H| n)
+    n: int              # the matrix size of the signals
     op: Optional[np.ndarray]  # (1, e, e) or (B, d, d): see _frame_blocks
     reason: str         # why the operator takes this route
 
+    @property
+    def s(self) -> np.ndarray:
+        """The blocks I_n (x) K of S, (B |H|, d, d) with d = J n^2, formed on each access."""
+        count, jn, _ = self.k.shape
+        j, n = jn // self.n, self.n
+        s = np.zeros((count, j, n, n, j, n, n), dtype=np.complex128)
+        for p in range(n):
+            s[:, :, p, :, :, p, :] = self.k.reshape(count, j, n, j, n)
+        return s.reshape(count, jn * n, jn * n)
+
     def to_json_dict(self) -> dict:
-        return {"name": self.route, "blocks": len(self.s), "block_dim": self.s.shape[-1],
+        return {"name": self.route, "blocks": len(self.k), "block_dim": self.k.shape[-1] * self.n,
                 "zak": len(self.phi)}
 
 
@@ -249,7 +267,9 @@ class _Layout(NamedTuple):
 
     points: np.ndarray  # (B, c) canonical positions of each coset's points, ordered (j, h)
     phi: np.ndarray     # (|H|, |H|) the unitary DFT over H, phi[chi, h] = chi(h) / sqrt|H|
-    gather: np.ndarray  # (|lattice|, B, J, |H|) the position of t_bj + h - A a, J = c / |H|
+    # (|A(lattice)| / |H|, B, J, |H|) the position of t_bj + h - a, J = c / |H|, for one
+    # translate a per coset of H in A(lattice), the first in lattice order
+    gather: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -258,14 +278,17 @@ def _layout(lattice: Subgroup, dual_lattice: Subgroup, automorphism: Automorphis
     """The cosets of Gamma^perp, for Gamma the modulation group, listed as the
     cosets of H they hold, the DFT over H and the translate gather, read-only.
     ``split`` takes H the lattice translations that lie in Gamma^perp (for no
-    operator or an entry map), otherwise H = {0}.
+    operator or an entry map), otherwise H = {0}.  The gather keeps one
+    translate per coset of H, since a translate by h in H only multiplies a
+    Zak row by chi(h) (see :func:`_frame_blocks`); with H = {0} it keeps every
+    translate.
 
     Memoised by value for the last 16 keys, so systems on the same lattices
     (``with_windows``, a scenario's systems, repeated reports) share one
     entry.  An entry retains 8 |G| bytes of ``points``, 16 |H|^2 of ``phi``
-    and 8 |lattice| |G| of ``gather``, and its key the two lattices (about
-    8 |G| bytes each): about 47 kB for exb1 at |G| = 512, and 8 MB for a
-    full lattice at |G| = 1024."""
+    and 8 |G| |lattice| / |H| of ``gather``, and its key the two lattices
+    (about 8 |G| bytes each): about 18 kB for exb1 at |G| = 512, and 8 MB for
+    a full lattice with a trivial H at |G| = 1024."""
     group = lattice.group
     modulations = Subgroup(group, [dual_automorphism(m) for m in dual_lattice.generators],
                            dual=True)
@@ -277,8 +300,11 @@ def _layout(lattice: Subgroup, dual_lattice: Subgroup, automorphism: Automorphis
     points = _cosets(cosets, zak)
     phi = _subgroup_characters(zak) / np.sqrt(len(zak))
     shifts = automorphism.apply(lattice.coords)
+    # the first translate of each coset of H, labelled by its least member
+    _, first = np.unique(zak.least[_positions(group, shifts)], return_index=True)
+    shifts = shifts[np.sort(first)]
     gather = _positions(group, _coordinates(group)[points] - shifts[:, None, None, :])
-    gather = gather.reshape(len(lattice), len(points), -1, len(zak))
+    gather = gather.reshape(len(shifts), len(points), -1, len(zak))
     for array in (points, phi, gather):
         array.flags.writeable = False
     return _Layout(points, phi, gather)
@@ -302,8 +328,15 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     each coset onto itself, so the DFT over H diagonalises each coset block
     into |H| blocks (Zibulski & Zeevi 1997): the translates are transformed
     along H before the product, and only the chi-diagonal products are taken.
-    An entry map commutes with H too; a dense operator is taken with H = {0}.
-    The cosets, the DFT over H and the gather come from :func:`_layout`.
+    The transformed row of a translate a = r + h0, h0 in H, is chi(h0) times
+    that of r, and |chi(h0)|^2 = 1, so one translate per coset of H is
+    gathered and its product weighted by |H|.  An entry map commutes with H
+    too; a dense operator is taken with H = {0}, where every translate is
+    its own coset.  The cosets, the DFT over H and the gather come from
+    :func:`_layout`.
+
+    Each block is I_n (x) K (see :class:`_Blocks`), so only K is built:
+    K = w |Gamma| |H| sum over the kept translates, per block.
 
     ``op`` is the operator on the blocks: the entry matrix (1, n^2, n^2),
     which repeats along the diagonal of every block, or the stack of the
@@ -328,20 +361,15 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
                                   theta is None or theta.kind == "entry_map")
     _, blocks, j, size = gather.shape
     index = _coset_index(points, n)
-    # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r], as one
-    # product over all rows: a batch of (n, |H|) products costs a BLAS call each
+    # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r] for the kept a,
+    # as one product over all rows: a batch of (n, |H|) products costs a BLAS call each
     g = np.moveaxis(_windows(system)[:, gather], 4, -1)
     g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
-    # stack[(b, chi), (l, a, q), (j, r)], and K = w |Gamma| stack^T conj(stack) per block
+    # stack[(b, chi), (l, a, q), (j, r)], and K = w |Gamma| |H| stack^T conj(stack) per block
     stack = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
-    k = system.space.weight() * len(system.dual_lattice) * (
+    k = system.space.weight() * len(system.dual_lattice) * size * (
         np.swapaxes(stack, 1, 2) @ stack.conj())
-    # S[(j, p, r), (j', t, s)] = delta(p, t) K(j, j')[r, s]
-    s = np.zeros((blocks * size, j, n, n, j, n, n), dtype=np.complex128)
-    for p in range(n):
-        s[:, :, p, :, :, p, :] = k.reshape(blocks * size, j, n, j, n)
-    d = j * n * n
-    return _Blocks("walnut", index, phi, s.reshape(blocks * size, d, d), op, reason)
+    return _Blocks("walnut", index, phi, k, n, op, reason)
 
 
 def _coset_index(points: np.ndarray, n: int) -> np.ndarray:
@@ -361,8 +389,11 @@ def _coset_operator(system: GaborSystem, theta: SpaceOperator) -> Optional[np.nd
 
 
 def _dense_blocks(system, op: Optional[np.ndarray], reason: str) -> _Blocks:
+    """One block: K read from the dense frame operator, S[(x, 0, r), (x', 0, s)]."""
     s = frame_operator(system, as_operator=False)
-    return _Blocks("dense", np.arange(len(s))[None], np.ones((1, 1)), s[None], op, reason)
+    order, n = system.space.group.order, system.space.n
+    k = s.reshape(order, n, n, order, n, n)[:, 0, :, :, 0, :].reshape(1, order * n, order * n)
+    return _Blocks("dense", np.arange(len(s))[None], np.ones((1, 1)), k, n, op, reason)
 
 
 def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +405,7 @@ def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     t_h = np.swapaxes(t.conj(), -1, -2)
     grams = t @ t_h, t_h @ t
     e = t.shape[-1]
-    j = blocks.s.shape[-1] // e
+    j = blocks.k.shape[-1] * blocks.n // e
     if j == 1:
         return grams
     repeated = []
@@ -423,10 +454,13 @@ def _tightness(alpha: Optional[float], beta: Optional[float], tol: float) -> boo
 
 
 def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
-    """Extreme eigenvalues of the frame operator; frame iff the least one is positive."""
+    """Extreme eigenvalues of the frame operator; frame iff the least one is positive.
+
+    Each block of S is I_n (x) K, so its spectrum is that of K, each
+    eigenvalue n times."""
     blocks = _frame_blocks(system)
-    eigs = np.linalg.eigvalsh(_hermitian(blocks.s))
-    return _ordinary_report(eigs, blocks.to_json_dict(), tol)
+    eigs = np.linalg.eigvalsh(_hermitian(blocks.k))
+    return _ordinary_report(np.repeat(eigs, blocks.n, axis=-1), blocks.to_json_dict(), tol)
 
 
 def _ordinary_report(eigs, route: dict, tol: float) -> BoundsReport:

@@ -453,9 +453,12 @@ def _build_window(space: SignalSpace, spec, path: str) -> MatrixSignal:
     factors = np.array([[_build_scalar(space.group, grid[i][j], primal[:, i, j], hat[:, i, j],
                                        where(i, j))
                          for j in range(n)] for i in range(n)], dtype=np.complex128)
-    if hat.any():
-        primal += inverse_fourier(MatrixSignal(space, hat, dual=True)).values
-    return MatrixSignal(space, factors * primal)
+    # finite numbers whose product overflows leave an entry inf or nan, which
+    # the system's trace bound rejects at its windows
+    with np.errstate(over="ignore", invalid="ignore"):
+        if hat.any():
+            primal += inverse_fourier(MatrixSignal(space, hat, dual=True)).values
+        return MatrixSignal(space, factors * primal)
 
 
 def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool) -> Subgroup:
@@ -465,6 +468,24 @@ def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool) -> Subgroup:
         return Subgroup.trivial(group, dual=dual)
     make = group.dual_element if dual else group.element
     return Subgroup(group, [make(c) for c in spec["gens"]], dual=dual)
+
+
+def _energy(values: np.ndarray) -> float:
+    """sum |v|^2 as a Python float: inf when it overflows and nan for a
+    non-finite entry, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.vdot(values, values).real)
+
+
+def _trace_bound(system: GaborSystem) -> float:
+    """w |Gamma| |lattice| n sum_l ||g_l||^2, the trace of the frame operator,
+    or |lattice| n sum_l ||g_l||^2 when w |Gamma| < 1: a bound on every entry
+    of the frame-operator blocks and of the sums they are built from, in
+    Python floats (inf when it overflows)."""
+    space = system.space
+    energy = sum(_energy(w.values) for w in system.windows)
+    weight = max(space.weight() * len(system.dual_lattice), 1.0)
+    return weight * len(system.lattice) * space.n * energy
 
 
 def _build_system(group, measure, spec: dict, path: str) -> GaborSystem:
@@ -482,7 +503,7 @@ def _build_system(group, measure, spec: dict, path: str) -> GaborSystem:
     dual_lattice = _build_lattice(group, dlat_spec, dual=True)
     auto = spec.get("automorphism")
     dauto = spec.get("dual_automorphism")
-    return GaborSystem(
+    system = GaborSystem(
         space,
         windows,
         lattice,
@@ -490,6 +511,12 @@ def _build_system(group, measure, spec: dict, path: str) -> GaborSystem:
         Automorphism(group, auto) if auto is not None else None,
         Automorphism(group, dauto, dual=True) if dauto is not None else None,
     )
+    # finite windows whose frame operator overflows are rejected before it is built
+    bound = _trace_bound(system)
+    if not math.isfinite(bound):
+        raise ScenarioError([f"{path}.windows: the frame operator overflows: its trace "
+                             "bound is not finite"])
+    return system
 
 
 def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator:
@@ -503,16 +530,22 @@ def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator
         if "matrix" not in spec:
             raise ValueError("entry_map needs 'matrix'")
         mat = [[_complex_entry(v) for v in row] for row in spec["matrix"]]
-        return SpaceOperator.from_entry_map(space, np.asarray(mat))
-    if "data_file" not in spec:
-        raise ValueError("dense needs 'data_file'")
-    path = base_dir / spec["data_file"]
-    # layout: row-major complex128 little-endian, shape (dim, dim)
-    data = np.fromfile(path, dtype="<c16")
-    dim = space.dim
-    if data.size != dim * dim:
-        raise ValueError(f"{path} holds {data.size} values, need {dim * dim}")
-    return SpaceOperator.from_dense(space, data.reshape(dim, dim))
+        op = SpaceOperator.from_entry_map(space, np.asarray(mat))
+    else:
+        if "data_file" not in spec:
+            raise ValueError("dense needs 'data_file'")
+        path = base_dir / spec["data_file"]
+        # layout: row-major complex128 little-endian, shape (dim, dim)
+        data = np.fromfile(path, dtype="<c16")
+        dim = space.dim
+        if data.size != dim * dim:
+            raise ValueError(f"{path} holds {data.size} values, need {dim * dim}")
+        op = SpaceOperator.from_dense(space, data.reshape(dim, dim))
+    # the grams T T* and T* T are bounded by ||T||_F^2, so it must be finite
+    if not math.isfinite(_energy(op._rep())):
+        raise ValueError("the operator's grams overflow: its squared Frobenius norm "
+                         "is not finite")
+    return op
 
 
 def _built(path: str, build, *args):
@@ -734,10 +767,20 @@ def _pert_check(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     perturbed = _need(args, "perturbed_system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
+    coefficients = [float(args.get(key, 0.0)) for key in ("lambda", "mu", "eta")]
+    # lambda S + mu T T* + eta T* T, term by term in Python floats before it is
+    # formed: S is bounded by its trace bound, both grams by ||T||_F^2, and
+    # both bounds are finite since the system and the operator were built
+    gram = _energy(theta._rep())
+    total = 0.0
+    for key, coefficient, scale in zip(("lambda", "mu", "eta"), coefficients,
+                                       (_trace_bound(system), gram, gram)):
+        total += coefficient * scale
+        if not math.isfinite(total):
+            raise ScenarioError([f"$.args.{key}: the term {key} * {scale!r} of the "
+                                 "domination bound overflows"])
     check, prediction = verify_perturbation(
-        system, perturbed, theta,
-        float(args.get("lambda", 0.0)), float(args.get("mu", 0.0)),
-        float(args.get("eta", 0.0)), _pinned(args, "paper_bounds"), tol,
+        system, perturbed, theta, *coefficients, _pinned(args, "paper_bounds"), tol,
     )
     return _Outcome(
         {"hypothesis": check, "prediction": prediction},

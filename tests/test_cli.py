@@ -789,6 +789,64 @@ def test_non_finite_numbers_exit_2_at_their_field_path(tmp_path, capsys, preset,
     assert f"scenario error: {where}: {shown} is not a finite number" in capsys.readouterr().err
 
 
+def _scale_first_window(scenario, factor):
+    for row in scenario["systems"][0]["windows"][0]["matrix"]:
+        for entry in row:
+            if entry["window"] != "zero":
+                entry["scale"] = factor * entry.get("scale", 1.0)
+
+
+def _nest_scales(scenario):
+    # 1e200 * 1e200 overflows to inf in the window's entry factor
+    scenario["systems"][0]["windows"][0]["matrix"][0][1] = {
+        "window": "scaled", "scale": 1e200,
+        "of": {"window": "scaled", "scale": 1e200, "of": {"window": "delta"}}}
+
+
+def _scale_operator(scenario, factor):
+    operator = scenario["operators"][0]
+    operator["matrix"] = [[factor * v for v in row] for row in operator["matrix"]]
+
+
+@pytest.mark.parametrize("preset,corrupt,where", [
+    ("remark-theta0", lambda s: _scale_first_window(s, 1e155),
+     "$.systems[0].windows: the frame operator overflows: its trace bound is not finite"),
+    ("remark-theta0", _nest_scales,
+     "$.systems[0].windows: the frame operator overflows: its trace bound is not finite"),
+    ("pertexa", lambda s: s["args"].update({"lambda": 1e308}),
+     "$.args.lambda: the term lambda * "),
+    ("pertexa", lambda s: s["args"].update({"lambda": 1e300, "mu": 1.7e308}),
+     "$.args.mu: the term mu * "),
+    ("pertexa", lambda s: s["args"].update({"eta": 1e308}), "$.args.eta: the term eta * "),
+    ("pertexa", lambda s: _scale_operator(s, 1e155),
+     "$.operators[0]: the operator's grams overflow: its squared Frobenius norm is not "
+     "finite"),
+], ids=["window-scale", "nested-scale", "lambda", "mu", "eta", "entry-map"])
+def test_finite_input_that_overflows_exits_2_at_its_field_path(tmp_path, capsys, preset,
+                                                                 corrupt, where):
+    # every number is finite, but the frame operator, an operator's grams or
+    # a term of the domination bound is not; each is bounded in Python floats
+    # before any numpy product, so no RuntimeWarning (an error here) comes first
+    scenario = build_preset(preset)
+    corrupt(scenario)
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(file), "--strict"]) == 2
+    assert f"scenario error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["remark-theta0", "omega-check"])
+def test_large_finite_window_still_runs(tmp_path, preset):
+    # a window scaled by 1e150 keeps its frame operator finite: the verdicts
+    # hold, with the constants scaled by 1e300, and no product overflows
+    # (the omega bound takes sqrt(a) sqrt(b) of two diagonals, not sqrt(a b))
+    scenario = build_preset(preset)
+    _scale_first_window(scenario, 1e150)
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(file), "--strict", "--out", str(tmp_path / "r.json")]) == 0
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_invalid_tol_flag_exits_2(tmp_path, capsys, tol):
     assert main(["--preset", "remark-theta0", "--tol", tol,

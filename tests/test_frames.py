@@ -450,6 +450,34 @@ def test_theta_bounds_eigensolver_budget(monkeypatch):
     assert counts[64] == counts[128] == 3
 
 
+def test_ordinary_bounds_eigensolver_budget_at_4096(monkeypatch):
+    # each block of S is I_n (x) K, so ordinary bounds make one eigvalsh, on
+    # the 1024 blocks K of 2 x 2 at D = 4096, and repeat each eigenvalue n = 2
+    # times; the constants are those read from S's own eigh in theta_bounds
+    from gaborop.frames import _ordinary_report
+
+    system = swap_window_system(128)
+    theta = pert_theta_op(system.space)
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = ordinary_bounds(system)
+    assert calls == [("eigvalsh", (1024, 2, 2))]
+    spectrum = rep.spectra["frame_operator"]
+    assert system.space.dim == len(spectrum) == 4096
+    assert spectrum[::2] == spectrum[1::2]
+    controlled = theta_bounds(system, theta)
+    dense_spectrum = controlled.spectra["frame_operator"]
+    from_s = _ordinary_report(dense_spectrum, controlled.route, DEFAULT_TOL)
+    assert rep.alpha_opt == pytest.approx(from_s.alpha_opt, rel=1e-12)
+    assert rep.beta_opt == pytest.approx(from_s.beta_opt, rel=1e-12)
+    assert (rep.lower_exists, rep.tight) == (from_s.lower_exists, from_s.tight)
+    assert np.allclose(spectrum, dense_spectrum, rtol=0.0, atol=1e-12 * dense_spectrum[-1])
+
+
 def _relabelled(system, matrix):
     """``system`` relabelled by the automorphism U of its group: windows
     g(U^-1 x), translations composed with U, and modulations composed with
@@ -678,11 +706,13 @@ def _assert_bitwise_equal_blocks(a, b):
 @example(factors=(4, 6), seed=1522)  # H = Z2 x Z2 in 3 cosets of order 8, J = 2
 # seed 110 (|H| = 6), then its twin on the same lattices under [[3, 0], [0, 1]] (|H| = 3)
 @example(factors=(4, 6), seed="twin")
+# Z_32 with lattice <2> and modulations <8>: H = <4>, two translates per coset of H
+@example(factors=(32,), seed="z32")
 def test_walnut_route_matches_dense_route(factors, seed):
     # the family of a Gabor system takes the dense route; the system itself
     # the Zak blocks inside the coset blocks: the same verdicts, constants
     # and spectra, and the same blocks bit for bit from a cold and a warm
-    # lattice layout
+    # lattice layout, whose gather keeps one translate per coset of H
     from dataclasses import replace
 
     from gaborop.frames import _frame_blocks, _layout
@@ -693,12 +723,22 @@ def test_walnut_route_matches_dense_route(factors, seed):
         twin = replace(system, automorphism=Automorphism(system.space.group,
                                                          _Z46_AUTOMORPHISMS[0]))
         cases = [(system, theta), (twin, theta)]
+    elif seed == "z32":
+        system, theta = _walnut_case(factors, 4)  # n = 2, two nonzero windows
+        group = system.space.group
+        cases = [(replace(system, lattice=Subgroup(group, [group.element([2])]),
+                          dual_lattice=Subgroup(group, [group.dual_element([8])], dual=True)),
+                  theta)]
+        assert _zak_order(cases[0][0]) == 8
     else:
         cases = [_walnut_case(factors, seed)]
     cold = [_frame_blocks(system, theta) for system, theta in cases]
     for (system, theta), blocks in zip(cases, cold):
         _check_walnut_route(system, theta)
         _assert_bitwise_equal_blocks(_frame_blocks(system, theta), blocks)
+        translates = len(system.lattice)
+        assert _layout_of(system).gather.shape[0] == translates // _zak_order(system)
+        assert _layout_of(system, split=False).gather.shape[0] == translates
 
 
 def _check_walnut_route(system, theta):
