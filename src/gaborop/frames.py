@@ -12,7 +12,8 @@ Gabor system the frame operator is block-diagonal over the cosets of the
 annihilator of the modulation group (Walnut's representation), and an entry
 map acts pointwise, so bounds under an entry map (or none), or under a dense
 operator that vanishes off those blocks, are computed on them; any other
-family or operator is one dense block.  The frame operator, and the grams of
+family or operator is one dense block, built as the family's members over
+the trivial lattices (one coset).  The frame operator, and the grams of
 an entry map, also commute with translation by H, the lattice translations
 that lie in that annihilator, so a DFT over H splits each coset block
 further into |H| blocks (the Zak or Zibulski-Zeevi representation), built
@@ -172,11 +173,6 @@ class CoefficientSequence:
     def __getitem__(self, label):
         return self.array[self.labels.index(label)]
 
-    @classmethod
-    def zeros_like(cls, family: VectorFamily) -> "CoefficientSequence":
-        n = family.space.n
-        return cls(family.labels, np.zeros((len(family), n, n), dtype=np.complex128))
-
 
 def analysis(system, f: MatrixSignal) -> CoefficientSequence:
     """Coefficient map: one matrix pairing against every family member."""
@@ -232,14 +228,15 @@ class _Blocks(NamedTuple):
     points of coset b ordered t_bj + h over (j, h) and ``index[b]`` their flat
     indices, block (b, chi), at position b |H| + chi of ``s``, is U S U^* for
     the rows (j, entry) of U that are sum_h phi[chi, h] e_index[b, (j, h, entry)]^T.
-    A trivial H (phi = [[1]]) gives the coset blocks themselves.
+    A trivial H (phi = [[1]]) gives the coset blocks themselves; the dense
+    route is one coset, G, with H = {0}, so its index is the identity.
 
     Every block is I_n (x) K: the frame operator acts on each row of a matrix
     signal alone, so with the entry (p, r) of point j as row (j, p, r),
     S[(j, p, r), (j', t, s)] = delta(p, t) K[(j, r), (j', s)].  Only K is
     kept; ``s`` forms S for a pencil, and ordinary bounds read K."""
 
-    route: str          # "walnut" (coset blocks) or "dense" (one block)
+    route: str          # "walnut" (coset blocks) or "dense" (one block, of a family)
     index: np.ndarray   # (B, c) flat indices of each coset block, ordered (j, h, entry)
     phi: np.ndarray     # (|H|, |H|) the unitary DFT over H, phi[chi, h] = chi(h) / sqrt|H|
     k: np.ndarray       # (B |H|, J n, J n) the factor K of each block, J n = c / (|H| n)
@@ -321,8 +318,10 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     from the windows.  The coset blocks are taken when the operator maps each
     coset into itself: no operator, an entry map, or a dense matrix whose
     nonzero count equals that of its coset blocks (an exact test).  A family,
-    or a dense matrix with a nonzero entry off the blocks, gives one dense
-    block.
+    or the family of a system under a dense matrix with a nonzero entry off
+    the blocks, is built the same way as one dense block: its members are the
+    windows over the trivial lattice and dual lattice, so Gamma^perp = G is
+    the one coset and H = {0}.
 
     S(y + h, x + h) = S(y, x) for h in H = A ∩ annihilator(Gamma), and H maps
     each coset onto itself, so the DFT over H diagonalises each coset block
@@ -346,30 +345,36 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     if theta is not None and theta.space != system.space:
         raise GroupMismatchError("operator does not act on the system's space")
     op = None if theta is None else theta._rep()[None]
-    if not isinstance(system, GaborSystem):
-        return _dense_blocks(system, op, "not a Gabor system")
     reason = "no operator" if theta is None else "entry map"
-    if theta is not None and theta.kind == "dense":
-        op = _coset_operator(system, theta)
+    if not isinstance(system, GaborSystem):
+        reason = "not a Gabor system"
+    elif theta is not None and theta.kind == "dense":
+        op, reason = _coset_operator(system, theta), "dense, zero off the coset blocks"
         if op is None:
-            return _dense_blocks(system, theta._rep()[None],
-                                 "dense, nonzero off the coset blocks")
-        reason = "dense, zero off the coset blocks"
+            op, reason = theta._rep()[None], "dense, nonzero off the coset blocks"
+            system = system.family()
+    if isinstance(system, GaborSystem):
+        route, windows = "walnut", _windows(system)
+        lattices = (system.lattice, system.dual_lattice, system.automorphism,
+                    system.dual_automorphism)
+    else:  # the members as windows over the trivial lattices: one coset, H = {0}
+        group = system.space.group
+        route, windows = "dense", system.array
+        lattices = (Subgroup.trivial(group), Subgroup.trivial(group, dual=True),
+                    Automorphism.identity(group), Automorphism.identity(group, dual=True))
     n = system.space.n
-    points, phi, gather = _layout(system.lattice, system.dual_lattice, system.automorphism,
-                                  system.dual_automorphism,
-                                  theta is None or theta.kind == "entry_map")
+    points, phi, gather = _layout(*lattices, theta is None or theta.kind == "entry_map")
     _, blocks, j, size = gather.shape
     index = _coset_index(points, n)
     # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r] for the kept a,
     # as one product over all rows: a batch of (n, |H|) products costs a BLAS call each
-    g = np.moveaxis(_windows(system)[:, gather], 4, -1)
+    g = np.moveaxis(windows[:, gather], 4, -1)
     g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
     # stack[(b, chi), (l, a, q), (j, r)], and K = w |Gamma| |H| stack^T conj(stack) per block
     stack = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
-    k = system.space.weight() * len(system.dual_lattice) * size * (
+    k = system.space.weight() * len(lattices[1]) * size * (
         np.swapaxes(stack, 1, 2) @ stack.conj())
-    return _Blocks("walnut", index, phi, k, n, op, reason)
+    return _Blocks(route, index, phi, k, n, op, reason)
 
 
 def _coset_index(points: np.ndarray, n: int) -> np.ndarray:
@@ -386,14 +391,6 @@ def _coset_operator(system: GaborSystem, theta: SpaceOperator) -> Optional[np.nd
     index = _coset_index(points, system.space.n)
     on_blocks = theta.dense_matrix[index[:, :, None], index[:, None, :]]
     return on_blocks if np.count_nonzero(on_blocks) == theta.nonzeros else None
-
-
-def _dense_blocks(system, op: Optional[np.ndarray], reason: str) -> _Blocks:
-    """One block: K read from the dense frame operator, S[(x, 0, r), (x', 0, s)]."""
-    s = frame_operator(system, as_operator=False)
-    order, n = system.space.group.order, system.space.n
-    k = s.reshape(order, n, n, order, n, n)[:, 0, :, :, 0, :].reshape(1, order * n, order * n)
-    return _Blocks("dense", np.arange(len(s))[None], np.ones((1, 1)), k, n, op, reason)
 
 
 def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:

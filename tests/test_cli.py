@@ -914,3 +914,52 @@ def test_duplicate_names_exit_2(tmp_path, capsys, key, message):
     path.write_text(json.dumps(scenario))
     assert main(["--scenario", str(path)]) == 2
     assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+def _run_strict(tmp_path, scenario):
+    """(exit code, report or None) of ``scenario`` through ``main --strict``."""
+    path, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["--strict", "--scenario", str(path), "--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+@pytest.mark.parametrize("task", ["hyponormal", "adjointable"])
+def test_operator_diagnostics_tasks(tmp_path, task):
+    # both tasks report the diagnostics of the named operator, nothing else
+    from dataclasses import asdict
+
+    from gaborop import FiniteAbelianGroup, MeasurePair, SignalSpace, SpaceOperator
+    from gaborop.operators import diagnostics
+
+    scenario = build_preset("remark-theta0")
+    scenario.update({"task": task, "args": {"operator": "selector"}})
+    code, report = _run_strict(tmp_path, scenario)
+    group = FiniteAbelianGroup((16,))
+    selector = SpaceOperator.from_entry_map(SignalSpace(group, 2, MeasurePair.torus_like(group)),
+                                            np.array(scenario["operators"][0]["matrix"]))
+    assert code == 0
+    assert report["results"] == {"operator": asdict(diagnostics(selector))}
+
+
+def test_zero_operator_scenario(tmp_path):
+    # under T = 0 the lower inequality holds with any alpha (||T* f|| = 0) and
+    # no finite upper constant exists (ker T is everything, ker S is not)
+    scenario = build_preset("remark-theta0")
+    scenario["operators"][0] = {"name": "selector", "kind": "zero", "n": 2}
+    code, report = _run_strict(tmp_path, scenario)
+    assert code == 0
+    controlled = report["results"]["controlled"]
+    assert (controlled["lower_exists"], controlled["upper_exists"]) == (True, False)
+    assert controlled["alpha_opt"] is None and controlled["beta_opt"] is None
+    assert report["results"]["operator"]["operator_norm"] == 0.0
+
+
+def test_tight_construction_of_another_dimension_is_a_finding(tmp_path, capsys):
+    # the operator acts on 2 x 2 signals; a construction in dimension 3 is refused
+    scenario = build_preset("thm2-tight")
+    scenario["args"]["dimension"] = 3
+    code, _ = _run_strict(tmp_path, scenario)
+    assert code == 3
+    assert ("tight_construct: operator space does not match the requested dimension"
+            in capsys.readouterr().err)

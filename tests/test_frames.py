@@ -739,6 +739,25 @@ def test_walnut_route_matches_dense_route(factors, seed):
         translates = len(system.lattice)
         assert _layout_of(system).gather.shape[0] == translates // _zak_order(system)
         assert _layout_of(system, split=False).gather.shape[0] == translates
+        _check_dense_route_against_oracle(system)
+
+
+def _check_dense_route_against_oracle(system):
+    # the dense route, of the family and of the system under a dense operator
+    # with an entry off the coset blocks, is S = A^* A from the analysis matrix
+    from gaborop.frames import _frame_blocks
+
+    family = system.family()
+    want = frame_operator(family, as_operator=False)
+    builds = [_frame_blocks(family)]
+    index = _frame_blocks(system).index
+    if len(index) > 1:  # an entry coupling two cosets
+        coupled = np.eye(system.space.dim)
+        coupled[index[0, 0], index[1, -1]] = 1.0
+        builds.append(_frame_blocks(system, SpaceOperator.from_dense(system.space, coupled)))
+    for blocks in builds:
+        assert (blocks.route, blocks.index.shape) == ("dense", (1, system.space.dim))
+        assert np.abs(blocks.s[0] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _check_walnut_route(system, theta):

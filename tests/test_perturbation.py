@@ -298,22 +298,20 @@ def test_pert_hypothesis_validates_constants():
 def test_perturbation_builds_each_system_once(setup, monkeypatch):
     # one pertexa verification meets three systems (source, difference,
     # perturbed): three block builds, the source's shared by its bounds and
-    # the domination test, and no dense frame operator
+    # the domination test, each on the coset blocks, none dense
     import gaborop.frames as frames
     import gaborop.perturbation as perturbation
 
-    builds, dense = [], []
-    blocks, frame_operator = frames._frame_blocks, frames.frame_operator
-    counted = lambda *args: builds.append(args) or blocks(*args)
+    built = []
+    build = frames._frame_blocks
+    counted = lambda *args: built.append(build(*args)) or built[-1]
     monkeypatch.setattr(frames, "_frame_blocks", counted)
     monkeypatch.setattr(perturbation, "_frame_blocks", counted)
-    monkeypatch.setattr(frames, "frame_operator",
-                        lambda *args, **kwargs: dense.append(args) or frame_operator(*args, **kwargs))
     check, prediction = verify_perturbation(
         setup["system"], setup["perturbed"], setup["theta"], 0.0, 0.2, 0.2
     )
     assert check.holds and prediction.lower_valid and prediction.upper_valid
-    assert len(builds) == 3 and not dense
+    assert [blocks.route for blocks in built] == ["walnut"] * 3
 
 
 def test_domination_test_takes_one_eigvalsh(setup, monkeypatch):
