@@ -47,6 +47,7 @@ from .frames import (
     VectorFamily,
     analysis,
     analysis_matrix,
+    batch_ordinary_bounds,
     bounded_below_promotion,
     frame_operator,
     ordinary_bounds,
@@ -96,7 +97,7 @@ __all__ = [
     # frames
     "GaborSystem", "VectorFamily", "CoefficientSequence", "BoundsReport",
     "analysis", "synthesis", "analysis_matrix", "frame_operator",
-    "ordinary_bounds", "theta_bounds", "bounded_below_promotion",
+    "ordinary_bounds", "batch_ordinary_bounds", "theta_bounds", "bounded_below_promotion",
     # constructions
     "normalize_to_parseval", "scalar_parseval_system", "tight_theta_frame",
     "TightConstruction", "image_system", "check_image_frame",

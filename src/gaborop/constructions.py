@@ -147,7 +147,7 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
         MatrixSignal(space, root * w.values[:, :1, :1] * np.eye(n))
         for w in scalar_system.windows))
     # one build of the image's blocks serves the hypotheses and its report
-    blocks = _frame_blocks(image_system(theta, diagonal), theta)
+    blocks = _frame_blocks([image_system(theta, diagonal)], theta)
     hypotheses = _diagnostics(theta, blocks.op, tol)
     if not hypotheses.is_hyponormal:
         reasons.append("operator is not hyponormal")
@@ -208,7 +208,7 @@ def check_image_frame(theta: SpaceOperator, system, tol: float = DEFAULT_TOL) ->
     computed extremal constants either way.
     """
     # one build of the image's blocks serves the hypotheses and its report
-    blocks = _frame_blocks(image_system(theta, system), theta)
+    blocks = _frame_blocks([image_system(theta, system)], theta)
     diagnosed = _diagnostics(theta, blocks.op, tol)
     hypotheses = {
         "hyponormal": diagnosed.is_hyponormal,
@@ -283,7 +283,7 @@ def omega_characterization(system, theta: SpaceOperator,
     sqrt(max diag S_b max diag S_b') (Cauchy-Schwarz) between cosets with one
     label, and exactly 0 between distinct labels.
     """
-    blocks = _frame_blocks(system, theta)
+    blocks = _frame_blocks([system], theta)
     return _omega_report(system, blocks, _theta_report(blocks, tol))
 
 
@@ -303,7 +303,7 @@ def _omega_report(system, blocks, controlled: BoundsReport) -> OmegaReport:
         basis_condition = bool(np.all(labels == labels[:, :1]))
         # the diagonal of a coset block is the mean of its Zak blocks' diagonals,
         # and that of I_n (x) K repeats the diagonal of K
-        k = blocks.k.reshape(len(labels), len(blocks.phi), *blocks.k.shape[1:])
+        k = blocks.k[0].reshape(len(labels), len(blocks.phi), *blocks.k.shape[2:])
         diag = np.diagonal(k, axis1=2, axis2=3).real.mean(axis=1).max(axis=1, initial=0.0)
         # sorted by label, then by diagonal, largest first: the two largest
         # diagonals of cosets that share a label are neighbours

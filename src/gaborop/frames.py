@@ -18,7 +18,10 @@ an entry map, also commute with translation by H, the lattice translations
 that lie in that annihilator, so a DFT over H splits each coset block
 further into |H| blocks (the Zak or Zibulski-Zeevi representation), built
 from one lattice translate per coset of H.  Every block is I_n (x) K, and
-ordinary bounds take the eigenvalues of K alone.  The operator-controlled
+ordinary bounds take the eigenvalues of K alone.  K is linear in the windows'
+Zak rows, so systems on one space, lattice pair and automorphisms share the
+blocks: their windows take one gather and one DFT over H, and their ordinary
+bounds one eigensolve over the stacked K.  The operator-controlled
 two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
@@ -56,6 +59,7 @@ __all__ = [
     "analysis_matrix",
     "frame_operator",
     "ordinary_bounds",
+    "batch_ordinary_bounds",
     "theta_bounds",
     "valid_bounds",
     "bounded_below_promotion",
@@ -239,24 +243,27 @@ class _Blocks(NamedTuple):
     route: str          # "walnut" (coset blocks) or "dense" (one block, of a family)
     index: np.ndarray   # (B, c) flat indices of each coset block, ordered (j, h, entry)
     phi: np.ndarray     # (|H|, |H|) the unitary DFT over H, phi[chi, h] = chi(h) / sqrt|H|
-    k: np.ndarray       # (B |H|, J n, J n) the factor K of each block, J n = c / (|H| n)
+    # (systems, B |H|, J n, J n) the factor K of each block of each system, J n = c / (|H| n)
+    k: np.ndarray
     n: int              # the matrix size of the signals
     op: Optional[np.ndarray]  # (1, e, e) or (B, d, d): see _frame_blocks
     reason: str         # why the operator takes this route
 
     @property
     def s(self) -> np.ndarray:
-        """The blocks I_n (x) K of S, (B |H|, d, d) with d = J n^2, formed on each access."""
-        count, jn, _ = self.k.shape
+        """The blocks I_n (x) K of S for a build of one system, (B |H|, d, d)
+        with d = J n^2, formed on each access."""
+        (k,) = self.k  # a pencil pairs the operator with one system's S
+        count, jn, _ = k.shape
         j, n = jn // self.n, self.n
         s = np.zeros((count, j, n, n, j, n, n), dtype=np.complex128)
         for p in range(n):
-            s[:, :, p, :, :, p, :] = self.k.reshape(count, j, n, j, n)
+            s[:, :, p, :, :, p, :] = k.reshape(count, j, n, j, n)
         return s.reshape(count, jn * n, jn * n)
 
     def to_json_dict(self) -> dict:
-        return {"name": self.route, "blocks": len(self.k), "block_dim": self.k.shape[-1] * self.n,
-                "zak": len(self.phi)}
+        return {"name": self.route, "blocks": self.k.shape[1],
+                "block_dim": self.k.shape[-1] * self.n, "zak": len(self.phi)}
 
 
 class _Layout(NamedTuple):
@@ -307,8 +314,26 @@ def _layout(lattice: Subgroup, dual_lattice: Subgroup, automorphism: Automorphis
     return _Layout(points, phi, gather)
 
 
-def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
-    """The frame operator of ``system`` as blocks on which ``theta`` also splits.
+def _lattices(system: GaborSystem) -> tuple:
+    """The lattices and automorphisms of ``system``, in :func:`_layout`'s order."""
+    return (system.lattice, system.dual_lattice, system.automorphism, system.dual_automorphism)
+
+
+def _shared(system) -> tuple:
+    """What systems built together share: the space and, for a Gabor system,
+    the lattices and automorphisms."""
+    if isinstance(system, GaborSystem):
+        return (system.space, *_lattices(system))
+    return (system.space,)
+
+
+def _frame_blocks(systems: Sequence, theta: Optional[SpaceOperator] = None) -> _Blocks:
+    """The frame operators of ``systems`` as blocks on which ``theta`` also splits.
+
+    ``systems`` share one space and, if Gabor systems, their lattices and
+    automorphisms (:func:`_shared`), so they share the blocks: one set-up,
+    one gather and one DFT over H take all their windows, and one product
+    per system gives its K.  A single system is a stack of one.
 
     For a Gabor system with lattice translations A and modulation group Gamma,
     summing the modulations gives S(y, x) = w |Gamma| sum_{l, a} g_l(y - a)^T
@@ -335,45 +360,57 @@ def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
     :func:`_layout`.
 
     Each block is I_n (x) K (see :class:`_Blocks`), so only K is built:
-    K = w |Gamma| |H| sum over the kept translates, per block.
+    K = w |Gamma| |H| sum over the kept translates, per block and system.
+    The rows the gather and the DFT give are linear in the windows, so the
+    windows of every system are gathered as one stack.
 
     ``op`` is the operator on the blocks: the entry matrix (1, n^2, n^2),
     which repeats along the diagonal of every block, or the stack of the
     operator's diagonal blocks, (B, d, d) on the coset blocks and (1, D, D)
     on the dense route.
     """
-    if theta is not None and theta.space != system.space:
+    first = systems[0]
+    if any(_shared(system) != _shared(first) for system in systems[1:]):
+        raise GroupMismatchError("systems built together must share a space, lattices "
+                                 "and automorphisms")
+    space = first.space
+    if theta is not None and theta.space != space:
         raise GroupMismatchError("operator does not act on the system's space")
     op = None if theta is None else theta._rep()[None]
     reason = "no operator" if theta is None else "entry map"
-    if not isinstance(system, GaborSystem):
+    if not isinstance(first, GaborSystem):
         reason = "not a Gabor system"
     elif theta is not None and theta.kind == "dense":
-        op, reason = _coset_operator(system, theta), "dense, zero off the coset blocks"
+        op, reason = _coset_operator(first, theta), "dense, zero off the coset blocks"
         if op is None:
             op, reason = theta._rep()[None], "dense, nonzero off the coset blocks"
-            system = system.family()
-    if isinstance(system, GaborSystem):
-        route, windows = "walnut", _windows(system)
-        lattices = (system.lattice, system.dual_lattice, system.automorphism,
-                    system.dual_automorphism)
+            systems = [system.family() for system in systems]
+    if isinstance(systems[0], GaborSystem):
+        route, stacks, lattices = "walnut", [_windows(s) for s in systems], _lattices(first)
+        split = theta is None or theta.kind == "entry_map"
     else:  # the members as windows over the trivial lattices: one coset, H = {0}
-        group = system.space.group
-        route, windows = "dense", system.array
+        group = space.group
+        route, stacks, split = "dense", [family.array for family in systems], False
         lattices = (Subgroup.trivial(group), Subgroup.trivial(group, dual=True),
                     Automorphism.identity(group), Automorphism.identity(group, dual=True))
-    n = system.space.n
-    points, phi, gather = _layout(*lattices, theta is None or theta.kind == "entry_map")
+    n = space.n
+    points, phi, gather = _layout(*lattices, split)
     _, blocks, j, size = gather.shape
     index = _coset_index(points, n)
+    windows = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r] for the kept a,
     # as one product over all rows: a batch of (n, |H|) products costs a BLAS call each
     g = np.moveaxis(windows[:, gather], 4, -1)
     g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
-    # stack[(b, chi), (l, a, q), (j, r)], and K = w |Gamma| |H| stack^T conj(stack) per block
-    stack = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
-    k = system.space.weight() * len(lattices[1]) * size * (
-        np.swapaxes(stack, 1, 2) @ stack.conj())
+    # rows[(b, chi), (l, a, q), (j, r)] of each system's windows, and
+    # K = w |Gamma| |H| rows^T conj(rows) per block
+    products, start = [], 0
+    for stack in stacks:
+        rows = g[start:start + len(stack)].transpose(2, 6, 0, 1, 4, 3, 5)
+        rows = rows.reshape(blocks * size, -1, j * n)
+        products.append(np.swapaxes(rows, 1, 2) @ rows.conj())
+        start += len(stack)
+    k = space.weight() * len(lattices[1]) * size * np.stack(products)
     return _Blocks(route, index, phi, k, n, op, reason)
 
 
@@ -386,8 +423,7 @@ def _coset_operator(system: GaborSystem, theta: SpaceOperator) -> Optional[np.nd
     """The (B, d, d) stack of the dense ``theta``'s diagonal blocks on the
     cosets that split the frame operator of ``system`` (H = {0}), or None when
     ``theta`` has a nonzero entry off them (an exact test)."""
-    points = _layout(system.lattice, system.dual_lattice, system.automorphism,
-                     system.dual_automorphism, False).points
+    points = _layout(*_lattices(system), False).points
     index = _coset_index(points, system.space.n)
     on_blocks = theta.dense_matrix[index[:, :, None], index[:, None, :]]
     return on_blocks if np.count_nonzero(on_blocks) == theta.nonzeros else None
@@ -453,11 +489,29 @@ def _tightness(alpha: Optional[float], beta: Optional[float], tol: float) -> boo
 def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
     """Extreme eigenvalues of the frame operator; frame iff the least one is positive.
 
-    Each block of S is I_n (x) K, so its spectrum is that of K, each
-    eigenvalue n times."""
-    blocks = _frame_blocks(system)
-    eigs = np.linalg.eigvalsh(_hermitian(blocks.k))
-    return _ordinary_report(np.repeat(eigs, blocks.n, axis=-1), blocks.to_json_dict(), tol)
+    The one-system case of :func:`batch_ordinary_bounds`."""
+    return batch_ordinary_bounds([system], tol)[0]
+
+
+def batch_ordinary_bounds(systems: Sequence, tol: float = DEFAULT_TOL) -> list[BoundsReport]:
+    """The :func:`ordinary_bounds` report of each of ``systems``, in order.
+
+    Systems that share a space, lattices and automorphisms share their
+    blocks, so each such group takes one build (see :func:`_frame_blocks`)
+    and one ``eigvalsh`` over its stacked K.  Each block of S is I_n (x) K,
+    so its spectrum is that of K, each eigenvalue n times."""
+    groups: dict = {}
+    for i, system in enumerate(systems):
+        groups.setdefault(_shared(system), []).append(i)
+    reports: list = [None] * len(systems)
+    for members in groups.values():
+        blocks = _frame_blocks([systems[i] for i in members])
+        jn = blocks.k.shape[-1]
+        eigs = np.linalg.eigvalsh(_hermitian(blocks.k).reshape(-1, jn, jn))
+        for i, system_eigs in zip(members, eigs.reshape(len(members), -1)):
+            reports[i] = _ordinary_report(np.repeat(system_eigs, blocks.n, axis=-1),
+                                          blocks.to_json_dict(), tol)
+    return reports
 
 
 def _ordinary_report(eigs, route: dict, tol: float) -> BoundsReport:
@@ -492,7 +546,7 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
     dense matrix were solved, and its ``reason`` why the operator took that
     route.
     """
-    return _theta_report(_frame_blocks(system, theta), tol)
+    return _theta_report(_frame_blocks([system], theta), tol)
 
 
 def _theta_report(blocks: _Blocks, tol: float) -> BoundsReport:
@@ -551,7 +605,7 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     sigma, (gamma / ||adjoint(T)||^2, delta / sigma^2) are valid controlled
     bounds; both predictions are checked against the computed extremal ones.
     """
-    blocks = _frame_blocks(system, theta)  # one build serves both reports
+    blocks = _frame_blocks([system], theta)  # one build serves both reports
     # ||adjoint(T)|| = ||T||, and sigma is the lower bound of T
     norm, sigma = _norm_and_lower_bound(blocks.op)
     if sigma <= tol * norm:

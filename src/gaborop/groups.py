@@ -263,7 +263,8 @@ class Subgroup:
             isinstance(other, Subgroup)
             and self.group == other.group
             and self.dual == other.dual
-            and np.array_equal(self.coords, other.coords)
+            # one group fixes the rank, so equal bytes are equal members, as in the hash
+            and self.coords.tobytes() == other.coords.tobytes()
         )
 
     def __hash__(self):
@@ -489,11 +490,16 @@ class MeasurePair:
         return cls(1.0, 1.0 / group.order, group.order)
 
 
-def _transform(signal, fft, norm: str = "backward") -> np.ndarray:
-    # the factor axes of G are the leading axes of the reshaped values
-    group = signal.space.group
-    grid = signal.values.reshape(group.factors + signal.values.shape[1:])
-    return fft(grid, axes=tuple(range(group.rank)), norm=norm).reshape(signal.values.shape)
+def _transform(group: FiniteAbelianGroup, values: np.ndarray, fft, norm: str = "backward",
+               axis: int = 0) -> np.ndarray:
+    """The one-dimensional ``fft`` of ``values`` along each factor axis of G,
+    the group axis ``axis`` split into them: the last factor first, as
+    ``numpy.fft.fftn`` takes them, without its n-dimensional set-up."""
+    shape = values.shape
+    grid = values.reshape(shape[:axis] + group.factors + shape[axis + 1:])
+    for factor_axis in reversed(range(axis, axis + group.rank)):
+        grid = fft(grid, axis=factor_axis, norm=norm)
+    return grid.reshape(shape)
 
 
 def fourier(signal):
@@ -506,7 +512,8 @@ def fourier(signal):
 
     if signal.dual:
         raise GroupMismatchError("fourier expects a signal on the primal side")
-    values = signal.space.measure.w_group * _transform(signal, np.fft.fftn)
+    values = signal.space.measure.w_group * _transform(signal.space.group, signal.values,
+                                                       np.fft.fft)
     return MatrixSignal(signal.space, values, dual=True)
 
 
@@ -516,6 +523,12 @@ def inverse_fourier(signal):
 
     if not signal.dual:
         raise GroupMismatchError("inverse_fourier expects a signal on the dual side")
+    return MatrixSignal(signal.space, _inverse_fourier_values(signal.space, signal.values),
+                        dual=False)
+
+
+def _inverse_fourier_values(space, hat: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The values of :func:`inverse_fourier` for the dual-side values ``hat`` of
+    ``space``, whose group axis is ``axis``: a stack of signals takes one FFT."""
     # norm="forward" leaves the inverse sum unscaled
-    values = signal.space.measure.w_dual * _transform(signal, np.fft.ifftn, norm="forward")
-    return MatrixSignal(signal.space, values, dual=False)
+    return space.measure.w_dual * _transform(space.group, hat, np.fft.ifft, "forward", axis)

@@ -30,13 +30,13 @@ from .constructions import (
     tight_theta_frame,
 )
 from .frames import (GaborSystem, _frame_blocks, _ordinary_report, _theta_report,
-                     ordinary_bounds, valid_bounds)
+                     batch_ordinary_bounds, valid_bounds)
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
     MeasurePair,
     Subgroup,
-    inverse_fourier,
+    _inverse_fourier_values,
 )
 from .operators import DEFAULT_TOL, SpaceOperator, _diagnostics, diagnostics
 from .perturbation import _same_lattices, verify_perturbation, verify_sum
@@ -423,8 +423,9 @@ def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.n
     elif kind == "delta":
         primal[group.element(spec.get("at", [0] * group.rank)).index] = spec.get("scale", 1.0)
     elif kind == "fourier_indicator":
+        order = group.order
         for idx in _field(spec, "set", path):
-            if not 0 <= idx < group.order:
+            if not 0 <= idx < order:
                 raise ScenarioError(
                     [f"{path}.set: fourier_indicator index {idx} outside the dual group"]
                 )
@@ -434,31 +435,36 @@ def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.n
     return 1.0
 
 
-def _build_window(space: SignalSpace, spec, path: str) -> MatrixSignal:
-    """The window at field path ``path`` as one (|G|, n, n) array: the
-    ``fourier_indicator`` entries are collected on the dual side and take one
-    inverse transform together."""
-    n = space.n
-    if isinstance(spec, dict) and "matrix" in spec:
-        grid = spec["matrix"]
-        if len(grid) != n or any(len(row) != n for row in grid):
-            raise ScenarioError([f"{path}.matrix: matrix window must be {n}x{n}"])
-        where = lambda i, j: f"{path}.matrix[{i}][{j}]"
-    elif n != 1:
-        raise ScenarioError([f"{path}: scalar window given for a matrix system"])
-    else:
-        grid, where = [[spec]], lambda i, j: path
-    primal = np.zeros((space.group.order, n, n), dtype=np.complex128)
+def _build_windows(space: SignalSpace, specs, path: str) -> np.ndarray:
+    """The windows at field path ``path`` as one (L, |G|, n, n) stack.  Each
+    scalar entry is written into its row of the point values or, for a
+    ``fourier_indicator``, of the dual-side values; the dual-side stack takes
+    one inverse transform, and one multiply by the ``scaled`` factors follows."""
+    group, n = space.group, space.n
+    primal = np.zeros((len(specs), group.order, n, n), dtype=np.complex128)
     hat = np.zeros_like(primal)
-    factors = np.array([[_build_scalar(space.group, grid[i][j], primal[:, i, j], hat[:, i, j],
-                                       where(i, j))
-                         for j in range(n)] for i in range(n)], dtype=np.complex128)
+    factors = np.ones((len(specs), 1, n, n), dtype=np.complex128)
+    for l, spec in enumerate(specs):
+        window = f"{path}[{l}]"
+        if isinstance(spec, dict) and "matrix" in spec:
+            grid = spec["matrix"]
+            if len(grid) != n or any(len(row) != n for row in grid):
+                raise ScenarioError([f"{window}.matrix: matrix window must be {n}x{n}"])
+            where = lambda i, j: f"{window}.matrix[{i}][{j}]"
+        elif n != 1:
+            raise ScenarioError([f"{window}: scalar window given for a matrix system"])
+        else:
+            grid, where = [[spec]], lambda i, j: window
+        for i in range(n):
+            for j in range(n):
+                factors[l, 0, i, j] = _build_scalar(group, grid[i][j], primal[l, :, i, j],
+                                                    hat[l, :, i, j], where(i, j))
     # finite numbers whose product overflows leave an entry inf or nan, which
     # the system's trace bound rejects at its windows
     with np.errstate(over="ignore", invalid="ignore"):
         if hat.any():
-            primal += inverse_fourier(MatrixSignal(space, hat, dual=True)).values
-        return MatrixSignal(space, factors * primal)
+            primal += _inverse_fourier_values(space, hat, axis=1)
+        return factors * primal
 
 
 def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool) -> Subgroup:
@@ -489,9 +495,12 @@ def _trace_bound(system: GaborSystem) -> float:
 
 
 def _build_system(group, measure, spec: dict, path: str) -> GaborSystem:
+    """The system at field path ``path``.  Its windows are built as one stack
+    with one inverse transform (:func:`_build_windows`); the ordinary_bounds
+    task then builds the systems on one lattice pair together."""
     space = SignalSpace(group, spec["n"], measure)
-    windows = tuple(_build_window(space, w, f"{path}.windows[{j}]")
-                    for j, w in enumerate(spec["windows"]))
+    windows = tuple(MatrixSignal(space, values)
+                    for values in _build_windows(space, spec["windows"], f"{path}.windows"))
     # 'lattice_gens' is the flat generator-list spelling of {'gens': ...}
     lat_spec = spec.get("lattice")
     if lat_spec is None and "lattice_gens" in spec:
@@ -671,18 +680,19 @@ def _prediction_findings(task: str, prediction) -> list[str]:
 
 
 def _ordinary_bounds(args, systems, operators, tol) -> _Outcome:
-    reports = {}
-    for name in args.get("systems") or list(systems):
+    # the systems on one space, lattices and automorphisms share one build and one eigensolve
+    names = args.get("systems") or list(systems)
+    for name in names:
         if name not in systems:
             raise ScenarioError([f"$.args.systems: unknown system {name!r}"])
-        reports[name] = ordinary_bounds(systems[name], tol)
+    reports = dict(zip(names, batch_ordinary_bounds([systems[name] for name in names], tol)))
     return _Outcome(reports, reports)
 
 
 def _theta_bounds(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
-    blocks = _frame_blocks(system, theta)
+    blocks = _frame_blocks([system], theta)
     controlled = _theta_report(blocks, tol)
     # S is built and decomposed once: the ordinary report reads its spectrum
     ordinary = _ordinary_report(controlled.spectra["frame_operator"], blocks.to_json_dict(), tol)
@@ -728,7 +738,7 @@ def _tight_construct(args, systems, operators, tol) -> _Outcome:
 def _omega_check(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     theta = _need(args, "operator", operators, "operator")
-    blocks = _frame_blocks(system, theta)
+    blocks = _frame_blocks([system], theta)
     controlled = _theta_report(blocks, tol)  # one build and one solve serve both reports
     omega = _omega_report(system, blocks, controlled)
     findings = []

@@ -511,11 +511,12 @@ def test_failed_certificate_is_a_finding_in_every_task(tmp_path, monkeypatch, pr
                                       "residual certificate") for finding in findings), label
 
 
-# builds of S per preset report: one per system the report covers (an image
-# check's source and image; pert_check's source, difference and perturbed
-# systems; sum_check's two systems and their sum; a tight construction's
-# source, diagonal system and image)
-_BUILDS = {"exb1": 2, "ex2-negative": 2, "prop1a-image": 2,
+# builds of S per preset report: one per lattice for the systems of an
+# ordinary_bounds report (exb1's two systems share one), and one per system
+# any other report covers (an image check's source and image; pert_check's
+# source, difference and perturbed systems; sum_check's two systems and their
+# sum; a tight construction's source, diagonal system and image)
+_BUILDS = {"exb1": 1, "ex2-negative": 2, "prop1a-image": 2,
            "remark-theta0": 1, "exper1-negative": 1, "omega-check": 1,
            "pertexa": 3, "sumexa": 3, "thm2-tight": 3, "ex-after-thm2": 3}
 
@@ -680,32 +681,45 @@ def _oracle_scalar_window(space, spec) -> np.ndarray:
 
 
 def test_matrix_window_takes_one_transform(monkeypatch):
+    # a system's windows are one stack: every fourier_indicator entry of every
+    # window takes one inverse transform together
     import gaborop.scenario as gscenario
     from gaborop import FiniteAbelianGroup, MeasurePair, SignalSpace
 
     group = FiniteAbelianGroup((4, 3))
     space = SignalSpace(group, 2, MeasurePair.torus_like(group))
     values = [[0.5 * i, -1.0] for i in range(12)]
-    spec = {"matrix": [
-        [{"window": "fourier_indicator", "set": [0, 5, 5, 7], "scale": 2.0},
-         {"window": "scaled", "scale": -3.0,
-          "of": {"window": "fourier_indicator", "set": [1, 11]}}],
-        [{"window": "delta", "at": [2, 1], "scale": 1.5},
-         {"window": "scaled", "scale": 0.5, "of": {"window": "values", "values": values}}],
-    ]}
+    specs = [
+        {"matrix": [
+            [{"window": "fourier_indicator", "set": [0, 5, 5, 7], "scale": 2.0},
+             {"window": "scaled", "scale": -3.0,
+              "of": {"window": "fourier_indicator", "set": [1, 11]}}],
+            [{"window": "delta", "at": [2, 1], "scale": 1.5},
+             {"window": "scaled", "scale": 0.5, "of": {"window": "values", "values": values}}],
+        ]},
+        {"matrix": [
+            [{"window": "values", "values": values[::-1]},
+             {"window": "scaled", "scale": -2.0,
+              "of": {"window": "delta", "at": [0, 2]}}],
+            [{"window": "scaled", "scale": 4.0,
+              "of": {"window": "fourier_indicator", "set": [3], "scale": -0.5}}, 0],
+        ]},
+    ]
     calls = []
-    transform = gscenario.inverse_fourier
-    monkeypatch.setattr(gscenario, "inverse_fourier",
-                        lambda signal: calls.append(signal) or transform(signal))
-    window = gscenario._build_window(space, spec, "$.systems[0].windows[0]")
-    assert len(calls) == 1
-    for i in range(2):
-        for j in range(2):
-            want = _oracle_scalar_window(space, spec["matrix"][i][j])
-            assert np.allclose(window.values[:, i, j], want, rtol=0.0, atol=1e-13)
+    transform = gscenario._inverse_fourier_values
+    monkeypatch.setattr(gscenario, "_inverse_fourier_values",
+                        lambda *args, **kwargs: calls.append(args) or transform(*args, **kwargs))
+    windows = gscenario._build_windows(space, specs, "$.systems[0].windows")
+    assert len(calls) == 1 and windows.shape == (2, 12, 2, 2)
+    for window, spec in zip(windows, specs):
+        for i in range(2):
+            for j in range(2):
+                want = _oracle_scalar_window(space, spec["matrix"][i][j])
+                assert np.allclose(window[:, i, j], want, rtol=0.0, atol=1e-13)
     calls.clear()
     plain = {"matrix": [[{"window": "delta", "at": [0, 0]}, 0], [{"window": "zero"}, 0]]}
-    assert gscenario._build_window(space, plain, "$.systems[0].windows[0]").values[0, 0, 0] == 1.0
+    assert gscenario._build_windows(space, [plain, plain],
+                                    "$.systems[0].windows")[:, 0, 0, 0].tolist() == [1.0, 1.0]
     assert not calls
 
 
@@ -730,12 +744,13 @@ def test_matrix_window_takes_one_transform(monkeypatch):
 def test_window_errors_keep_their_messages(n, spec, message):
     # each message names the field path of the window entry at fault
     from gaborop import FiniteAbelianGroup, MeasurePair, SignalSpace
-    from gaborop.scenario import _build_window
+    from gaborop.scenario import _build_windows
 
     group = FiniteAbelianGroup((8,))
+    blank = {"matrix": [[0] * n for _ in range(n)]}
     with pytest.raises(ScenarioError) as err:
-        _build_window(SignalSpace(group, n, MeasurePair.torus_like(group)), spec,
-                      "$.systems[1].windows[2]")
+        _build_windows(SignalSpace(group, n, MeasurePair.torus_like(group)),
+                       [blank, blank, spec], "$.systems[1].windows")
     assert err.value.problems == [f"$.systems[1].windows[2]{message}"]
 
 

@@ -57,6 +57,7 @@ from helpers import (
     projector_op,
     random_entry_op,
     random_signal,
+    random_subgroup,
     random_system,
     selector_op,
     swap_window_system,
@@ -478,6 +479,48 @@ def test_ordinary_bounds_eigensolver_budget_at_4096(monkeypatch):
     assert np.allclose(spectrum, dense_spectrum, rtol=0.0, atol=1e-12 * dense_spectrum[-1])
 
 
+def _variant(base: GaborSystem, kind: str, rng: np.random.Generator) -> GaborSystem:
+    """A system on the group of ``base``: on its space and lattices with 0 to 3
+    new windows, on another lattice pair, or with the other n."""
+    space, lattices = base.space, (base.lattice, base.dual_lattice)
+    if kind == "lattice":
+        lattices = (random_subgroup(space.group, rng), random_subgroup(space.group, rng, True))
+    if kind == "n":
+        space = torus_space(space.group.order, 3 - space.n)
+    count = int(rng.integers(0, 4)) if kind == "windows" else int(rng.integers(1, 3))
+    return GaborSystem(space, tuple(random_signal(space, rng) for _ in range(count)), *lattices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["windows", "lattice", "n"]), max_size=3))
+def test_stacked_ordinary_bounds_match_lone_reports(seed, kinds):
+    # the ordinary_bounds task builds the systems on one space and lattice
+    # pair together and makes one eigvalsh for them; each report is the one
+    # the system gives alone, and its spectrum is the dense oracle's
+    rng = np.random.default_rng(seed)
+    base = random_system(rng)
+    systems = {f"s{i}": system for i, system in
+               enumerate([base] + [_variant(base, kind, rng) for kind in kinds])}
+    lattices = {(s.space.n, s.lattice.coords.tobytes(), s.dual_lattice.coords.tobytes())
+                for s in systems.values()}
+    calls = []
+    solve = np.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs:
+                      calls.append(a.shape) or solve(a, *args, **kwargs))
+        reports = TASKS["ordinary_bounds"]({"systems": list(systems)}, systems, {},
+                                           DEFAULT_TOL).results
+    assert len(calls) == len(lattices)
+    for name, system in systems.items():
+        report, lone = reports[name], ordinary_bounds(system)
+        assert report.to_json_dict() == lone.to_json_dict()
+        assert report.spectra == lone.spectra
+        dense = np.linalg.eigvalsh(frame_operator(system, as_operator=False))
+        assert np.allclose(report.spectra["frame_operator"], dense, rtol=0.0,
+                           atol=1e-12 * abs(dense[-1]))
+
+
 def _relabelled(system, matrix):
     """``system`` relabelled by the automorphism U of its group: windows
     g(U^-1 x), translations composed with U, and modulations composed with
@@ -732,10 +775,10 @@ def test_walnut_route_matches_dense_route(factors, seed):
         assert _zak_order(cases[0][0]) == 8
     else:
         cases = [_walnut_case(factors, seed)]
-    cold = [_frame_blocks(system, theta) for system, theta in cases]
+    cold = [_frame_blocks([system], theta) for system, theta in cases]
     for (system, theta), blocks in zip(cases, cold):
         _check_walnut_route(system, theta)
-        _assert_bitwise_equal_blocks(_frame_blocks(system, theta), blocks)
+        _assert_bitwise_equal_blocks(_frame_blocks([system], theta), blocks)
         translates = len(system.lattice)
         assert _layout_of(system).gather.shape[0] == translates // _zak_order(system)
         assert _layout_of(system, split=False).gather.shape[0] == translates
@@ -749,12 +792,12 @@ def _check_dense_route_against_oracle(system):
 
     family = system.family()
     want = frame_operator(family, as_operator=False)
-    builds = [_frame_blocks(family)]
-    index = _frame_blocks(system).index
+    builds = [_frame_blocks([family])]
+    index = _frame_blocks([system]).index
     if len(index) > 1:  # an entry coupling two cosets
         coupled = np.eye(system.space.dim)
         coupled[index[0, 0], index[1, -1]] = 1.0
-        builds.append(_frame_blocks(system, SpaceOperator.from_dense(system.space, coupled)))
+        builds.append(_frame_blocks([system], SpaceOperator.from_dense(system.space, coupled)))
     for blocks in builds:
         assert (blocks.route, blocks.index.shape) == ("dense", (1, system.space.dim))
         assert np.abs(blocks.s[0] - want).max() <= 1e-13 * np.abs(want).max()
@@ -796,7 +839,7 @@ def _check_walnut_route(system, theta):
     from gaborop.frames import _frame_blocks
 
     omega = omega_characterization(system, theta)
-    oracle = oracle_omega_report(system, _frame_blocks(system, theta), DEFAULT_TOL)
+    oracle = oracle_omega_report(system, _frame_blocks([system], theta), DEFAULT_TOL)
     verdicts = lambda r: (r.basis_condition, r.lower_exists, r.upper_exists,
                           r.alpha is None, r.beta is None)
     assert verdicts(omega) == verdicts(oracle) and omega.basis_condition
@@ -822,7 +865,7 @@ def test_dense_omega_report_matches_oracle(dense, rng):
         d = system.space.dim
         theta = SpaceOperator.from_dense(
             system.space, theta.to_dense() + 0.1 * rng.standard_normal((d, d)))
-    blocks = _frame_blocks(system, theta)
+    blocks = _frame_blocks([system], theta)
     assert blocks.route == "dense"
     omega = omega_characterization(system, theta)
     oracle = oracle_omega_report(system, blocks, DEFAULT_TOL)
@@ -861,7 +904,7 @@ def _split_dense_operator(system, kind, entry, rng):
         t[points, :, points, :] = maps
     elif kind == "right":
         coset = np.empty(order, dtype=int)
-        for label, block in enumerate(_frame_blocks(system).index):
+        for label, block in enumerate(_frame_blocks([system]).index):
             coset[block[::n2] // n2] = label
         r = cplx(order, order, n, n) * (coset[:, None] == coset[None, :])[:, :, None, None]
         # (f R)[p, d] = sum_b f[p, b] R[b, d]
@@ -900,7 +943,7 @@ def test_split_dense_operator_matches_dense_route(factors, seed, kind):
         _assert_zak_route(twin, system)
         assert twin.route["reason"] == "entry map"
         _assert_same_bounds(blocked, twin)
-    index = _frame_blocks(system).index
+    index = _frame_blocks([system]).index
     if len(index) > 1:
         coupled = op.to_dense().copy()
         coupled[index[0, 0], index[1, -1]] = 1.0
@@ -951,7 +994,7 @@ def test_split_operator_images_match_family_route(factors, seed, kind, hermitian
         all(valid_bounds(family, source.alpha_opt, source.beta_opt))
         if source.lower_exists else None)
 
-    index = _frame_blocks(system).index
+    index = _frame_blocks([system]).index
     if len(index) > 1:
         coupled = op.to_dense().copy()
         coupled[index[0, 0], index[1, -1]] = 1.0
@@ -1161,7 +1204,7 @@ def test_split_operator_facts_from_its_blocks(monkeypatch, factors, seed, kind):
 
     system, theta = _walnut_case(factors, seed)
     op = _split_dense_operator(system, kind, theta.entry_matrix, np.random.default_rng(seed))
-    route = _frame_blocks(system, op).to_json_dict()
+    route = _frame_blocks([system], op).to_json_dict()
     assert route["name"] == "walnut" and route["blocks"] > 1
     solves = _record_solves(monkeypatch)
     for call in (lambda: bounded_below_promotion(system, op),
@@ -1209,7 +1252,7 @@ def test_walnut_identity(factors, seed):
 
     for system in (_walnut_case(factors, seed)[0], swap_window_system(4)):
         dense = frame_operator(system, as_operator=False)
-        blocks = _frame_blocks(system)
+        blocks = _frame_blocks([system])
         phi, index, dim, n2 = blocks.phi, blocks.index, system.space.dim, system.space.n ** 2
         size, (count, d, _) = len(phi), blocks.s.shape
         assert sorted(index.ravel().tolist()) == list(range(dim))
@@ -1287,7 +1330,7 @@ def test_route_is_reported():
                                            "reason": "dense, zero off the coset blocks"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-12)
     # one nonzero entry coupling two cosets keeps the dense route
-    blocks = _frame_blocks(system)
+    blocks = _frame_blocks([system])
     coupled = dense.copy()
     coupled[blocks.index[0, 0], blocks.index[1, 0]] = 1e-3
     rep = theta_bounds(system, SpaceOperator.from_dense(system.space, coupled))
@@ -1373,8 +1416,8 @@ def test_layout_is_shared_by_value():
     for other in (perturbed, main.with_windows(perturbed.windows),
                   _difference_system(main, perturbed)):
         assert _layout_of(other) is layout
-    assert _frame_blocks(perturbed).phi is layout.phi
-    assert _frame_blocks(perturbed, pert_theta_op(main.space)).phi is layout.phi
+    assert _frame_blocks([perturbed]).phi is layout.phi
+    assert _frame_blocks([perturbed], pert_theta_op(main.space)).phi is layout.phi
     for array in layout:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -1422,6 +1465,18 @@ def test_layout_cache_stays_bounded():
         _layout(*key)
         for cache in (_layout, groups._span_minima):
             assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def test_dense_route_takes_one_layout_entry():
+    # a family is laid out over the trivial lattices with H = {0} under any
+    # operator, so its ordinary and controlled reports share one entry
+    from gaborop.frames import _layout
+
+    family = swap_window_system(2).family()
+    _layout.cache_clear()
+    ordinary_bounds(family)
+    theta_bounds(family, SpaceOperator.from_dense(family.space, np.eye(family.space.dim)))
+    assert (_layout.cache_info().misses, _layout.cache_info().currsize) == (1, 1)
 
 
 def test_reports_on_known_lattices_close_no_subgroup(monkeypatch):
