@@ -253,7 +253,8 @@ def check_composed_image(xi: SpaceOperator, theta: SpaceOperator, system,
 
 @dataclass
 class OmegaReport:
-    """Coefficient-side characterisation of the two-sided frame inequality."""
+    """Coefficient-side characterisation of the two-sided frame inequality; the
+    verdicts and constants are those of ``controlled``, which JSON leaves out."""
 
     basis_condition: bool
     max_gram_deviation: float
@@ -261,6 +262,7 @@ class OmegaReport:
     upper_exists: bool
     alpha: Optional[float]
     beta: Optional[float]
+    controlled: Optional[BoundsReport] = field(default=None, metadata={"json": False})
 
 
 def omega_characterization(system, theta: SpaceOperator,
@@ -269,10 +271,12 @@ def omega_characterization(system, theta: SpaceOperator,
 
     Checks that Omega maps the standard coefficient basis onto the family and
     compares Omega Omega^* with the frame operator S; the verdicts and
-    constants are those of the controlled report on the blocks of S.  On the
-    dense route S is A^* A for the analysis matrix A, and Omega = A^*, so both
-    conditions hold by construction.  On the coset blocks, the rows of coset b
-    of Omega are H_b (x) phi_b (the translate stack, and the phase row
+    constants are those of the controlled report on the blocks of S (one
+    build and one pencil solve serve both).  On the dense route S is A^* A for
+    the analysis matrix A, and Omega = A^*, so both conditions hold by
+    construction (``tests/helpers.py::oracle_omega_report`` keeps the dense
+    Omega).  On the coset blocks, the rows of coset b of Omega are
+    H_b (x) phi_b (the translate stack, and the phase row
     phi_b(gamma) = chi_gamma(x_b)); with P = phi phi^*, Omega Omega^* is
     w P_bb' H_b H_b'^* on blocks (b, b'), and S_b = w |Gamma| H_b H_b^*.  Both
     conditions are exact integer facts about the coset points: the basis
@@ -284,14 +288,7 @@ def omega_characterization(system, theta: SpaceOperator,
     label, and exactly 0 between distinct labels.
     """
     blocks = _frame_blocks([system], theta)
-    return _omega_report(system, blocks, _theta_report(blocks, tol))
-
-
-def _omega_report(system, blocks, controlled: BoundsReport) -> OmegaReport:
-    """The Omega report against the frame-operator blocks of ``system``, with
-    the verdicts and constants of the ``controlled`` report on them."""
-    # on the dense route Omega = A^*, so both conditions hold by construction
-    # (tests/helpers.py::oracle_omega_report keeps the dense Omega)
+    controlled = _theta_report(blocks, tol)
     basis_condition, max_dev = True, 0.0
     if blocks.route == "walnut":
         group, n2 = system.space.group, system.space.n ** 2
@@ -312,4 +309,5 @@ def _omega_report(system, blocks, controlled: BoundsReport) -> OmegaReport:
         shared = (heads[1:] == heads[:-1]).all(axis=-1)
         max_dev = float((np.sqrt(diag[1:]) * np.sqrt(diag[:-1])).max(where=shared, initial=0.0))
     return OmegaReport(basis_condition, max_dev, controlled.lower_exists,
-                       controlled.upper_exists, controlled.alpha_opt, controlled.beta_opt)
+                       controlled.upper_exists, controlled.alpha_opt, controlled.beta_opt,
+                       controlled)

@@ -44,7 +44,8 @@ import numpy as np
 
 from .groups import (Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates,
                      _cosets, _positions, _subgroup_characters, annihilator, intersection)
-from .operators import DEFAULT_TOL, KERNEL_RTOL, SpaceOperator, _norm_and_lower_bound
+from .operators import (DEFAULT_TOL, KERNEL_RTOL, OperatorDiagnostics, SpaceOperator,
+                        _diagnostics)
 from .pencil import _hermitian, solve_pencils
 from .signals import MatrixSignal, SignalSpace
 
@@ -585,16 +586,19 @@ def valid_bounds(report: BoundsReport, lower: float, upper: float,
 
 @dataclass(frozen=True)
 class PromotionResult:
-    """Bounds predicted for a frame under a bounded-below operator."""
+    """Bounds predicted for a frame under a bounded-below operator, beside the
+    ordinary and controlled reports and the operator diagnostics they rest on.
+    The reports are always set; the predictions only when the hypothesis holds."""
 
     hypothesis_ok: bool
     reason: str
+    ordinary: BoundsReport
+    controlled: BoundsReport
+    operator: OperatorDiagnostics
     predicted_lower: Optional[float] = None
     predicted_upper: Optional[float] = None
     lower_valid: Optional[bool] = None
     upper_valid: Optional[bool] = None
-    ordinary: Optional[BoundsReport] = None
-    controlled: Optional[BoundsReport] = None
 
 
 def bounded_below_promotion(system, theta: SpaceOperator,
@@ -603,29 +607,26 @@ def bounded_below_promotion(system, theta: SpaceOperator,
 
     For a frame with bounds (gamma, delta) and an operator bounded below by
     sigma, (gamma / ||adjoint(T)||^2, delta / sigma^2) are valid controlled
-    bounds; both predictions are checked against the computed extremal ones.
+    bounds; when sigma > tol ||T|| and the system is a frame, both predictions
+    are checked against the computed extremal ones.  The reports are made
+    either way, from one build, one SVD of the operator's blocks and one solve.
     """
-    blocks = _frame_blocks([system], theta)  # one build serves both reports
-    # ||adjoint(T)|| = ||T||, and sigma is the lower bound of T
-    norm, sigma = _norm_and_lower_bound(blocks.op)
-    if sigma <= tol * norm:
-        return PromotionResult(False, "operator is not bounded below")
+    blocks = _frame_blocks([system], theta)
+    operator = _diagnostics(theta, blocks.op, tol)
     controlled = _theta_report(blocks, tol)
     # S is decomposed once: the ordinary report reads the controlled report's spectrum
     ordinary = _ordinary_report(controlled.spectra["frame_operator"],
                                 blocks.to_json_dict(), tol)
+    # ||adjoint(T)|| = ||T||, and sigma is the lower bound of T
+    norm, sigma = operator.operator_norm, operator.lower_bound
+    reports = dict(ordinary=ordinary, controlled=controlled, operator=operator)
+    if sigma <= tol * norm:
+        return PromotionResult(False, "operator is not bounded below", **reports)
     if not ordinary.lower_exists:
-        return PromotionResult(False, "system is not an ordinary frame", ordinary=ordinary)
+        return PromotionResult(False, "system is not an ordinary frame", **reports)
     predicted_lower = ordinary.alpha_opt / (norm * norm)
     predicted_upper = ordinary.beta_opt / (sigma * sigma)
     lower_valid, upper_valid = valid_bounds(controlled, predicted_lower, predicted_upper, tol)
-    return PromotionResult(
-        True,
-        "ok",
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        lower_valid=lower_valid,
-        upper_valid=upper_valid,
-        ordinary=ordinary,
-        controlled=controlled,
-    )
+    return PromotionResult(True, "ok", **reports, predicted_lower=predicted_lower,
+                           predicted_upper=predicted_upper, lower_valid=lower_valid,
+                           upper_valid=upper_valid)

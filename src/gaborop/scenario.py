@@ -24,13 +24,12 @@ import numpy as np
 
 from . import __version__
 from .constructions import (
-    _omega_report,
     check_composed_image,
     check_image_frame,
+    omega_characterization,
     tight_theta_frame,
 )
-from .frames import (GaborSystem, _frame_blocks, _ordinary_report, _theta_report,
-                     batch_ordinary_bounds, valid_bounds)
+from .frames import GaborSystem, batch_ordinary_bounds, bounded_below_promotion, valid_bounds
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
@@ -38,7 +37,7 @@ from .groups import (
     Subgroup,
     _inverse_fourier_values,
 )
-from .operators import DEFAULT_TOL, SpaceOperator, _diagnostics, diagnostics
+from .operators import DEFAULT_TOL, SpaceOperator, diagnostics
 from .perturbation import _same_lattices, verify_perturbation, verify_sum
 from .presets import build_preset
 from .signals import MatrixSignal, SignalSpace
@@ -690,18 +689,13 @@ def _ordinary_bounds(args, systems, operators, tol) -> _Outcome:
 
 
 def _theta_bounds(args, systems, operators, tol) -> _Outcome:
-    system = _need(args, "system", systems, "system")
-    theta = _need(args, "operator", operators, "operator")
-    blocks = _frame_blocks([system], theta)
-    controlled = _theta_report(blocks, tol)
-    # S is built and decomposed once: the ordinary report reads its spectrum
-    ordinary = _ordinary_report(controlled.spectra["frame_operator"], blocks.to_json_dict(), tol)
-    # the operator is diagnosed on the blocks it rides on
-    return _Outcome(
-        {"ordinary": ordinary, "controlled": controlled,
-         "operator": _diagnostics(theta, blocks.op, tol)},
-        {"ordinary": ordinary, "controlled": controlled},
-    )
+    # one build and one solve serve the ordinary and controlled reports and the
+    # promotion's predictions, which are checked only when its hypothesis holds
+    promotion = bounded_below_promotion(_need(args, "system", systems, "system"),
+                                        _need(args, "operator", operators, "operator"), tol)
+    return _Outcome(promotion, {"ordinary": promotion.ordinary,
+                                "controlled": promotion.controlled},
+                    _prediction_findings("theta_bounds", promotion))
 
 
 def _operator_diagnostics(args, systems, operators, tol) -> _Outcome:
@@ -736,11 +730,10 @@ def _tight_construct(args, systems, operators, tol) -> _Outcome:
 
 
 def _omega_check(args, systems, operators, tol) -> _Outcome:
-    system = _need(args, "system", systems, "system")
-    theta = _need(args, "operator", operators, "operator")
-    blocks = _frame_blocks([system], theta)
-    controlled = _theta_report(blocks, tol)  # one build and one solve serve both reports
-    omega = _omega_report(system, blocks, controlled)
+    # one build and one solve serve the omega report and the controlled report
+    omega = omega_characterization(_need(args, "system", systems, "system"),
+                                   _need(args, "operator", operators, "operator"), tol)
+    controlled = omega.controlled
     findings = []
     if not omega.basis_condition:
         findings.append("omega_check: synthesis operator misses the coefficient basis")

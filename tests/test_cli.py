@@ -491,6 +491,44 @@ def test_corrupted_constant_is_a_finding(tmp_path, monkeypatch, capsys):
     assert not report["results"]["controlled"]["cross_check"]["alpha_certificate"]["holds"]
 
 
+def _pertexa_theta_bounds() -> dict:
+    """pertexa's main system under its entry map, which is bounded below."""
+    scenario = build_preset("pertexa")
+    scenario.update(task="theta_bounds", args={"system": "main", "operator": "theta"})
+    return scenario
+
+
+def test_failed_promotion_check_is_a_finding(tmp_path, monkeypatch, capsys):
+    # a theta_bounds report checks the promotion's predictions against its
+    # controlled constants, and a prediction that fails is a finding
+    from gaborop import frames
+
+    clean = run_scenario(_pertexa_theta_bounds())["results"]
+    assert clean["hypothesis_ok"] and clean["lower_valid"] and clean["upper_valid"]
+    monkeypatch.setattr(frames, "valid_bounds", lambda *args, **kwargs: (False, False))
+    code, report = _run_strict(tmp_path, _pertexa_theta_bounds())
+    assert code == 3
+    assert report["findings"] == [
+        "theta_bounds: predicted lower bound exceeds the computed optimal one",
+        "theta_bounds: predicted upper bound undercuts the computed optimal one",
+    ]
+    assert "theta_bounds: predicted lower bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["remark-theta0", "exper1-negative"])
+def test_promotion_needs_an_operator_bounded_below(tmp_path, monkeypatch, preset):
+    # a selector and a projector are not bounded below: no prediction is made,
+    # so none is checked, and a failing check is no finding
+    from gaborop import frames
+
+    monkeypatch.setattr(frames, "valid_bounds", lambda *args, **kwargs: (False, False))
+    code, report = _run_strict(tmp_path, build_preset(preset))
+    results = report["results"]
+    assert code == 0 and report["findings"] == []
+    assert (results["hypothesis_ok"], results["reason"]) == (False, "operator is not bounded below")
+    assert results["predicted_lower"] is None and results["lower_valid"] is None
+
+
 @pytest.mark.parametrize("preset,labels", [
     ("pertexa", ["pert_check: perturbed"]),
     ("sumexa", ["sum_check: summed"]),
@@ -523,28 +561,31 @@ _BUILDS = {"exb1": 1, "ex2-negative": 2, "prop1a-image": 2,
 
 @pytest.mark.parametrize("name", list(_BUILDS))
 def test_theta_bounds_task_builds_s_once(monkeypatch, name):
-    # S is built once per system a report covers; a theta_bounds report's
-    # ordinary report reads the spectrum of the controlled one, with the same
-    # constants as the ordinary_bounds task on that system; every module
-    # namespace holding _frame_blocks is counted
+    # S is built once per system a report covers; a theta_bounds report is one
+    # bounded_below_promotion call, whose ordinary report reads the spectrum of
+    # the controlled one, with the same constants as the ordinary_bounds task
+    # on that system; every module namespace holding a counted function is
+    # patched
     import sys
 
     from gaborop import frames
 
-    calls = []
-    build = frames._frame_blocks
+    calls = {}
+    for original in (frames._frame_blocks, frames.bounded_below_promotion):
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] = calls.get(_original.__name__, 0) + 1
+            return _original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("gaborop") and getattr(module, "_frame_blocks", None) is build:
-            monkeypatch.setattr(module, "_frame_blocks", counted)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("gaborop") and \
+                    getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
     report = run_scenario(build_preset(name))
-    assert len(calls) == _BUILDS[name]
+    assert calls.get("_frame_blocks") == _BUILDS[name]
     if report["task"] != "theta_bounds":
+        assert "bounded_below_promotion" not in calls
         return
+    assert calls["bounded_below_promotion"] == 1
     ordinary = report["results"]["ordinary"]
     scenario = build_preset(name)
     scenario["task"], scenario["args"] = "ordinary_bounds", {"systems": ["main"]}
@@ -557,18 +598,19 @@ def test_theta_bounds_task_builds_s_once(monkeypatch, name):
 
 
 def test_omega_check_task_builds_s_once(monkeypatch):
-    # the omega report and the controlled report share one build of the coset
-    # blocks and one pencil solve, and the omega checks read integer pairings,
-    # not characters; every module namespace holding a counted function is
-    # patched, after a first run has memoised the layout (whose DFT over H
-    # takes characters)
+    # the task is one omega_characterization call, whose omega report and
+    # controlled report share one build of the coset blocks and one pencil
+    # solve, and the omega checks read integer pairings, not characters; every
+    # module namespace holding a counted function is patched, after a first
+    # run has memoised the layout (whose DFT over H takes characters)
     import sys
 
-    from gaborop import frames, groups, pencil
+    from gaborop import constructions, frames, groups, pencil
 
     run_scenario(build_preset("omega-check"))
     calls = {}
-    for original in (frames._frame_blocks, pencil.solve_pencils, groups._characters):
+    for original in (constructions.omega_characterization, frames._frame_blocks,
+                     pencil.solve_pencils, groups._characters):
         name = original.__name__
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -579,7 +621,7 @@ def test_omega_check_task_builds_s_once(monkeypatch):
             if module_name.startswith("gaborop") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     report = run_scenario(build_preset("omega-check"))
-    assert calls == {"_frame_blocks": 1, "solve_pencils": 1}
+    assert calls == {"omega_characterization": 1, "_frame_blocks": 1, "solve_pencils": 1}
     assert report["results"]["verdicts_agree"] and not report["findings"]
 
 
@@ -937,6 +979,42 @@ def _run_strict(tmp_path, scenario):
     path.write_text(json.dumps(scenario))
     code = main(["--strict", "--scenario", str(path), "--out", str(out)])
     return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_dense_operator_coupling_two_cosets_takes_the_dense_route(tmp_path):
+    # kron(I_16, M) plus one entry coupling an even and an odd point is nonzero
+    # off the coset blocks: the dense route, with both certificates holding and
+    # the promotion's predictions valid
+    scenario = _pertexa_theta_bounds()
+    spec = scenario["operators"][0]
+    t = np.kron(np.eye(scenario["group"]["factors"][0]), spec["matrix"]).astype("<c16")
+    t[0, -1] = 1
+    t.tofile(tmp_path / "op.bin")
+    scenario["operators"] = [{"name": "theta", "kind": "dense", "n": 2, "data_file": "op.bin"}]
+    code, report = _run_strict(tmp_path, scenario)
+    results = report["results"]
+    assert code == 0
+    assert results["controlled"]["route"]["name"] == "dense"
+    assert results["controlled"]["route"]["reason"] == "dense, nonzero off the coset blocks"
+    cross = results["controlled"]["cross_check"]
+    assert cross["alpha_certificate"]["holds"] and cross["beta_certificate"]["holds"]
+    assert results["hypothesis_ok"] and results["lower_valid"] and results["upper_valid"]
+
+
+def test_systems_on_two_lattices_get_their_lone_constants(tmp_path):
+    # an ordinary_bounds report of systems on two lattices gives each system
+    # the constants it gets alone
+    scenario = build_preset("exb1")
+    scenario["systems"].append({**scenario["systems"][0], "name": "coarse",
+                                "lattice_gens": [[4]]})
+    code, together = _run_strict(tmp_path, scenario)
+    assert code == 0
+    assert sorted(together["results"]) == ["coarse", "phi1-system", "phi2-system"]
+    for name, report in together["results"].items():
+        code, alone = _run_strict(tmp_path, {**scenario, "args": {"systems": [name]}})
+        assert code == 0
+        for key in ("alpha_opt", "beta_opt"):
+            assert report[key] == alone["results"][name][key], (name, key)
 
 
 @pytest.mark.parametrize("task", ["hyponormal", "adjointable"])

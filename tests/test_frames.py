@@ -341,6 +341,34 @@ def test_bounded_below_promotion_rejects_singular():
     assert "bounded below" in result.reason
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["invertible", "general", "singular"]))
+def test_theta_bounds_task_checks_the_promotion(seed, kind):
+    # every theta_bounds report carries the lone reports of its system and
+    # checks the promotion whenever its hypothesis holds; the paper's claim
+    # makes every such check pass
+    rng = np.random.default_rng(seed)
+    system = random_system(rng)
+    theta = random_entry_op(system.space, rng, kind)
+    outcome = TASKS["theta_bounds"]({"system": "s", "operator": "t"}, {"s": system},
+                                    {"t": theta}, DEFAULT_TOL)
+    promotion, lone = outcome.results, ordinary_bounds(system)
+    # the controlled report is the lone one's computation; the ordinary one
+    # reads S's spectrum in place of the eigenvalues of K
+    assert promotion.controlled.to_json_dict() == theta_bounds(system, theta).to_json_dict()
+    ordinary = promotion.ordinary
+    assert (ordinary.lower_exists, ordinary.tight, ordinary.route) == \
+        (lone.lower_exists, lone.tight, lone.route)
+    for have, want in ((ordinary.alpha_opt, lone.alpha_opt), (ordinary.beta_opt, lone.beta_opt)):
+        assert abs(have - want) <= 1e-12 * lone.beta_opt
+    facts = diagnostics(theta)
+    bounded = facts.lower_bound > DEFAULT_TOL * facts.operator_norm
+    assert promotion.hypothesis_ok == (bounded and lone.lower_exists)
+    if promotion.hypothesis_ok:
+        assert promotion.lower_valid and promotion.upper_valid
+        assert outcome.findings == []
+
+
 def test_monotonicity_window_enlargement(rng):
     for _ in range(10):
         system = random_system(rng)
@@ -1121,7 +1149,7 @@ def test_split_operator_diagnostics(monkeypatch, factors, seed, kind):
         monkeypatch.setattr(np.linalg, name, counted)
     outcome = TASKS["theta_bounds"]({"system": "s", "operator": "t"}, {"s": system},
                                     {"t": op}, DEFAULT_TOL)
-    got, route = outcome.results["operator"], outcome.results["controlled"].route
+    got, route = outcome.results.operator, outcome.results.controlled.route
     assert route["name"] == "walnut" and route["blocks"] > 1
     assert shapes and max(max(shape[-2:]) for shape in shapes) <= route["block_dim"]
     scale = want.operator_norm
@@ -1161,7 +1189,7 @@ def _operator_facts(system, op):
     summed = check_sum_hypothesis(system, system.with_windows([w * 0.5 for w in system.windows]),
                                   op)
     task = TASKS["theta_bounds"]({"system": "s", "operator": "t"}, {"s": system}, {"t": op},
-                                 DEFAULT_TOL).results["operator"]
+                                 DEFAULT_TOL).results.operator
     hyp, sum_predicted = pert.hypothesis, None
     if summed.bounded_below_ok and summed.gamma_1 is not None:
         sum_predicted = sum_predicted_bounds(summed.gamma_1, summed.delta_1, summed.delta_2,
