@@ -44,25 +44,25 @@ from .frames import (
     BoundsReport,
     CoefficientSequence,
     GaborSystem,
+    OmegaReport,
     VectorFamily,
     analysis,
     analysis_matrix,
     batch_ordinary_bounds,
     bounded_below_promotion,
     frame_operator,
+    image_system,
+    omega_characterization,
     ordinary_bounds,
     synthesis,
     theta_bounds,
 )
 from .constructions import (
     ImageFrameReport,
-    OmegaReport,
     TightConstruction,
     check_composed_image,
     check_image_frame,
-    image_system,
     normalize_to_parseval,
-    omega_characterization,
     scalar_parseval_system,
     tight_theta_frame,
 )
@@ -96,13 +96,12 @@ __all__ = [
     "diagnostics",
     # frames
     "GaborSystem", "VectorFamily", "CoefficientSequence", "BoundsReport",
-    "analysis", "synthesis", "analysis_matrix", "frame_operator",
+    "image_system", "analysis", "synthesis", "omega_characterization", "OmegaReport",
+    "analysis_matrix", "frame_operator",
     "ordinary_bounds", "batch_ordinary_bounds", "theta_bounds", "bounded_below_promotion",
     # constructions
     "normalize_to_parseval", "scalar_parseval_system", "tight_theta_frame",
-    "TightConstruction", "image_system", "check_image_frame",
-    "check_composed_image", "ImageFrameReport", "omega_characterization",
-    "OmegaReport",
+    "TightConstruction", "check_image_frame", "check_composed_image", "ImageFrameReport",
     # perturbation
     "PertHypothesis", "PertCheck", "PertPrediction", "SumCheck",
     "check_pert_hypothesis", "pert_predicted_bounds", "verify_perturbation",

@@ -5,16 +5,12 @@
 * diagonal matrix windows sqrt(t) * phi * I turning a scalar Parseval system
   into a t-tight matrix-valued system, then the image under a hyponormal,
   matrix-adjointable operator as a t-tight operator-controlled frame;
-* operator images, with companion checkers for the frame-preservation
-  statements they are expected to satisfy: the image of a Gabor system
-  under an operator that maps each coset of the Walnut blocks into itself
-  is a Gabor system, and one build of its blocks serves each checker;
-* the coefficient-side characterisation: the synthesis operator Omega maps
-  the standard coefficient basis onto the family, Omega Omega^* equals the
-  frame operator, and the pencil constants of Omega Omega^* reproduce the
-  two-sided bound verdicts.  No route builds Omega: on the dense route both
-  conditions hold by construction, and on the coset blocks they are exact
-  integer checks on the coset points.
+* companion checkers for the frame-preservation statements that operator
+  images are expected to satisfy.
+
+Operator images themselves and the synthesis-operator characterisation live
+in :mod:`gaborop.frames`, which decides the route of every build; this
+module asks it for reports.
 """
 
 from __future__ import annotations
@@ -27,21 +23,17 @@ import numpy as np
 from .frames import (
     BoundsReport,
     GaborSystem,
-    VectorFamily,
-    _as_family,
-    _coset_operator,
-    _frame_blocks,
-    _theta_report,
-    _translates,
+    _controlled,
+    image_system,
     ordinary_bounds,
     theta_bounds,
     valid_bounds,
 )
-from .groups import GroupMismatchError, Subgroup, _coordinates, _pairing
+from .groups import MeasurePair, Subgroup
 from .operators import (
     DEFAULT_TOL,
     SpaceOperator,
-    _diagnostics,
+    commutes,
     compose,
     is_hyponormal_on_range,
     is_mv_adjointable,
@@ -53,12 +45,9 @@ __all__ = [
     "scalar_parseval_system",
     "tight_theta_frame",
     "TightConstruction",
-    "image_system",
     "check_image_frame",
     "check_composed_image",
     "ImageFrameReport",
-    "omega_characterization",
-    "OmegaReport",
 ]
 
 
@@ -89,8 +78,6 @@ def scalar_parseval_system(group, measure=None, lattice: Subgroup | None = None,
     normalisation follows whatever measure convention is in force.  Raises
     if the requested data does not generate a tight system.
     """
-    from .groups import MeasurePair
-
     if group.order < 2:
         raise ValueError("group must be nontrivial")
     space = SignalSpace(group, 1, measure or MeasurePair.torus_like(group))
@@ -147,8 +134,7 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
         MatrixSignal(space, root * w.values[:, :1, :1] * np.eye(n))
         for w in scalar_system.windows))
     # one build of the image's blocks serves the hypotheses and its report
-    blocks = _frame_blocks([image_system(theta, diagonal)], theta)
-    hypotheses = _diagnostics(theta, blocks.op, tol)
+    hypotheses, image_report = _controlled(image_system(theta, diagonal), theta, tol)
     if not hypotheses.is_hyponormal:
         reasons.append("operator is not hyponormal")
     if not hypotheses.is_mv_adjointable:
@@ -157,36 +143,11 @@ def tight_theta_frame(tightness: float, scalar_system: GaborSystem, n: int,
         return TightConstruction(tightness, False, reasons)
 
     diag_report = ordinary_bounds(diagonal, tol)
-    image_report = _theta_report(blocks, tol)
     lower_valid, upper_valid = valid_bounds(image_report, tightness, tightness, tol)
     return TightConstruction(
         tightness, True, [], diagonal, diag_report, image_report,
         lower_valid, upper_valid,
     )
-
-
-def image_system(op: SpaceOperator, system) -> GaborSystem | VectorFamily:
-    """The images of every system member under ``op``.
-
-    An entry map commutes with every translation and modulation, and a dense
-    operator that maps each coset of Gamma^perp into itself commutes with
-    every modulation in Gamma, which is constant on a coset.  So the image of
-    a Gabor system is the Gabor system of the mapped windows on the same
-    lattices, or of the mapped translates T(g_l(. - A a)), in (l, a) order,
-    over the trivial lattice and the same modulations.  Any other operator,
-    or a family, gives the family of mapped members.
-    """
-    if op.space != system.space:
-        raise GroupMismatchError("operator does not act on the system's space")
-    if isinstance(system, GaborSystem) and op.kind == "entry_map":
-        return system.with_windows([op(w) for w in system.windows])
-    if isinstance(system, GaborSystem) and _coset_operator(system, op) is not None:
-        translates = _translates(system)
-        mapped = op.apply_array(translates).reshape(-1, *translates.shape[2:])
-        return GaborSystem(system.space, VectorFamily(system.space, mapped).members,
-                           Subgroup.trivial(system.space.group), system.dual_lattice,
-                           dual_automorphism=system.dual_automorphism)
-    return _as_family(system).transformed(op)
 
 
 @dataclass
@@ -208,15 +169,13 @@ def check_image_frame(theta: SpaceOperator, system, tol: float = DEFAULT_TOL) ->
     computed extremal constants either way.
     """
     # one build of the image's blocks serves the hypotheses and its report
-    blocks = _frame_blocks([image_system(theta, system)], theta)
-    diagnosed = _diagnostics(theta, blocks.op, tol)
+    diagnosed, image_report = _controlled(image_system(theta, system), theta, tol)
     hypotheses = {
         "hyponormal": diagnosed.is_hyponormal,
         "self_commutator_min_eig": diagnosed.self_commutator_min_eig,
         "mv_adjointable": diagnosed.is_mv_adjointable,
     }
     source_report = ordinary_bounds(system, tol)
-    image_report = _theta_report(blocks, tol)
     bounds_valid = None
     if source_report.lower_exists:
         bounds_valid = all(valid_bounds(image_report, source_report.alpha_opt,
@@ -233,8 +192,6 @@ def check_composed_image(xi: SpaceOperator, theta: SpaceOperator, system,
     source's controlled bounds remain valid for the image family with the
     composed operator; validity is checked against computed constants.
     """
-    from .operators import commutes
-
     hypo_on_range, min_eig = is_hyponormal_on_range(xi, theta, tol)
     hypotheses = {
         "mv_adjointable": is_mv_adjointable(xi, tol),
@@ -249,65 +206,3 @@ def check_composed_image(xi: SpaceOperator, theta: SpaceOperator, system,
         bounds_valid = all(valid_bounds(image_report, source_report.alpha_opt,
                                         source_report.beta_opt, tol))
     return ImageFrameReport(hypotheses, source_report, image_report, "xi_theta", bounds_valid)
-
-
-@dataclass
-class OmegaReport:
-    """Coefficient-side characterisation of the two-sided frame inequality; the
-    verdicts and constants are those of ``controlled``, which JSON leaves out."""
-
-    basis_condition: bool
-    max_gram_deviation: float
-    lower_exists: bool
-    upper_exists: bool
-    alpha: Optional[float]
-    beta: Optional[float]
-    controlled: Optional[BoundsReport] = field(default=None, metadata={"json": False})
-
-
-def omega_characterization(system, theta: SpaceOperator,
-                           tol: float = DEFAULT_TOL) -> OmegaReport:
-    """Synthesis-operator route to the two-sided bound verdicts.
-
-    Checks that Omega maps the standard coefficient basis onto the family and
-    compares Omega Omega^* with the frame operator S; the verdicts and
-    constants are those of the controlled report on the blocks of S (one
-    build and one pencil solve serve both).  On the dense route S is A^* A for
-    the analysis matrix A, and Omega = A^*, so both conditions hold by
-    construction (``tests/helpers.py::oracle_omega_report`` keeps the dense
-    Omega).  On the coset blocks, the rows of coset b of Omega are
-    H_b (x) phi_b (the translate stack, and the phase row
-    phi_b(gamma) = chi_gamma(x_b)); with P = phi phi^*, Omega Omega^* is
-    w P_bb' H_b H_b'^* on blocks (b, b'), and S_b = w |Gamma| H_b H_b^*.  Both
-    conditions are exact integer facts about the coset points: the basis
-    condition holds iff each generator of Gamma pairs constantly along every
-    coset, and P_bb' / |Gamma| is 1 when cosets b and b' share their pairings
-    (their label) and 0 otherwise (orthogonality of characters, Walnut 1992).
-    So the blocks of Omega Omega^* are S's own; off them an entry is at most
-    sqrt(max diag S_b max diag S_b') (Cauchy-Schwarz) between cosets with one
-    label, and exactly 0 between distinct labels.
-    """
-    blocks = _frame_blocks([system], theta)
-    controlled = _theta_report(blocks, tol)
-    basis_condition, max_dev = True, 0.0
-    if blocks.route == "walnut":
-        group, n2 = system.space.group, system.space.n ** 2
-        gens = system.dual_automorphism.apply(
-            np.reshape([m.coords for m in system.dual_lattice.generators], (-1, group.rank)))
-        # labels[b, k, i]: the pairing of generator i with point k of coset b
-        points = _coordinates(group)[blocks.index[:, ::n2] // n2]
-        labels = _pairing(group, gens, points[:, :, None, :])
-        basis_condition = bool(np.all(labels == labels[:, :1]))
-        # the diagonal of a coset block is the mean of its Zak blocks' diagonals,
-        # and that of I_n (x) K repeats the diagonal of K
-        k = blocks.k[0].reshape(len(labels), len(blocks.phi), *blocks.k.shape[2:])
-        diag = np.diagonal(k, axis1=2, axis2=3).real.mean(axis=1).max(axis=1, initial=0.0)
-        # sorted by label, then by diagonal, largest first: the two largest
-        # diagonals of cosets that share a label are neighbours
-        order = np.lexsort((-diag, *labels[:, 0].T))
-        heads, diag = labels[order, 0], diag[order]
-        shared = (heads[1:] == heads[:-1]).all(axis=-1)
-        max_dev = float((np.sqrt(diag[1:]) * np.sqrt(diag[:-1])).max(where=shared, initial=0.0))
-    return OmegaReport(basis_condition, max_dev, controlled.lower_exists,
-                       controlled.upper_exists, controlled.alpha_opt, controlled.beta_opt,
-                       controlled)

@@ -18,10 +18,9 @@ an entry map, also commute with translation by H, the lattice translations
 that lie in that annihilator, so a DFT over H splits each coset block
 further into |H| blocks (the Zak or Zibulski-Zeevi representation), built
 from one lattice translate per coset of H.  Every block is I_n (x) K, and
-ordinary bounds take the eigenvalues of K alone.  K is linear in the windows'
-Zak rows, so systems on one space, lattice pair and automorphisms share the
-blocks: their windows take one gather and one DFT over H, and their ordinary
-bounds one eigensolve over the stacked K.  The operator-controlled
+ordinary bounds take the eigenvalues of K alone.  Systems on one space,
+lattice pair and automorphisms share the blocks: they take one set-up, and
+their ordinary bounds one eigensolve over the stacked K.  The operator-controlled
 two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
@@ -32,6 +31,21 @@ them and a residual certificate checks each (see :mod:`gaborop.pencil`;
 bisection, the test oracle, lives in ``tests/helpers.py``).  Existence is
 decided by kernel inclusion: a finite upper constant exists iff
 ker T <= ker S, a positive lower constant iff ker S <= ker(adjoint T).
+
+This module alone decides the route, shares a build and reads the layout
+of the blocks, so it also holds the two results computed on that layout:
+
+* operator images: the image of a Gabor system under an operator that maps
+  each coset of the Walnut blocks into itself is a Gabor system.  One build
+  of the image's blocks serves both the operator's diagnostics and the
+  controlled report (``_controlled``, which the promotion and the image and
+  tight constructions of :mod:`gaborop.constructions` call);
+* the coefficient-side characterisation: the synthesis operator Omega maps
+  the standard coefficient basis onto the family, Omega Omega^* equals the
+  frame operator, and the pencil constants of Omega Omega^* reproduce the
+  two-sided bound verdicts.  No route builds Omega: on the dense route both
+  conditions hold by construction, and on the coset blocks they are exact
+  integer checks on the coset points.
 """
 
 from __future__ import annotations
@@ -43,7 +57,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .groups import (Automorphism, GroupMismatchError, Subgroup, _characters, _coordinates,
-                     _cosets, _positions, _subgroup_characters, annihilator, intersection)
+                     _cosets, _pairing, _positions, _subgroup_characters, annihilator,
+                     intersection)
 from .operators import (DEFAULT_TOL, KERNEL_RTOL, OperatorDiagnostics, SpaceOperator,
                         _diagnostics)
 from .pencil import _hermitian, solve_pencils
@@ -55,8 +70,11 @@ __all__ = [
     "CoefficientSequence",
     "BoundsReport",
     "PromotionResult",
+    "OmegaReport",
+    "image_system",
     "analysis",
     "synthesis",
+    "omega_characterization",
     "analysis_matrix",
     "frame_operator",
     "ordinary_bounds",
@@ -165,6 +183,30 @@ def _as_family(obj) -> VectorFamily:
     return obj.family() if isinstance(obj, GaborSystem) else obj
 
 
+def image_system(op: SpaceOperator, system) -> GaborSystem | VectorFamily:
+    """The images of every system member under ``op``.
+
+    An entry map commutes with every translation and modulation, and a dense
+    operator that maps each coset of Gamma^perp into itself commutes with
+    every modulation in Gamma, which is constant on a coset.  So the image of
+    a Gabor system is the Gabor system of the mapped windows on the same
+    lattices, or of the mapped translates T(g_l(. - A a)), in (l, a) order,
+    over the trivial lattice and the same modulations.  Any other operator,
+    or a family, gives the family of mapped members.
+    """
+    if op.space != system.space:
+        raise GroupMismatchError("operator does not act on the system's space")
+    if isinstance(system, GaborSystem) and op.kind == "entry_map":
+        return system.with_windows([op(w) for w in system.windows])
+    if isinstance(system, GaborSystem) and _coset_operator(system, op) is not None:
+        translates = _translates(system)
+        mapped = op.apply_array(translates).reshape(-1, *translates.shape[2:])
+        return GaborSystem(system.space, VectorFamily(system.space, mapped).members,
+                           Subgroup.trivial(system.space.group), system.dual_lattice,
+                           dual_automorphism=system.dual_automorphism)
+    return _as_family(system).transformed(op)
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
     """Family-indexed n x n coefficient matrices with the Frobenius-sum norm."""
@@ -198,6 +240,68 @@ def synthesis(system, coeffs: CoefficientSequence) -> MatrixSignal:
     return MatrixSignal(family.space, values)
 
 
+@dataclass
+class OmegaReport:
+    """Coefficient-side characterisation of the two-sided frame inequality; the
+    verdicts and constants are those of ``controlled``, which JSON leaves out."""
+
+    basis_condition: bool
+    max_gram_deviation: float
+    lower_exists: bool
+    upper_exists: bool
+    alpha: Optional[float]
+    beta: Optional[float]
+    controlled: Optional[BoundsReport] = field(default=None, metadata={"json": False})
+
+
+def omega_characterization(system, theta: SpaceOperator,
+                           tol: float = DEFAULT_TOL) -> OmegaReport:
+    """Synthesis-operator route to the two-sided bound verdicts.
+
+    Checks that Omega maps the standard coefficient basis onto the family and
+    compares Omega Omega^* with the frame operator S; the verdicts and
+    constants are those of the controlled report on the blocks of S (one
+    build and one pencil solve serve both).  On the dense route S is A^* A for
+    the analysis matrix A, and Omega = A^*, so both conditions hold by
+    construction (``tests/helpers.py::oracle_omega_report`` keeps the dense
+    Omega).  On the coset blocks, the rows of coset b of Omega are
+    H_b (x) phi_b (the translate stack, and the phase row
+    phi_b(gamma) = chi_gamma(x_b)); with P = phi phi^*, Omega Omega^* is
+    w P_bb' H_b H_b'^* on blocks (b, b'), and S_b = w |Gamma| H_b H_b^*.  Both
+    conditions are exact integer facts about the coset points: the basis
+    condition holds iff each generator of Gamma pairs constantly along every
+    coset, and P_bb' / |Gamma| is 1 when cosets b and b' share their pairings
+    (their label) and 0 otherwise (orthogonality of characters, Walnut 1992).
+    So the blocks of Omega Omega^* are S's own; off them an entry is at most
+    sqrt(max diag S_b max diag S_b') (Cauchy-Schwarz) between cosets with one
+    label, and exactly 0 between distinct labels.
+    """
+    blocks = _frame_blocks([system], theta)
+    controlled = _theta_report(blocks, tol)
+    basis_condition, max_dev = True, 0.0
+    if blocks.route == "walnut":
+        group, n2 = system.space.group, system.space.n ** 2
+        gens = system.dual_automorphism.apply(
+            np.reshape([m.coords for m in system.dual_lattice.generators], (-1, group.rank)))
+        # labels[b, k, i]: the pairing of generator i with point k of coset b
+        points = _coordinates(group)[blocks.index[:, ::n2] // n2]
+        labels = _pairing(group, gens, points[:, :, None, :])
+        basis_condition = bool(np.all(labels == labels[:, :1]))
+        # the diagonal of a coset block is the mean of its Zak blocks' diagonals,
+        # and that of I_n (x) K repeats the diagonal of K
+        k = blocks.k[0].reshape(len(labels), len(blocks.phi), *blocks.k.shape[2:])
+        diag = np.diagonal(k, axis1=2, axis2=3).real.mean(axis=1).max(axis=1, initial=0.0)
+        # sorted by label, then by diagonal, largest first: the two largest
+        # diagonals of cosets that share a label are neighbours
+        order = np.lexsort((-diag, *labels[:, 0].T))
+        heads, diag = labels[order, 0], diag[order]
+        shared = (heads[1:] == heads[:-1]).all(axis=-1)
+        max_dev = float((np.sqrt(diag[1:]) * np.sqrt(diag[:-1])).max(where=shared, initial=0.0))
+    return OmegaReport(basis_condition, max_dev, controlled.lower_exists,
+                       controlled.upper_exists, controlled.alpha_opt, controlled.beta_opt,
+                       controlled)
+
+
 def analysis_matrix(system) -> np.ndarray:
     """Flattened analysis operator, shape (len(family) * n^2, |G| * n^2).
 
@@ -215,14 +319,11 @@ def analysis_matrix(system) -> np.ndarray:
     return a.reshape(len(family) * n * n, family.space.dim)
 
 
-def frame_operator(system, as_operator: bool = True):
+def frame_operator(system) -> SpaceOperator:
     """The PSD frame operator on the flattened space (synthesis o analysis)."""
     family = _as_family(system)
     a = analysis_matrix(family)
-    s = a.conj().T @ a
-    if not as_operator:
-        return s
-    return SpaceOperator.from_dense(family.space, s)
+    return SpaceOperator.from_dense(family.space, a.conj().T @ a)
 
 
 class _Blocks(NamedTuple):
@@ -333,8 +434,8 @@ def _frame_blocks(systems: Sequence, theta: Optional[SpaceOperator] = None) -> _
 
     ``systems`` share one space and, if Gabor systems, their lattices and
     automorphisms (:func:`_shared`), so they share the blocks: one set-up,
-    one gather and one DFT over H take all their windows, and one product
-    per system gives its K.  A single system is a stack of one.
+    then one gather, one DFT over H and one product per system give its K.
+    A single system is a stack of one.
 
     For a Gabor system with lattice translations A and modulation group Gamma,
     summing the modulations gives S(y, x) = w |Gamma| sum_{l, a} g_l(y - a)^T
@@ -362,8 +463,6 @@ def _frame_blocks(systems: Sequence, theta: Optional[SpaceOperator] = None) -> _
 
     Each block is I_n (x) K (see :class:`_Blocks`), so only K is built:
     K = w |Gamma| |H| sum over the kept translates, per block and system.
-    The rows the gather and the DFT give are linear in the windows, so the
-    windows of every system are gathered as one stack.
 
     ``op`` is the operator on the blocks: the entry matrix (1, n^2, n^2),
     which repeats along the diagonal of every block, or the stack of the
@@ -398,19 +497,18 @@ def _frame_blocks(systems: Sequence, theta: Optional[SpaceOperator] = None) -> _
     points, phi, gather = _layout(*lattices, split)
     _, blocks, j, size = gather.shape
     index = _coset_index(points, n)
-    windows = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r] for the kept a,
-    # as one product over all rows: a batch of (n, |H|) products costs a BLAS call each
-    g = np.moveaxis(windows[:, gather], 4, -1)
-    g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
-    # rows[(b, chi), (l, a, q), (j, r)] of each system's windows, and
-    # K = w |Gamma| |H| rows^T conj(rows) per block
-    products, start = [], 0
-    for stack in stacks:
-        rows = g[start:start + len(stack)].transpose(2, 6, 0, 1, 4, 3, 5)
-        rows = rows.reshape(blocks * size, -1, j * n)
+    # per system, g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r]
+    # for the kept a, as one product over all its rows (a batch of (n, |H|) products
+    # costs a BLAS call each); then rows[(b, chi), (l, a, q), (j, r)], and
+    # K = w |Gamma| |H| rows^T conj(rows) per block.  Each system takes its own
+    # product, so its K is the same to the bit built alone or in a stack: numpy
+    # rounds a one-row product (a BLAS gemv) unlike a taller one
+    products = []
+    for windows in stacks:
+        g = np.moveaxis(windows[:, gather], 4, -1)
+        g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
+        rows = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
         products.append(np.swapaxes(rows, 1, 2) @ rows.conj())
-        start += len(stack)
     k = space.weight() * len(lattices[1]) * size * np.stack(products)
     return _Blocks(route, index, phi, k, n, op, reason)
 
@@ -550,6 +648,15 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
     return _theta_report(_frame_blocks([system], theta), tol)
 
 
+def _controlled(system, theta: SpaceOperator,
+                tol: float) -> tuple[OperatorDiagnostics, BoundsReport]:
+    """The diagnostics of ``theta`` and the controlled report of ``system``
+    under it, from one build of the blocks: one SVD of the operator's blocks
+    and one pencil solve."""
+    blocks = _frame_blocks([system], theta)
+    return _diagnostics(theta, blocks.op, tol), _theta_report(blocks, tol)
+
+
 def _theta_report(blocks: _Blocks, tol: float) -> BoundsReport:
     """The controlled report on ``blocks``, built with the operator."""
     # T T* controls the lower side, T* T the upper side
@@ -611,12 +718,11 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     are checked against the computed extremal ones.  The reports are made
     either way, from one build, one SVD of the operator's blocks and one solve.
     """
-    blocks = _frame_blocks([system], theta)
-    operator = _diagnostics(theta, blocks.op, tol)
-    controlled = _theta_report(blocks, tol)
-    # S is decomposed once: the ordinary report reads the controlled report's spectrum
-    ordinary = _ordinary_report(controlled.spectra["frame_operator"],
-                                blocks.to_json_dict(), tol)
+    operator, controlled = _controlled(system, theta, tol)
+    # S is decomposed once: the ordinary report reads the controlled report's
+    # spectrum, on its route less the operator's reason
+    route = {key: value for key, value in controlled.route.items() if key != "reason"}
+    ordinary = _ordinary_report(controlled.spectra["frame_operator"], route, tol)
     # ||adjoint(T)|| = ||T||, and sigma is the lower bound of T
     norm, sigma = operator.operator_norm, operator.lower_bound
     reports = dict(ordinary=ordinary, controlled=controlled, operator=operator)

@@ -23,13 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constructions import (
-    check_composed_image,
-    check_image_frame,
-    omega_characterization,
-    tight_theta_frame,
-)
-from .frames import GaborSystem, batch_ordinary_bounds, bounded_below_promotion, valid_bounds
+from .constructions import check_composed_image, check_image_frame, tight_theta_frame
+from .frames import (GaborSystem, batch_ordinary_bounds, bounded_below_promotion,
+                     omega_characterization, valid_bounds)
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
@@ -766,6 +762,19 @@ def _image_check(args, systems, operators, tol) -> _Outcome:
                     findings)
 
 
+def _stability_outcome(task: str, label: str, check, prediction) -> _Outcome:
+    """A stability check's outcome: its hypothesis and prediction, the report of
+    the perturbed (or summed) system under ``label``, and findings on the
+    prediction, which is applicable only when the hypothesis holds."""
+    report = prediction.perturbed_report
+    return _Outcome(
+        {"hypothesis": check, "prediction": prediction},
+        {} if report is None else {label: report},
+        _prediction_findings(task, prediction) if prediction.applicable else [],
+        {"bounds_source": check.bounds_source},
+    )
+
+
 def _pert_check(args, systems, operators, tol) -> _Outcome:
     system = _need(args, "system", systems, "system")
     perturbed = _need(args, "perturbed_system", systems, "system")
@@ -785,14 +794,7 @@ def _pert_check(args, systems, operators, tol) -> _Outcome:
     check, prediction = verify_perturbation(
         system, perturbed, theta, *coefficients, _pinned(args, "paper_bounds"), tol,
     )
-    return _Outcome(
-        {"hypothesis": check, "prediction": prediction},
-        {} if prediction.perturbed_report is None
-        else {"perturbed": prediction.perturbed_report},
-        _prediction_findings("pert_check", prediction)
-        if check.holds and prediction.applicable else [],
-        {"bounds_source": check.bounds_source},
-    )
+    return _stability_outcome("pert_check", "perturbed", check, prediction)
 
 
 def _sum_check(args, systems, operators, tol) -> _Outcome:
@@ -807,14 +809,7 @@ def _sum_check(args, systems, operators, tol) -> _Outcome:
     except ValueError as e:  # the second system's upper bound, pinned or computed
         key = "paper_bounds_second" if args.get("use_paper_bounds") else "second_system"
         raise ScenarioError([f"$.args.{key}: {e}"]) from e
-    return _Outcome(
-        {"hypothesis": check, "prediction": prediction},
-        {} if prediction.perturbed_report is None
-        else {"summed": prediction.perturbed_report},
-        _prediction_findings("sum_check", prediction)
-        if check.condition_ok and prediction.applicable else [],
-        {"bounds_source": check.bounds_source},
-    )
+    return _stability_outcome("sum_check", "summed", check, prediction)
 
 
 # task name -> handler(args, systems, operators, tol); the schemas' task enums list these keys

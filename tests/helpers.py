@@ -27,8 +27,7 @@ from gaborop import (
     inverse_fourier,
     operator_norm,
 )
-from gaborop.constructions import OmegaReport
-from gaborop.frames import _as_family, _operator_grams, analysis_matrix
+from gaborop.frames import OmegaReport, _as_family, _operator_grams, analysis_matrix
 from gaborop.operators import DEFAULT_TOL
 from gaborop import pencil
 from gaborop.pencil import KERNEL_RTOL, solve_pencils

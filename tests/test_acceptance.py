@@ -194,7 +194,7 @@ def test_criterion_7_tight_construction():
                 tightness, source, 2, SpaceOperator.identity(space)
             )
             assert result.hypothesis_ok
-            s = frame_operator(result.diagonal_system, as_operator=False)
+            s = frame_operator(result.diagonal_system).dense_matrix
             assert np.abs(s - tightness * np.eye(s.shape[0])).max() < TOL_BOUND
         space3 = torus_space(order, 3)
         theta = SpaceOperator.from_entry_map(space3, ZERO_MID_COLUMN_3)
@@ -295,7 +295,7 @@ def test_criterion_9_property_suites(rng):
         system = random_system(rng)
         theta = random_operator_for(system.space, rng)
         rep = theta_bounds(system, theta)
-        s = frame_operator(system, as_operator=False)
+        s = frame_operator(system).dense_matrix
         t = theta.to_dense()
         if rep.upper_exists and rep.beta_opt is not None:
             gram = t.conj().T @ t

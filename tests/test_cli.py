@@ -605,11 +605,11 @@ def test_omega_check_task_builds_s_once(monkeypatch):
     # run has memoised the layout (whose DFT over H takes characters)
     import sys
 
-    from gaborop import constructions, frames, groups, pencil
+    from gaborop import frames, groups, pencil
 
     run_scenario(build_preset("omega-check"))
     calls = {}
-    for original in (constructions.omega_characterization, frames._frame_blocks,
+    for original in (frames.omega_characterization, frames._frame_blocks,
                      pencil.solve_pencils, groups._characters):
         name = original.__name__
 

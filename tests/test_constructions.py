@@ -1,5 +1,8 @@
 """Tight constructions, operator images and the synthesis characterisation."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ from gaborop.signals import SignalSpace
 
 def test_scalar_parseval_default_z8(rng):
     system = scalar_parseval_system(FiniteAbelianGroup((8,)))
-    s = frame_operator(system, as_operator=False)
+    s = frame_operator(system).dense_matrix
     assert np.abs(s - np.eye(8)).max() < 1e-9
     family = system.family()
     for _ in range(100):
@@ -81,7 +84,7 @@ def test_diagonal_construction_is_tight(order, tightness):
     space = torus_space(order, 2)
     result = tight_theta_frame(tightness, source, 2, SpaceOperator.identity(space))
     assert result.hypothesis_ok
-    s = frame_operator(result.diagonal_system, as_operator=False)
+    s = frame_operator(result.diagonal_system).dense_matrix
     assert np.abs(s - tightness * np.eye(s.shape[0])).max() < 1e-9
 
 
@@ -332,3 +335,19 @@ def test_dense_split_operator_hypotheses_solve_on_the_blocks(monkeypatch, matrix
             assert ("operator is not hyponormal" in got) == (not hypo)
             assert ("operator is not adjointable for the matrix pairing" in got) \
                 == (not adjointable)
+
+
+def test_constructions_imports_only_public_names():
+    # constructions asks frames for its reports and never holds a build: of
+    # frames, groups and operators it imports only public names, and frames'
+    # one shared build of the diagnostics and the controlled report
+    from gaborop import constructions, frames, groups, operators
+
+    modules = {"frames": frames, "groups": groups, "operators": operators}
+    tree = ast.parse(Path(constructions.__file__).read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in modules for alias in node.names]
+    assert ("frames", "_controlled") in imported
+    assert [(module, name) for module, name in imported
+            if name not in modules[module].__all__ and name != "_controlled"] == []

@@ -198,7 +198,7 @@ def test_analysis_matrix_is_the_identity_expansion_exactly(rng):
 def test_frame_operator_hermitian_and_loop_assembled(rng):
     system = random_system(rng)
     family = system.family()
-    s = frame_operator(family, as_operator=False)
+    s = frame_operator(family).dense_matrix
     assert np.abs(s - s.conj().T).max() < 1e-10
     independent = oracle_frame_operator(family.members, family.space)
     assert np.abs(s - independent).max() < 1e-10
@@ -289,7 +289,7 @@ def test_kernel_criterion_matches_witnesses(rng):
         gram = t.conj().T @ t
         vals, vecs = np.linalg.eigh(gram)
         kernel = vecs[:, vals <= 1e-9 * max(vals[-1], 0.0)]
-        s = frame_operator(family, as_operator=False)
+        s = frame_operator(family).dense_matrix
         if kernel.shape[1] == 0:
             assert rep.upper_exists
             continue
@@ -544,7 +544,7 @@ def test_stacked_ordinary_bounds_match_lone_reports(seed, kinds):
         report, lone = reports[name], ordinary_bounds(system)
         assert report.to_json_dict() == lone.to_json_dict()
         assert report.spectra == lone.spectra
-        dense = np.linalg.eigvalsh(frame_operator(system, as_operator=False))
+        dense = np.linalg.eigvalsh(frame_operator(system).dense_matrix)
         assert np.allclose(report.spectra["frame_operator"], dense, rtol=0.0,
                            atol=1e-12 * abs(dense[-1]))
 
@@ -819,7 +819,7 @@ def _check_dense_route_against_oracle(system):
     from gaborop.frames import _frame_blocks
 
     family = system.family()
-    want = frame_operator(family, as_operator=False)
+    want = frame_operator(family).dense_matrix
     builds = [_frame_blocks([family])]
     index = _frame_blocks([system]).index
     if len(index) > 1:  # an entry coupling two cosets
@@ -871,7 +871,7 @@ def _check_walnut_route(system, theta):
     verdicts = lambda r: (r.basis_condition, r.lower_exists, r.upper_exists,
                           r.alpha is None, r.beta is None)
     assert verdicts(omega) == verdicts(oracle) and omega.basis_condition
-    top = np.abs(frame_operator(system, as_operator=False)).max()
+    top = np.abs(frame_operator(system).dense_matrix).max()
     for have, want in ((omega.alpha, oracle.alpha), (omega.beta, oracle.beta)):
         if want is not None:
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12 * top)
@@ -1089,9 +1089,9 @@ def test_stability_checks_match_dense_route(factors, seed):
         t = theta.to_dense()
         difference = system.with_windows([w - v for w, v in zip(system.windows,
                                                                  perturbed.windows)])
-        rhs = (lam * frame_operator(system.family(), as_operator=False)
+        rhs = (lam * frame_operator(system.family()).dense_matrix
                + mu * t @ t.conj().T + eta * t.conj().T @ t)
-        eigs = np.linalg.eigvalsh(rhs - frame_operator(difference.family(), as_operator=False))
+        eigs = np.linalg.eigvalsh(rhs - frame_operator(difference.family()).dense_matrix)
         assert check.difference_margin == pytest.approx(eigs[0], rel=0.0, abs=1e-12 * top)
     if prediction.perturbed_report is not None:
         _assert_same_report(prediction.perturbed_report, theta_bounds(perturbed.family(), theta))
@@ -1222,27 +1222,44 @@ def _assert_same_facts(have, want, norm):
 @pytest.mark.parametrize("factors,seed", [((8,), 0), ((12,), 10), ((4, 6), 5),
                                           ((8,), 7), ((12,), 5), ((4, 6), 4)])
 def test_split_operator_facts_from_its_blocks(monkeypatch, factors, seed, kind):
-    # the promotion, both stability checks and the theta_bounds task read the
-    # norm and the lower bound of a split operator from one SVD of its blocks:
-    # no solve is wider than a block, and the numbers are the dense oracle's
-    # (and, for kron(I, M), those of the entry map M)
+    # the promotion, both stability checks, the theta_bounds task, the image
+    # check and the tight construction read the norm and the lower bound (and
+    # the image routes the hypotheses) of a split operator from one SVD of its
+    # blocks: no solve is wider than a block, and the numbers are the dense
+    # oracle's (and, for kron(I, M), those of the entry map M)
     from gaborop import lower_bound_constant, operator_norm, pert_predicted_bounds
-    from gaborop import PertHypothesis, sum_predicted_bounds
+    from gaborop import PertHypothesis, scalar_parseval_system, sum_predicted_bounds
+    from gaborop import check_image_frame, tight_theta_frame
     from gaborop.frames import _frame_blocks
 
     system, theta = _walnut_case(factors, seed)
-    op = _split_dense_operator(system, kind, theta.entry_matrix, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    op = _split_dense_operator(system, kind, theta.entry_matrix, rng)
     route = _frame_blocks([system], op).to_json_dict()
     assert route["name"] == "walnut" and route["blocks"] > 1
+    # the tight construction over a Parseval source on the full lattices,
+    # whose cosets are points, under a split operator of its space
+    source = scalar_parseval_system(system.space.group)
+    space = SignalSpace(system.space.group, system.space.n, source.space.measure)
+    carrier = GaborSystem(space, (space.zero_signal(),), source.lattice, source.dual_lattice)
+    tight_op = _split_dense_operator(carrier, kind, theta.entry_matrix, rng)
+    tight_route = _frame_blocks([carrier], tight_op).to_json_dict()
+    assert tight_route["name"] == "walnut" and tight_route["blocks"] > 1
     solves = _record_solves(monkeypatch)
-    for call in (lambda: bounded_below_promotion(system, op),
-                 lambda: check_pert_hypothesis(system, system, op, 0.0, 0.1, 0.1, (1.0, 2.0)),
-                 lambda: check_sum_hypothesis(system, system, op),
-                 lambda: TASKS["theta_bounds"]({"system": "s", "operator": "t"},
-                                               {"s": system}, {"t": op}, DEFAULT_TOL)):
+    for call, block_dim in (
+            (lambda: bounded_below_promotion(system, op), route["block_dim"]),
+            (lambda: check_pert_hypothesis(system, system, op, 0.0, 0.1, 0.1, (1.0, 2.0)),
+             route["block_dim"]),
+            (lambda: check_sum_hypothesis(system, system, op), route["block_dim"]),
+            (lambda: TASKS["theta_bounds"]({"system": "s", "operator": "t"},
+                                           {"s": system}, {"t": op}, DEFAULT_TOL),
+             route["block_dim"]),
+            (lambda: check_image_frame(op, system), route["block_dim"]),
+            (lambda: tight_theta_frame(2.0, source, space.n, tight_op),
+             tight_route["block_dim"])):
         del solves[:]
         call()
-        assert max(max(shape[-2:]) for _, shape in solves) <= route["block_dim"]
+        assert max(max(shape[-2:]) for _, shape in solves) <= block_dim
         assert [name for name, _ in solves].count("svd") == 1
     monkeypatch.undo()
 
@@ -1279,7 +1296,7 @@ def test_walnut_identity(factors, seed):
     from gaborop.frames import _frame_blocks
 
     for system in (_walnut_case(factors, seed)[0], swap_window_system(4)):
-        dense = frame_operator(system, as_operator=False)
+        dense = frame_operator(system).dense_matrix
         blocks = _frame_blocks([system])
         phi, index, dim, n2 = blocks.phi, blocks.index, system.space.dim, system.space.n ** 2
         size, (count, d, _) = len(phi), blocks.s.shape
