@@ -21,6 +21,18 @@ from .scenario import ScenarioError, load_scenario, run_scenario, spectra_file
 ENV_TOL = "GOF_DEFAULT_TOL"
 
 
+def _tolerance(text: str) -> float:
+    """``text`` as a tolerance: a finite number > 0, the rule run_scenario
+    applies to every tolerance."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 # built once: parse_args leaves the parser as it was
 _PARSER = argparse.ArgumentParser(
     prog="gaborop",
@@ -36,7 +48,7 @@ _PARSER.add_argument("--out", metavar="PATH",
                           "scenarios run (default: stdout).")
 _PARSER.add_argument("--spectra", metavar="PATH",
                      help="write frame-operator spectra as CSV next to the report.")
-_PARSER.add_argument("--tol", type=float, default=None,
+_PARSER.add_argument("--tol", type=_tolerance, default=None,
                      help=f"tolerance override (also via ${ENV_TOL}; "
                           f"default {DEFAULT_TOL}).")
 _PARSER.add_argument("--strict", action="store_true",
@@ -51,13 +63,10 @@ def _resolve_tol(cli_value):
     env = os.environ.get(ENV_TOL)
     if env:
         try:
-            value = float(env)
-        except ValueError:
-            value = float("nan")
-        if 0.0 < value < float("inf"):  # the rule run_scenario applies to every tolerance
-            return value
-        print(f"warning: ignoring ${ENV_TOL}={env!r}, not a finite number > 0",
-              file=sys.stderr)
+            return _tolerance(env)
+        except argparse.ArgumentTypeError:
+            print(f"warning: ignoring ${ENV_TOL}={env!r}, not a finite number > 0",
+                  file=sys.stderr)
     return None
 
 

@@ -18,9 +18,9 @@ an entry map, also commute with translation by H, the lattice translations
 that lie in that annihilator, so a DFT over H splits each coset block
 further into |H| blocks (the Zak or Zibulski-Zeevi representation), built
 from one lattice translate per coset of H.  Every block is I_n (x) K, and
-ordinary bounds take the eigenvalues of K alone.  Systems on one space,
-lattice pair and automorphisms share the blocks: they take one set-up, and
-their ordinary bounds one eigensolve over the stacked K.  The operator-controlled
+ordinary bounds take the eigenvalues of K alone.  Each system takes its own
+build; the ordinary bounds of several systems take one eigensolve per shape
+of their K blocks, whatever their lattices.  The operator-controlled
 two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
@@ -276,20 +276,20 @@ def omega_characterization(system, theta: SpaceOperator,
     sqrt(max diag S_b max diag S_b') (Cauchy-Schwarz) between cosets with one
     label, and exactly 0 between distinct labels.
     """
-    blocks = _frame_blocks([system], theta)
+    blocks = _frame_blocks(system, theta)
     controlled = _theta_report(blocks, tol)
     basis_condition, max_dev = True, 0.0
     if blocks.route == "walnut":
-        group, n2 = system.space.group, system.space.n ** 2
+        group = system.space.group
         gens = system.dual_automorphism.apply(
             np.reshape([m.coords for m in system.dual_lattice.generators], (-1, group.rank)))
         # labels[b, k, i]: the pairing of generator i with point k of coset b
-        points = _coordinates(group)[blocks.index[:, ::n2] // n2]
+        points = _coordinates(group)[blocks.points]
         labels = _pairing(group, gens, points[:, :, None, :])
         basis_condition = bool(np.all(labels == labels[:, :1]))
         # the diagonal of a coset block is the mean of its Zak blocks' diagonals,
         # and that of I_n (x) K repeats the diagonal of K
-        k = blocks.k[0].reshape(len(labels), len(blocks.phi), *blocks.k.shape[2:])
+        k = blocks.k.reshape(len(labels), len(blocks.phi), *blocks.k.shape[1:])
         diag = np.diagonal(k, axis1=2, axis2=3).real.mean(axis=1).max(axis=1, initial=0.0)
         # sorted by label, then by diagonal, largest first: the two largest
         # diagonals of cosets that share a label are neighbours
@@ -331,11 +331,12 @@ class _Blocks(NamedTuple):
     and the operator it is paired with on the same blocks.
 
     The blocks are taken in the Zak basis of the coset blocks: with the
-    points of coset b ordered t_bj + h over (j, h) and ``index[b]`` their flat
-    indices, block (b, chi), at position b |H| + chi of ``s``, is U S U^* for
-    the rows (j, entry) of U that are sum_h phi[chi, h] e_index[b, (j, h, entry)]^T.
-    A trivial H (phi = [[1]]) gives the coset blocks themselves; the dense
-    route is one coset, G, with H = {0}, so its index is the identity.
+    points of coset b ordered t_bj + h over (j, h) in ``points[b]``, block
+    (b, chi), at position b |H| + chi of ``s``, is U S U^* for the rows
+    (j, entry) of U that are sum_h phi[chi, h] e_(points[b, (j, h)], entry)^T,
+    entry (x, e) of the flattened space being x n^2 + e.  A trivial H
+    (phi = [[1]]) gives the coset blocks themselves; the dense route is one
+    coset, G, with H = {0}, in position order.
 
     Every block is I_n (x) K: the frame operator acts on each row of a matrix
     signal alone, so with the entry (p, r) of point j as row (j, p, r),
@@ -343,28 +344,26 @@ class _Blocks(NamedTuple):
     kept; ``s`` forms S for a pencil, and ordinary bounds read K."""
 
     route: str          # "walnut" (coset blocks) or "dense" (one block, of a family)
-    index: np.ndarray   # (B, c) flat indices of each coset block, ordered (j, h, entry)
+    points: np.ndarray  # (B, J |H|) positions of each coset's points, ordered (j, h)
     phi: np.ndarray     # (|H|, |H|) the unitary DFT over H, phi[chi, h] = chi(h) / sqrt|H|
-    # (systems, B |H|, J n, J n) the factor K of each block of each system, J n = c / (|H| n)
-    k: np.ndarray
+    k: np.ndarray       # (B |H|, J n, J n) the factor K of each block
     n: int              # the matrix size of the signals
     op: Optional[np.ndarray]  # (1, e, e) or (B, d, d): see _frame_blocks
     reason: str         # why the operator takes this route
 
     @property
     def s(self) -> np.ndarray:
-        """The blocks I_n (x) K of S for a build of one system, (B |H|, d, d)
-        with d = J n^2, formed on each access."""
-        (k,) = self.k  # a pencil pairs the operator with one system's S
-        count, jn, _ = k.shape
+        """The blocks I_n (x) K of S, (B |H|, d, d) with d = J n^2, formed on
+        each access."""
+        count, jn, _ = self.k.shape
         j, n = jn // self.n, self.n
         s = np.zeros((count, j, n, n, j, n, n), dtype=np.complex128)
         for p in range(n):
-            s[:, :, p, :, :, p, :] = k.reshape(count, j, n, j, n)
+            s[:, :, p, :, :, p, :] = self.k.reshape(count, j, n, j, n)
         return s.reshape(count, jn * n, jn * n)
 
     def to_json_dict(self) -> dict:
-        return {"name": self.route, "blocks": self.k.shape[1],
+        return {"name": self.route, "blocks": len(self.k),
                 "block_dim": self.k.shape[-1] * self.n, "zak": len(self.phi)}
 
 
@@ -421,21 +420,8 @@ def _lattices(system: GaborSystem) -> tuple:
     return (system.lattice, system.dual_lattice, system.automorphism, system.dual_automorphism)
 
 
-def _shared(system) -> tuple:
-    """What systems built together share: the space and, for a Gabor system,
-    the lattices and automorphisms."""
-    if isinstance(system, GaborSystem):
-        return (system.space, *_lattices(system))
-    return (system.space,)
-
-
-def _frame_blocks(systems: Sequence, theta: Optional[SpaceOperator] = None) -> _Blocks:
-    """The frame operators of ``systems`` as blocks on which ``theta`` also splits.
-
-    ``systems`` share one space and, if Gabor systems, their lattices and
-    automorphisms (:func:`_shared`), so they share the blocks: one set-up,
-    then one gather, one DFT over H and one product per system give its K.
-    A single system is a stack of one.
+def _frame_blocks(system, theta: Optional[SpaceOperator] = None) -> _Blocks:
+    """The frame operator of ``system`` as blocks on which ``theta`` also splits.
 
     For a Gabor system with lattice translations A and modulation group Gamma,
     summing the modulations gives S(y, x) = w |Gamma| sum_{l, a} g_l(y - a)^T
@@ -462,55 +448,45 @@ def _frame_blocks(systems: Sequence, theta: Optional[SpaceOperator] = None) -> _
     :func:`_layout`.
 
     Each block is I_n (x) K (see :class:`_Blocks`), so only K is built:
-    K = w |Gamma| |H| sum over the kept translates, per block and system.
+    K = w |Gamma| |H| sum over the kept translates, per block.
 
     ``op`` is the operator on the blocks: the entry matrix (1, n^2, n^2),
     which repeats along the diagonal of every block, or the stack of the
     operator's diagonal blocks, (B, d, d) on the coset blocks and (1, D, D)
     on the dense route.
     """
-    first = systems[0]
-    if any(_shared(system) != _shared(first) for system in systems[1:]):
-        raise GroupMismatchError("systems built together must share a space, lattices "
-                                 "and automorphisms")
-    space = first.space
+    space = system.space
     if theta is not None and theta.space != space:
         raise GroupMismatchError("operator does not act on the system's space")
     op = None if theta is None else theta._rep()[None]
     reason = "no operator" if theta is None else "entry map"
-    if not isinstance(first, GaborSystem):
+    if not isinstance(system, GaborSystem):
         reason = "not a Gabor system"
     elif theta is not None and theta.kind == "dense":
-        op, reason = _coset_operator(first, theta), "dense, zero off the coset blocks"
+        op, reason = _coset_operator(system, theta), "dense, zero off the coset blocks"
         if op is None:
             op, reason = theta._rep()[None], "dense, nonzero off the coset blocks"
-            systems = [system.family() for system in systems]
-    if isinstance(systems[0], GaborSystem):
-        route, stacks, lattices = "walnut", [_windows(s) for s in systems], _lattices(first)
+            system = system.family()
+    if isinstance(system, GaborSystem):
+        route, windows, lattices = "walnut", _windows(system), _lattices(system)
         split = theta is None or theta.kind == "entry_map"
     else:  # the members as windows over the trivial lattices: one coset, H = {0}
         group = space.group
-        route, stacks, split = "dense", [family.array for family in systems], False
+        route, windows, split = "dense", system.array, False
         lattices = (Subgroup.trivial(group), Subgroup.trivial(group, dual=True),
                     Automorphism.identity(group), Automorphism.identity(group, dual=True))
     n = space.n
     points, phi, gather = _layout(*lattices, split)
     _, blocks, j, size = gather.shape
-    index = _coset_index(points, n)
-    # per system, g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r]
-    # for the kept a, as one product over all its rows (a batch of (n, |H|) products
+    # g[l, a, b, j, q, r, chi] = sum_h phi[chi, h] g_l(t_bj + h - a)[q, r] for the
+    # kept a, as one product over all its rows (a batch of (n, |H|) products
     # costs a BLAS call each); then rows[(b, chi), (l, a, q), (j, r)], and
-    # K = w |Gamma| |H| rows^T conj(rows) per block.  Each system takes its own
-    # product, so its K is the same to the bit built alone or in a stack: numpy
-    # rounds a one-row product (a BLAS gemv) unlike a taller one
-    products = []
-    for windows in stacks:
-        g = np.moveaxis(windows[:, gather], 4, -1)
-        g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
-        rows = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
-        products.append(np.swapaxes(rows, 1, 2) @ rows.conj())
-    k = space.weight() * len(lattices[1]) * size * np.stack(products)
-    return _Blocks(route, index, phi, k, n, op, reason)
+    # K = w |Gamma| |H| rows^T conj(rows) per block
+    g = np.moveaxis(windows[:, gather], 4, -1)
+    g = (g.reshape(-1, size) @ phi.T).reshape(g.shape)
+    rows = g.transpose(2, 6, 0, 1, 4, 3, 5).reshape(blocks * size, -1, j * n)
+    k = space.weight() * len(lattices[1]) * size * (np.swapaxes(rows, 1, 2) @ rows.conj())
+    return _Blocks(route, points, phi, k, n, op, reason)
 
 
 def _coset_index(points: np.ndarray, n: int) -> np.ndarray:
@@ -529,7 +505,7 @@ def _coset_operator(system: GaborSystem, theta: SpaceOperator) -> Optional[np.nd
 
 
 def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(T T*, T* T) as a (1, d, d) or (B, d, d) stack aligned with ``blocks.index``:
+    """(T T*, T* T) as a (1, d, d) or (B, d, d) stack aligned with ``blocks.points``:
     the products of the operator's blocks, each repeated along the diagonal
     of a block of S (an entry map M gives kron(I_j, M M*) and kron(I_j, M* M),
     built by block assignment; with j = 1 the products are the grams)."""
@@ -595,21 +571,20 @@ def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
 def batch_ordinary_bounds(systems: Sequence, tol: float = DEFAULT_TOL) -> list[BoundsReport]:
     """The :func:`ordinary_bounds` report of each of ``systems``, in order.
 
-    Systems that share a space, lattices and automorphisms share their
-    blocks, so each such group takes one build (see :func:`_frame_blocks`)
-    and one ``eigvalsh`` over its stacked K.  Each block of S is I_n (x) K,
-    so its spectrum is that of K, each eigenvalue n times."""
-    groups: dict = {}
-    for i, system in enumerate(systems):
-        groups.setdefault(_shared(system), []).append(i)
+    Each system takes one build (see :func:`_frame_blocks`), and the K
+    blocks of one shape, over all the systems, one ``eigvalsh``.  Each block
+    of S is I_n (x) K, so its spectrum is that of K, each eigenvalue n times."""
+    builds = [_frame_blocks(system) for system in systems]
+    shapes: dict = {}
+    for i, blocks in enumerate(builds):
+        shapes.setdefault(blocks.k.shape[1:], []).append(i)
     reports: list = [None] * len(systems)
-    for members in groups.values():
-        blocks = _frame_blocks([systems[i] for i in members])
-        jn = blocks.k.shape[-1]
-        eigs = np.linalg.eigvalsh(_hermitian(blocks.k).reshape(-1, jn, jn))
-        for i, system_eigs in zip(members, eigs.reshape(len(members), -1)):
-            reports[i] = _ordinary_report(np.repeat(system_eigs, blocks.n, axis=-1),
-                                          blocks.to_json_dict(), tol)
+    for members in shapes.values():
+        eigs = np.linalg.eigvalsh(_hermitian(np.concatenate([builds[i].k for i in members])))
+        ends = np.cumsum([len(builds[i].k) for i in members])
+        for i, system_eigs in zip(members, np.split(eigs, ends[:-1])):
+            reports[i] = _ordinary_report(np.repeat(system_eigs, builds[i].n, axis=-1),
+                                          builds[i].to_json_dict(), tol)
     return reports
 
 
@@ -645,7 +620,7 @@ def theta_bounds(system, theta: SpaceOperator, tol: float = DEFAULT_TOL) -> Boun
     dense matrix were solved, and its ``reason`` why the operator took that
     route.
     """
-    return _theta_report(_frame_blocks([system], theta), tol)
+    return _theta_report(_frame_blocks(system, theta), tol)
 
 
 def _controlled(system, theta: SpaceOperator,
@@ -653,7 +628,7 @@ def _controlled(system, theta: SpaceOperator,
     """The diagnostics of ``theta`` and the controlled report of ``system``
     under it, from one build of the blocks: one SVD of the operator's blocks
     and one pencil solve."""
-    blocks = _frame_blocks([system], theta)
+    blocks = _frame_blocks(system, theta)
     return _diagnostics(theta, blocks.op, tol), _theta_report(blocks, tol)
 
 

@@ -149,7 +149,7 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
     """
     # one build serves the operator, the bounds and the domination test; the
     # lower bound m_o of adjoint(T) is that of T
-    source_blocks = _frame_blocks([system], theta)
+    source_blocks = _frame_blocks(system, theta)
     theta_norm, m_o = _norm_and_lower_bound(source_blocks.op)
     if m_o <= tol * theta_norm:
         return PertCheck(None, False, False, False, None, False, "n/a")
@@ -165,7 +165,7 @@ def check_pert_hypothesis(system: GaborSystem, perturbed: GaborSystem,
     hyp = PertHypothesis(lam, mu, eta, gamma_o, delta_o, m_o, theta_norm)
 
     # the difference system has the source's lattices, hence its blocks
-    d = _frame_blocks([_difference_system(system, perturbed)], theta).s
+    d = _frame_blocks(_difference_system(system, perturbed), theta).s
     lower_gram, upper_gram = _operator_grams(source_blocks)
     rhs = lam * source_blocks.s + mu * lower_gram + eta * upper_gram
     # one eigvalsh over both stacks: rhs - d for the margin, rhs for its scale
@@ -238,7 +238,7 @@ def check_sum_hypothesis(system: GaborSystem, second: GaborSystem,
     source = "paper_pinned" if (bounds_first and bounds_second) else "computed"
     # one build serves the operator and the first bounds; the lower bound m_o
     # of adjoint(T) is that of T
-    blocks = _frame_blocks([system], theta)
+    blocks = _frame_blocks(system, theta)
     theta_norm, m_o = _norm_and_lower_bound(blocks.op)
     bounded_below = m_o > tol * theta_norm
     if bounds_first is None:

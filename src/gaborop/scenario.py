@@ -462,13 +462,19 @@ def _build_windows(space: SignalSpace, specs, path: str) -> np.ndarray:
         return factors * primal
 
 
-def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool) -> Subgroup:
-    if spec is None or spec == "full":
-        return Subgroup.full(group, dual=dual)
-    if spec == "trivial":
-        return Subgroup.trivial(group, dual=dual)
-    make = group.dual_element if dual else group.element
-    return Subgroup(group, [make(c) for c in spec["gens"]], dual=dual)
+def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool, built: dict) -> Subgroup:
+    """The lattice of ``spec``, built once per distinct spec and side into
+    ``built``: a Subgroup is read-only, so the systems of a scenario share it."""
+    key = (json.dumps(spec), dual)
+    if key not in built:
+        if spec is None or spec == "full":
+            built[key] = Subgroup.full(group, dual=dual)
+        elif spec == "trivial":
+            built[key] = Subgroup.trivial(group, dual=dual)
+        else:
+            make = group.dual_element if dual else group.element
+            built[key] = Subgroup(group, [make(c) for c in spec["gens"]], dual=dual)
+    return built[key]
 
 
 def _energy(values: np.ndarray) -> float:
@@ -489,10 +495,10 @@ def _trace_bound(system: GaborSystem) -> float:
     return weight * len(system.lattice) * space.n * energy
 
 
-def _build_system(group, measure, spec: dict, path: str) -> GaborSystem:
+def _build_system(group, measure, spec: dict, path: str, lattices: dict) -> GaborSystem:
     """The system at field path ``path``.  Its windows are built as one stack
-    with one inverse transform (:func:`_build_windows`); the ordinary_bounds
-    task then builds the systems on one lattice pair together."""
+    with one inverse transform (:func:`_build_windows`); its lattices come
+    from ``lattices`` (see :func:`_build_lattice`)."""
     space = SignalSpace(group, spec["n"], measure)
     windows = tuple(MatrixSignal(space, values)
                     for values in _build_windows(space, spec["windows"], f"{path}.windows"))
@@ -503,8 +509,8 @@ def _build_system(group, measure, spec: dict, path: str) -> GaborSystem:
     dlat_spec = spec.get("dual_lattice")
     if dlat_spec is None and "dual_lattice_gens" in spec:
         dlat_spec = {"gens": spec["dual_lattice_gens"]}
-    lattice = _build_lattice(group, lat_spec, dual=False)
-    dual_lattice = _build_lattice(group, dlat_spec, dual=True)
+    lattice = _build_lattice(group, lat_spec, False, lattices)
+    dual_lattice = _build_lattice(group, dlat_spec, True, lattices)
     auto = spec.get("automorphism")
     dauto = spec.get("dual_automorphism")
     system = GaborSystem(
@@ -675,8 +681,8 @@ def _prediction_findings(task: str, prediction) -> list[str]:
 
 
 def _ordinary_bounds(args, systems, operators, tol) -> _Outcome:
-    # the systems on one space, lattices and automorphisms share one build and one eigensolve
-    names = args.get("systems") or list(systems)
+    # each system takes one build, and the K blocks of one shape one eigensolve
+    names = args["systems"] if "systems" in args else list(systems)
     for name in names:
         if name not in systems:
             raise ScenarioError([f"$.args.systems: unknown system {name!r}"])
@@ -842,8 +848,9 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
     if not 0.0 < tolerance < float("inf"):  # NaN fails too
         raise ScenarioError([f"$.tolerance: must be a finite number > 0, got {tolerance!r}"])
     group, measure = _built("$.group", _build_group, scenario["group"])
+    lattices: dict = {}
     systems = _named(scenario, "systems",
-                     lambda spec, path: _build_system(group, measure, spec, path))
+                     lambda spec, path: _build_system(group, measure, spec, path, lattices))
     operators = _named(scenario, "operators",
                        lambda spec, path: _build_operator(group, measure, spec, base_dir))
     args = scenario.get("args", {})

@@ -27,7 +27,8 @@ from gaborop import (
     inverse_fourier,
     operator_norm,
 )
-from gaborop.frames import OmegaReport, _as_family, _operator_grams, analysis_matrix
+from gaborop.frames import (OmegaReport, _as_family, _coset_index, _operator_grams,
+                            analysis_matrix)
 from gaborop.operators import DEFAULT_TOL
 from gaborop import pencil
 from gaborop.pencil import KERNEL_RTOL, solve_pencils
@@ -219,8 +220,14 @@ def null_space(h: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
     return vecs[:, vals <= rtol * vals.max(initial=0.0)]
 
 
+def coset_index(blocks) -> np.ndarray:
+    """(B, c) flat indices of the points and entries of each coset of ``blocks``,
+    ordered (point, entry)."""
+    return _coset_index(blocks.points, blocks.n)
+
+
 def _in_zak_basis(blocks, m: np.ndarray, n: int) -> np.ndarray:
-    """A (B, c, c) stack on the coset blocks ``blocks.index`` (of a space of
+    """A (B, c, c) stack on the coset blocks ``coset_index(blocks)`` (of a space of
     n x n signals) in their Zak basis, shape (B, |H|, d, |H|, d): entry
     [b, chi, x, chi', y] pairs row x of block (b, chi) with row y of block
     (b, chi'), so the stack of ``blocks.s`` is its chi = chi' part."""
@@ -250,7 +257,8 @@ def oracle_omega_report(system, blocks, tol: float) -> OmegaReport:
     scale = np.abs(family.array).max(initial=0.0)  # the largest family entry
     basis_condition = bool(np.all(np.abs(got - expected) <= tol * scale))
     gram = omega @ omega.conj().T
-    on_block = (blocks.index[:, :, None], blocks.index[:, None, :])
+    index = coset_index(blocks)
+    on_block = (index[:, :, None], index[:, None, :])
     zak = _in_zak_basis(blocks, gram[on_block], n)
     gram_blocks = np.moveaxis(np.diagonal(zak, axis1=1, axis2=3), -1, 1).reshape(blocks.s.shape)
     off_block = np.ones(gram.shape, dtype=bool)

@@ -213,8 +213,9 @@ def _preset_instances():
     for name in PRESETS:
         scenario = build_preset(name)
         group, measure = _build_group(scenario["group"])
+        lattices = {}
         systems = {
-            s["name"]: _build_system(group, measure, s, f"$.systems[{i}]")
+            s["name"]: _build_system(group, measure, s, f"$.systems[{i}]", lattices)
             for i, s in enumerate(scenario.get("systems", []))
         }
         operators = {

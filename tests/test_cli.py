@@ -549,12 +549,11 @@ def test_failed_certificate_is_a_finding_in_every_task(tmp_path, monkeypatch, pr
                                       "residual certificate") for finding in findings), label
 
 
-# builds of S per preset report: one per lattice for the systems of an
-# ordinary_bounds report (exb1's two systems share one), and one per system
-# any other report covers (an image check's source and image; pert_check's
-# source, difference and perturbed systems; sum_check's two systems and their
-# sum; a tight construction's source, diagonal system and image)
-_BUILDS = {"exb1": 1, "ex2-negative": 2, "prop1a-image": 2,
+# builds of S per preset report: one per system the report covers (exb1's two
+# systems; an image check's source and image; pert_check's source, difference
+# and perturbed systems; sum_check's two systems and their sum; a tight
+# construction's source, diagonal system and image)
+_BUILDS = {"exb1": 2, "ex2-negative": 2, "prop1a-image": 2,
            "remark-theta0": 1, "exper1-negative": 1, "omega-check": 1,
            "pertexa": 3, "sumexa": 3, "thm2-tight": 3, "ex-after-thm2": 3}
 
@@ -595,6 +594,18 @@ def test_theta_bounds_task_builds_s_once(monkeypatch, name):
         assert ordinary[key] == want[key]
     for key in ("alpha_opt", "beta_opt"):
         assert ordinary[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12 * want["beta_opt"])
+
+
+def test_exb1_ordinary_report_takes_one_eigvalsh(monkeypatch):
+    # exb1's two systems give K blocks of one shape, so their two builds
+    # share one eigensolve
+    calls = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs:
+                        calls.append(a.shape) or solve(a, *args, **kwargs))
+    report = run_scenario(build_preset("exb1"))
+    assert report["task"] == "ordinary_bounds" and len(report["results"]) == 2
+    assert len(calls) == 1
 
 
 def test_omega_check_task_builds_s_once(monkeypatch):
@@ -906,10 +917,59 @@ def test_large_finite_window_still_runs(tmp_path, preset):
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_invalid_tol_flag_exits_2(tmp_path, capsys, tol):
-    assert main(["--preset", "remark-theta0", "--tol", tol,
-                 "--out", str(tmp_path / "report.json")]) == 2
-    assert "scenario error: $.tolerance: must be a finite number > 0" in capsys.readouterr().err
+    # the flag is rejected while the arguments are parsed, by the rule of
+    # $GOF_DEFAULT_TOL, and the error names the flag, not a scenario field
+    with pytest.raises(SystemExit) as exc:
+        main(["--preset", "remark-theta0", "--tol", tol,
+              "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be a finite number > 0, got {tol!r}" in err
+    assert "$.tolerance" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_invalid_tol_flag_exits_2_in_a_fresh_process():
+    result = subprocess.run(
+        [sys.executable, "-m", "gaborop.cli", "--preset", "exb1", "--tol", "-1"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert "argument --tol: must be a finite number > 0, got '-1'" in result.stderr
+
+
+def test_empty_ordinary_bounds_systems_exit_2(tmp_path, capsys):
+    # an empty list names no system: the schema rejects it at its field, and
+    # the task reports the systems it is given, not every declared one
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"source": "exb1", "args": {"systems": []}}))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    assert "scenario error: $.args.systems: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    outcome = TASKS["ordinary_bounds"]({"systems": []}, {"main": None}, {}, 1e-9)
+    assert outcome.results == {}
+
+
+@pytest.mark.parametrize("name", ["exb1", "pertexa", "sumexa"])
+def test_systems_share_their_lattices(monkeypatch, name):
+    # one Subgroup per distinct lattice spec and side in a run: the systems
+    # of these presets share both, and their report is the one built apart
+    from gaborop import scenario as gscenario
+
+    built = []
+    build = gscenario._build_system
+    monkeypatch.setattr(gscenario, "_build_system",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    report = run_scenario(build_preset(name))
+    assert len(built) >= 2
+    for system in built[1:]:
+        assert system.lattice is built[0].lattice
+        assert system.dual_lattice is built[0].dual_lattice
+    monkeypatch.setattr(gscenario, "_build_system",
+                        lambda *args: build(*args[:-1], {}))
+    apart = run_scenario(build_preset(name))
+    report.pop("timing_seconds"), apart.pop("timing_seconds")
+    assert report == apart
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])

@@ -41,6 +41,7 @@ from gaborop.scenario import TASKS
 from helpers import (
     LOG_SCALES,
     column_window_system,
+    coset_index,
     diag_window_system,
     flip_op,
     is_normal,
@@ -523,15 +524,17 @@ def _variant(base: GaborSystem, kind: str, rng: np.random.Generator) -> GaborSys
 @given(seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["windows", "lattice", "n"]), max_size=3))
 def test_stacked_ordinary_bounds_match_lone_reports(seed, kinds):
-    # the ordinary_bounds task builds the systems on one space and lattice
-    # pair together and makes one eigvalsh for them; each report is the one
-    # the system gives alone, and its spectrum is the dense oracle's
+    # the ordinary_bounds task builds each system alone and makes one eigvalsh
+    # per shape of K over all the systems, whatever their lattices; each
+    # report is the one the system gives alone, and its spectrum is the dense
+    # oracle's
+    from gaborop.frames import _frame_blocks
+
     rng = np.random.default_rng(seed)
     base = random_system(rng)
     systems = {f"s{i}": system for i, system in
                enumerate([base] + [_variant(base, kind, rng) for kind in kinds])}
-    lattices = {(s.space.n, s.lattice.coords.tobytes(), s.dual_lattice.coords.tobytes())
-                for s in systems.values()}
+    shapes = {_frame_blocks(system).k.shape[1:] for system in systems.values()}
     calls = []
     solve = np.linalg.eigvalsh
     with pytest.MonkeyPatch.context() as patch:
@@ -539,7 +542,7 @@ def test_stacked_ordinary_bounds_match_lone_reports(seed, kinds):
                       calls.append(a.shape) or solve(a, *args, **kwargs))
         reports = TASKS["ordinary_bounds"]({"systems": list(systems)}, systems, {},
                                            DEFAULT_TOL).results
-    assert len(calls) == len(lattices)
+    assert len(calls) == len(shapes)
     for name, system in systems.items():
         report, lone = reports[name], ordinary_bounds(system)
         assert report.to_json_dict() == lone.to_json_dict()
@@ -803,10 +806,10 @@ def test_walnut_route_matches_dense_route(factors, seed):
         assert _zak_order(cases[0][0]) == 8
     else:
         cases = [_walnut_case(factors, seed)]
-    cold = [_frame_blocks([system], theta) for system, theta in cases]
+    cold = [_frame_blocks(system, theta) for system, theta in cases]
     for (system, theta), blocks in zip(cases, cold):
         _check_walnut_route(system, theta)
-        _assert_bitwise_equal_blocks(_frame_blocks([system], theta), blocks)
+        _assert_bitwise_equal_blocks(_frame_blocks(system, theta), blocks)
         translates = len(system.lattice)
         assert _layout_of(system).gather.shape[0] == translates // _zak_order(system)
         assert _layout_of(system, split=False).gather.shape[0] == translates
@@ -820,14 +823,14 @@ def _check_dense_route_against_oracle(system):
 
     family = system.family()
     want = frame_operator(family).dense_matrix
-    builds = [_frame_blocks([family])]
-    index = _frame_blocks([system]).index
+    builds = [_frame_blocks(family)]
+    index = coset_index(_frame_blocks(system))
     if len(index) > 1:  # an entry coupling two cosets
         coupled = np.eye(system.space.dim)
         coupled[index[0, 0], index[1, -1]] = 1.0
-        builds.append(_frame_blocks([system], SpaceOperator.from_dense(system.space, coupled)))
+        builds.append(_frame_blocks(system, SpaceOperator.from_dense(system.space, coupled)))
     for blocks in builds:
-        assert (blocks.route, blocks.index.shape) == ("dense", (1, system.space.dim))
+        assert (blocks.route, blocks.points.shape) == ("dense", (1, system.space.group.order))
         assert np.abs(blocks.s[0] - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -867,7 +870,7 @@ def _check_walnut_route(system, theta):
     from gaborop.frames import _frame_blocks
 
     omega = omega_characterization(system, theta)
-    oracle = oracle_omega_report(system, _frame_blocks([system], theta), DEFAULT_TOL)
+    oracle = oracle_omega_report(system, _frame_blocks(system, theta), DEFAULT_TOL)
     verdicts = lambda r: (r.basis_condition, r.lower_exists, r.upper_exists,
                           r.alpha is None, r.beta is None)
     assert verdicts(omega) == verdicts(oracle) and omega.basis_condition
@@ -893,7 +896,7 @@ def test_dense_omega_report_matches_oracle(dense, rng):
         d = system.space.dim
         theta = SpaceOperator.from_dense(
             system.space, theta.to_dense() + 0.1 * rng.standard_normal((d, d)))
-    blocks = _frame_blocks([system], theta)
+    blocks = _frame_blocks(system, theta)
     assert blocks.route == "dense"
     omega = omega_characterization(system, theta)
     oracle = oracle_omega_report(system, blocks, DEFAULT_TOL)
@@ -932,8 +935,8 @@ def _split_dense_operator(system, kind, entry, rng):
         t[points, :, points, :] = maps
     elif kind == "right":
         coset = np.empty(order, dtype=int)
-        for label, block in enumerate(_frame_blocks([system]).index):
-            coset[block[::n2] // n2] = label
+        for label, members in enumerate(_frame_blocks(system).points):
+            coset[members] = label
         r = cplx(order, order, n, n) * (coset[:, None] == coset[None, :])[:, :, None, None]
         # (f R)[p, d] = sum_b f[p, b] R[b, d]
         t = np.einsum("pa,zybd->zpdyab", np.eye(n), r).reshape(t.shape)
@@ -971,7 +974,7 @@ def test_split_dense_operator_matches_dense_route(factors, seed, kind):
         _assert_zak_route(twin, system)
         assert twin.route["reason"] == "entry map"
         _assert_same_bounds(blocked, twin)
-    index = _frame_blocks([system]).index
+    index = coset_index(_frame_blocks(system))
     if len(index) > 1:
         coupled = op.to_dense().copy()
         coupled[index[0, 0], index[1, -1]] = 1.0
@@ -1022,7 +1025,7 @@ def test_split_operator_images_match_family_route(factors, seed, kind, hermitian
         all(valid_bounds(family, source.alpha_opt, source.beta_opt))
         if source.lower_exists else None)
 
-    index = _frame_blocks([system]).index
+    index = coset_index(_frame_blocks(system))
     if len(index) > 1:
         coupled = op.to_dense().copy()
         coupled[index[0, 0], index[1, -1]] = 1.0
@@ -1235,7 +1238,7 @@ def test_split_operator_facts_from_its_blocks(monkeypatch, factors, seed, kind):
     system, theta = _walnut_case(factors, seed)
     rng = np.random.default_rng(seed)
     op = _split_dense_operator(system, kind, theta.entry_matrix, rng)
-    route = _frame_blocks([system], op).to_json_dict()
+    route = _frame_blocks(system, op).to_json_dict()
     assert route["name"] == "walnut" and route["blocks"] > 1
     # the tight construction over a Parseval source on the full lattices,
     # whose cosets are points, under a split operator of its space
@@ -1243,7 +1246,7 @@ def test_split_operator_facts_from_its_blocks(monkeypatch, factors, seed, kind):
     space = SignalSpace(system.space.group, system.space.n, source.space.measure)
     carrier = GaborSystem(space, (space.zero_signal(),), source.lattice, source.dual_lattice)
     tight_op = _split_dense_operator(carrier, kind, theta.entry_matrix, rng)
-    tight_route = _frame_blocks([carrier], tight_op).to_json_dict()
+    tight_route = _frame_blocks(carrier, tight_op).to_json_dict()
     assert tight_route["name"] == "walnut" and tight_route["blocks"] > 1
     solves = _record_solves(monkeypatch)
     for call, block_dim in (
@@ -1297,8 +1300,8 @@ def test_walnut_identity(factors, seed):
 
     for system in (_walnut_case(factors, seed)[0], swap_window_system(4)):
         dense = frame_operator(system).dense_matrix
-        blocks = _frame_blocks([system])
-        phi, index, dim, n2 = blocks.phi, blocks.index, system.space.dim, system.space.n ** 2
+        blocks = _frame_blocks(system)
+        phi, index, dim, n2 = blocks.phi, coset_index(blocks), system.space.dim, system.space.n ** 2
         size, (count, d, _) = len(phi), blocks.s.shape
         assert sorted(index.ravel().tolist()) == list(range(dim))
         assert np.allclose(phi @ phi.conj().T, np.eye(size), rtol=0.0, atol=1e-14)
@@ -1375,9 +1378,10 @@ def test_route_is_reported():
                                            "reason": "dense, zero off the coset blocks"}
     assert rep.alpha_opt == pytest.approx(2.5, rel=1e-12)
     # one nonzero entry coupling two cosets keeps the dense route
-    blocks = _frame_blocks([system])
+    blocks = _frame_blocks(system)
     coupled = dense.copy()
-    coupled[blocks.index[0, 0], blocks.index[1, 0]] = 1e-3
+    index = coset_index(blocks)
+    coupled[index[0, 0], index[1, 0]] = 1e-3
     rep = theta_bounds(system, SpaceOperator.from_dense(system.space, coupled))
     assert rep.to_json_dict()["route"] == {"name": "dense", "blocks": 1,
                                            "block_dim": system.space.dim, "zak": 1,
@@ -1444,7 +1448,8 @@ def _pertexa_systems():
 
     scenario = build_preset("pertexa")
     group, measure = _build_group(scenario["group"])
-    return [_build_system(group, measure, spec, f"$.systems[{i}]")
+    # each system on lattices of its own, built apart from the same specs
+    return [_build_system(group, measure, spec, f"$.systems[{i}]", {})
             for i, spec in enumerate(scenario["systems"])]
 
 
@@ -1461,8 +1466,8 @@ def test_layout_is_shared_by_value():
     for other in (perturbed, main.with_windows(perturbed.windows),
                   _difference_system(main, perturbed)):
         assert _layout_of(other) is layout
-    assert _frame_blocks([perturbed]).phi is layout.phi
-    assert _frame_blocks([perturbed], pert_theta_op(main.space)).phi is layout.phi
+    assert _frame_blocks(perturbed).phi is layout.phi
+    assert _frame_blocks(perturbed, pert_theta_op(main.space)).phi is layout.phi
     for array in layout:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
