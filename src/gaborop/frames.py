@@ -18,10 +18,12 @@ an entry map, also commute with translation by H, the lattice translations
 that lie in that annihilator, so a DFT over H splits each coset block
 further into |H| blocks (the Zak or Zibulski-Zeevi representation), built
 from one lattice translate per coset of H.  Every block is I_n (x) K, and
-ordinary bounds take the eigenvalues of K alone.  Each system takes its own
-build; the ordinary bounds of several systems take one eigensolve per shape
-of their K blocks, whatever their lattices.  The operator-controlled
-two-sided bounds
+ordinary bounds take the eigenvalues of K alone: in closed form when K is
+1 x 1 or 2 x 2 (within a few ulps of the top eigenvalue, the order of
+LAPACK's own error), otherwise by ``eigvalsh``.  Each system takes its own
+build; the ordinary bounds of several systems take one ``eigvalsh`` per
+larger shape of their K blocks, whatever their lattices.  The
+operator-controlled two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
                                 <=  beta * ||T f||^2
@@ -61,7 +63,7 @@ from .groups import (Automorphism, GroupMismatchError, Subgroup, _characters, _c
                      intersection)
 from .operators import (DEFAULT_TOL, KERNEL_RTOL, OperatorDiagnostics, SpaceOperator,
                         _diagnostics)
-from .pencil import _hermitian, solve_pencils
+from .pencil import CLOSED_FORM_DIM, _hermitian_eigvalsh, solve_pencils
 from .signals import MatrixSignal, SignalSpace
 
 __all__ = [
@@ -341,7 +343,9 @@ class _Blocks(NamedTuple):
     Every block is I_n (x) K: the frame operator acts on each row of a matrix
     signal alone, so with the entry (p, r) of point j as row (j, p, r),
     S[(j, p, r), (j', t, s)] = delta(p, t) K[(j, r), (j', s)].  Only K is
-    kept; ``s`` forms S for a pencil, and ordinary bounds read K."""
+    kept; ``s`` forms S for a pencil, and ordinary bounds read the spectrum
+    of K, in closed form up to 2 x 2 (see
+    :func:`gaborop.pencil._hermitian_eigvalsh`) and by ``eigvalsh`` beyond."""
 
     route: str          # "walnut" (coset blocks) or "dense" (one block, of a family)
     points: np.ndarray  # (B, J |H|) positions of each coset's points, ordered (j, h)
@@ -571,20 +575,26 @@ def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
 def batch_ordinary_bounds(systems: Sequence, tol: float = DEFAULT_TOL) -> list[BoundsReport]:
     """The :func:`ordinary_bounds` report of each of ``systems``, in order.
 
-    Each system takes one build (see :func:`_frame_blocks`), and the K
-    blocks of one shape, over all the systems, one ``eigvalsh``.  Each block
-    of S is I_n (x) K, so its spectrum is that of K, each eigenvalue n times."""
+    Each system takes one build (see :func:`_frame_blocks`).  Each block of
+    S is I_n (x) K, so its spectrum is that of K, each eigenvalue n times.
+    K blocks of 1 x 1 and 2 x 2 take the closed form of
+    :func:`gaborop.pencil._hermitian_eigvalsh`, with no LAPACK call, within
+    a few ulps of the top eigenvalue of the block, the order of LAPACK's own
+    error; the larger K blocks of one shape, over all the systems, take one
+    ``eigvalsh``.  Each report's ``route`` names the ``eigensolver``:
+    ``closed_form`` or ``eigvalsh``."""
     builds = [_frame_blocks(system) for system in systems]
     shapes: dict = {}
     for i, blocks in enumerate(builds):
         shapes.setdefault(blocks.k.shape[1:], []).append(i)
     reports: list = [None] * len(systems)
-    for members in shapes.values():
-        eigs = np.linalg.eigvalsh(_hermitian(np.concatenate([builds[i].k for i in members])))
+    for shape, members in shapes.items():
+        eigs = _hermitian_eigvalsh(np.concatenate([builds[i].k for i in members]))
+        solver = "closed_form" if shape[-1] <= CLOSED_FORM_DIM else "eigvalsh"
         ends = np.cumsum([len(builds[i].k) for i in members])
         for i, system_eigs in zip(members, np.split(eigs, ends[:-1])):
-            reports[i] = _ordinary_report(np.repeat(system_eigs, builds[i].n, axis=-1),
-                                          builds[i].to_json_dict(), tol)
+            route = {**builds[i].to_json_dict(), "eigensolver": solver}
+            reports[i] = _ordinary_report(np.repeat(system_eigs, builds[i].n, axis=-1), route, tol)
     return reports
 
 
@@ -695,9 +705,10 @@ def bounded_below_promotion(system, theta: SpaceOperator,
     """
     operator, controlled = _controlled(system, theta, tol)
     # S is decomposed once: the ordinary report reads the controlled report's
-    # spectrum, on its route less the operator's reason
+    # spectrum, on its route less the operator's reason, from the pencil's eigh of S
     route = {key: value for key, value in controlled.route.items() if key != "reason"}
-    ordinary = _ordinary_report(controlled.spectra["frame_operator"], route, tol)
+    ordinary = _ordinary_report(controlled.spectra["frame_operator"],
+                                {**route, "eigensolver": "pencil_eigh"}, tol)
     # ||adjoint(T)|| = ||T||, and sigma is the lower bound of T
     norm, sigma = operator.operator_norm, operator.lower_bound
     reports = dict(ordinary=ordinary, controlled=controlled, operator=operator)

@@ -53,10 +53,35 @@ __all__ = [
 
 CERT_SLACK_RTOL = 1e-12  # relative to the larger top eigenvalue of the pencil's two terms
 CERT_STEP = 1e-6
+CLOSED_FORM_DIM = 2  # blocks up to this size take _hermitian_eigvalsh's closed form
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:
     return (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
+
+
+def _hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of each block of the Hermitian part of the
+    (B, d, d) stack ``h``, as a (B, d) array.
+
+    A 1 x 1 block is its real part.  A 2 x 2 block takes the closed form of
+    the 2-by-2 symmetric Schur decomposition (Golub & Van Loan, *Matrix
+    Computations*, 8.5): with a, c the real diagonal entries and b the
+    Hermitised off-diagonal entry, the eigenvalues are m -/+ hypot((a - c) / 2,
+    |b|) about m = (a + c) / 2.  Every sum is taken of halves, so finite
+    input cannot overflow, and each eigenvalue is within a few ulps of the
+    top |eigenvalue| of the block, the order of LAPACK's backward error.
+    Larger blocks take one ``eigvalsh``."""
+    d = h.shape[-1]
+    if d == 1:
+        return h.real[..., 0]
+    if d > CLOSED_FORM_DIM:
+        return np.linalg.eigvalsh(_hermitian(h))
+    a, c = h[:, 0, 0].real, h[:, 1, 1].real
+    b = 0.5 * h[:, 0, 1] + 0.5 * h[:, 1, 0].conj()
+    m = 0.5 * a + 0.5 * c
+    r = np.hypot(0.5 * a - 0.5 * c, np.abs(b))
+    return np.stack([m - r, m + r], axis=-1)
 
 
 def _top(vals: np.ndarray) -> float:

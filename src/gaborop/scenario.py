@@ -865,10 +865,9 @@ def run_scenario(scenario: dict, base_dir=None, tol: float | None = None,
     if spectra_path is not None:
         for label, rep in outcome.spectra.items():
             name = spectra_file(spectra_path, label, len(outcome.spectra) == 1)
+            lines = "".join(f"{i},{v!r}\n" for i, v in enumerate(rep.spectra["frame_operator"]))
             with open(name, "w", encoding="utf-8") as fh:
-                fh.write("index,eigenvalue\n")
-                for i, v in enumerate(rep.spectra["frame_operator"]):
-                    fh.write(f"{i},{v!r}\n")
+                fh.write("index,eigenvalue\n" + lines)
             spectra_files[label] = rep.spectrum_file = str(name)
 
     scenario_echo = {k: v for k, v in scenario.items() if k != "provenance_preset"}

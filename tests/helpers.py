@@ -351,6 +351,22 @@ def corrupt_constant(patch, which: str, factor: float) -> None:
         for name, (c, block) in least_constants(sides).items()})
 
 
+def record_solves(patch) -> list:
+    """(solver name, operand shape) of every numpy.linalg eigen or singular-value
+    solve; a 2-norm runs an SVD, so it is recorded as one.  ``patch`` is a
+    pytest monkeypatch."""
+    solves = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv", "norm"):
+        def recorded(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            if _name != "norm":
+                solves.append((_name, np.shape(a)))
+            elif kwargs.get("ord", args[0] if args else None) in (2, -2, "nuc"):
+                solves.append(("svd", np.shape(a)))
+            return _solve(a, *args, **kwargs)
+        patch.setattr(np.linalg, name, recorded)
+    return solves
+
+
 # ---------------------------------------------------------------------------
 # builders
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gaborop.scenario import (
     run_scenario,
     validate_scenario,
 )
-from helpers import corrupt_constant
+from helpers import corrupt_constant, record_solves
 
 REQUIRED_PRESETS = {
     "exb1", "remark-theta0", "exper1-negative", "pertexa",
@@ -150,6 +151,23 @@ def test_spectra_csv(tmp_path):
     assert report["provenance"]["spectra_files"]
     # each bounds report records the file it was dumped to
     assert report["results"]["phi1-system"]["spectrum_file"].endswith(".csv")
+
+
+def test_spectra_csv_holds_every_eigenvalue_by_repr(tmp_path, monkeypatch):
+    # each file is the header line, then "i,repr(v)" for every eigenvalue of
+    # its report's spectrum, in order, and nothing else
+    outcomes = []
+    task = TASKS["ordinary_bounds"]
+    monkeypatch.setitem(TASKS, "ordinary_bounds",
+                        lambda *args: outcomes.append(task(*args)) or outcomes[-1])
+    report = run_scenario(build_preset("exb1"), spectra_path=tmp_path / "spectra.csv")
+    (outcome,) = outcomes
+    files = report["provenance"]["spectra_files"]
+    assert sorted(files) == sorted(outcome.spectra) and len(files) == 2
+    for label, name in files.items():
+        spectrum = outcome.spectra[label].spectra["frame_operator"]
+        want = "index,eigenvalue\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(spectrum))
+        assert Path(name).read_bytes() == want.encode("utf-8")
 
 
 def test_compact_preset_scenario_form(tmp_path):
@@ -589,23 +607,21 @@ def test_theta_bounds_task_builds_s_once(monkeypatch, name):
     scenario = build_preset(name)
     scenario["task"], scenario["args"] = "ordinary_bounds", {"systems": ["main"]}
     want = run_scenario(scenario)["results"]["main"]
-    assert ordinary["route"] == want["route"]
+    assert ordinary["route"] == {**want["route"], "eigensolver": "pencil_eigh"}
     for key in ("lower_exists", "upper_exists", "tight"):
         assert ordinary[key] == want[key]
     for key in ("alpha_opt", "beta_opt"):
         assert ordinary[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12 * want["beta_opt"])
 
 
-def test_exb1_ordinary_report_takes_one_eigvalsh(monkeypatch):
-    # exb1's two systems give K blocks of one shape, so their two builds
-    # share one eigensolve
-    calls = []
-    solve = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs:
-                        calls.append(a.shape) or solve(a, *args, **kwargs))
+def test_exb1_ordinary_report_makes_no_eigensolve(monkeypatch):
+    # exb1's K blocks are 1 x 1, so both systems' spectra are the real parts
+    # of their K blocks, with no LAPACK call
+    calls = record_solves(monkeypatch)
     report = run_scenario(build_preset("exb1"))
     assert report["task"] == "ordinary_bounds" and len(report["results"]) == 2
-    assert len(calls) == 1
+    assert calls == []
+    assert {rep["route"]["eigensolver"] for rep in report["results"].values()} == {"closed_form"}
 
 
 def test_omega_check_task_builds_s_once(monkeypatch):

@@ -37,6 +37,7 @@ from helpers import (
     random_operator_for,
     random_signal,
     random_system,
+    record_solves,
     selector_op,
     swap_window_system,
     torus_space,
@@ -308,26 +309,18 @@ def test_dense_split_operator_hypotheses_solve_on_the_blocks(monkeypatch, matrix
     space = SignalSpace(scalar.space.group, 2, scalar.space.measure)
     dense = np.kron(np.eye(space.group.order), matrix)
     assert space.dim == 128
-    sizes, quiet = [], []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
-        def recorded(*args, _solve=getattr(np.linalg, name), **kwargs):
-            if not quiet:
-                sizes.append(args[0].shape[-1])
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recorded)
+    solves = record_solves(monkeypatch)
     for theta, run in (
         (SpaceOperator.from_dense(system.space, dense),
          lambda theta: check_image_frame(theta, system).hypotheses),
         (SpaceOperator.from_dense(space, dense),
          lambda theta: tight_theta_frame(1.0, scalar, 2, theta).reasons),
     ):
-        quiet.append(True)
-        hypo, min_eig = is_hyponormal(theta)  # the D x D checks
+        hypo, min_eig = is_hyponormal(theta)  # the D x D checks, cleared below
         adjointable = is_mv_adjointable(theta)
-        quiet.pop()
-        sizes.clear()
+        solves.clear()
         got = run(theta)
-        assert sizes and max(sizes) <= 32, sizes
+        assert solves and max(shape[-1] for _, shape in solves) <= 32, solves
         if isinstance(got, dict):
             assert got["hyponormal"] == hypo and got["mv_adjointable"] == adjointable
             assert got["self_commutator_min_eig"] == pytest.approx(min_eig, abs=1e-12)

@@ -60,8 +60,10 @@ from helpers import (
     random_signal,
     random_subgroup,
     random_system,
+    record_solves,
     selector_op,
     swap_window_system,
+    torus_lattices,
     torus_space,
 )
 
@@ -359,7 +361,7 @@ def test_theta_bounds_task_checks_the_promotion(seed, kind):
     assert promotion.controlled.to_json_dict() == theta_bounds(system, theta).to_json_dict()
     ordinary = promotion.ordinary
     assert (ordinary.lower_exists, ordinary.tight, ordinary.route) == \
-        (lone.lower_exists, lone.tight, lone.route)
+        (lone.lower_exists, lone.tight, {**lone.route, "eigensolver": "pencil_eigh"})
     for have, want in ((ordinary.alpha_opt, lone.alpha_opt), (ordinary.beta_opt, lone.beta_opt)):
         assert abs(have - want) <= 1e-12 * lone.beta_opt
     facts = diagnostics(theta)
@@ -462,12 +464,7 @@ def test_theta_bounds_eigensolver_budget(monkeypatch):
     # one eigh of S and both grams, one eigvalsh of the whitened blocks of
     # both sides and one of both certificates' pencils, whatever the size or
     # the kernels
-    calls = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
-        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
-            calls.append(args[0].shape)
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = record_solves(monkeypatch)
     counts = {}
     for resolution in (2, 4):
         system = column_window_system(resolution)
@@ -481,21 +478,18 @@ def test_theta_bounds_eigensolver_budget(monkeypatch):
 
 
 def test_ordinary_bounds_eigensolver_budget_at_4096(monkeypatch):
-    # each block of S is I_n (x) K, so ordinary bounds make one eigvalsh, on
-    # the 1024 blocks K of 2 x 2 at D = 4096, and repeat each eigenvalue n = 2
-    # times; the constants are those read from S's own eigh in theta_bounds
+    # each block of S is I_n (x) K, so ordinary bounds take the eigenvalues of
+    # the 1024 blocks K of 2 x 2 at D = 4096 in closed form, with no LAPACK
+    # call, and repeat each eigenvalue n = 2 times; the constants are those
+    # read from S's own eigh in theta_bounds
     from gaborop.frames import _ordinary_report
 
     system = swap_window_system(128)
     theta = pert_theta_op(system.space)
-    calls = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(args[0])))
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = record_solves(monkeypatch)
     rep = ordinary_bounds(system)
-    assert calls == [("eigvalsh", (1024, 2, 2))]
+    assert calls == []
+    assert rep.route["eigensolver"] == "closed_form"
     spectrum = rep.spectra["frame_operator"]
     assert system.space.dim == len(spectrum) == 4096
     assert spectrum[::2] == spectrum[1::2]
@@ -506,6 +500,21 @@ def test_ordinary_bounds_eigensolver_budget_at_4096(monkeypatch):
     assert rep.beta_opt == pytest.approx(from_s.beta_opt, rel=1e-12)
     assert (rep.lower_exists, rep.tight) == (from_s.lower_exists, from_s.tight)
     assert np.allclose(spectrum, dense_spectrum, rtol=0.0, atol=1e-12 * dense_spectrum[-1])
+
+
+def test_ordinary_bounds_take_one_eigvalsh_for_k_above_2x2(monkeypatch):
+    # with n = 3 and one point per coset of H, K is 3 x 3: beyond the closed
+    # form, so its 16 blocks take one eigvalsh, and the spectrum is the dense
+    # oracle's
+    space = torus_space(16, 3)
+    rng = np.random.default_rng(3)
+    system = GaborSystem(space, (random_signal(space, rng),), *torus_lattices(space.group, 2))
+    calls = record_solves(monkeypatch)
+    rep = ordinary_bounds(system)
+    assert calls == [("eigvalsh", (16, 3, 3))]
+    assert rep.route["eigensolver"] == "eigvalsh"
+    dense = np.linalg.eigvalsh(frame_operator(system).dense_matrix)
+    assert np.allclose(rep.spectra["frame_operator"], dense, rtol=0.0, atol=1e-12 * dense[-1])
 
 
 def _variant(base: GaborSystem, kind: str, rng: np.random.Generator) -> GaborSystem:
@@ -524,25 +533,27 @@ def _variant(base: GaborSystem, kind: str, rng: np.random.Generator) -> GaborSys
 @given(seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["windows", "lattice", "n"]), max_size=3))
 def test_stacked_ordinary_bounds_match_lone_reports(seed, kinds):
-    # the ordinary_bounds task builds each system alone and makes one eigvalsh
-    # per shape of K over all the systems, whatever their lattices; each
-    # report is the one the system gives alone, and its spectrum is the dense
-    # oracle's
+    # the ordinary_bounds task builds each system alone and takes the
+    # eigenvalues of K in closed form up to 2 x 2, with no LAPACK call, and by
+    # one eigvalsh per larger shape of K over all the systems, whatever their
+    # lattices; each report is the one the system gives alone, and its
+    # spectrum is the dense oracle's
     from gaborop.frames import _frame_blocks
 
     rng = np.random.default_rng(seed)
     base = random_system(rng)
     systems = {f"s{i}": system for i, system in
                enumerate([base] + [_variant(base, kind, rng) for kind in kinds])}
-    shapes = {_frame_blocks(system).k.shape[1:] for system in systems.values()}
-    calls = []
-    solve = np.linalg.eigvalsh
+    shapes: dict = {}  # the block count of each shape of K, in order of first use
+    for system in systems.values():
+        k = _frame_blocks(system).k
+        shapes[k.shape[1:]] = shapes.get(k.shape[1:], 0) + len(k)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs:
-                      calls.append(a.shape) or solve(a, *args, **kwargs))
+        calls = record_solves(patch)
         reports = TASKS["ordinary_bounds"]({"systems": list(systems)}, systems, {},
                                            DEFAULT_TOL).results
-    assert len(calls) == len(shapes)
+    assert calls == [("eigvalsh", (count, *shape)) for shape, count in shapes.items()
+                     if shape[-1] > 2]
     for name, system in systems.items():
         report, lone = reports[name], ordinary_bounds(system)
         assert report.to_json_dict() == lone.to_json_dict()
@@ -1144,17 +1155,12 @@ def test_split_operator_diagnostics(monkeypatch, factors, seed, kind):
     system, theta = _walnut_case(factors, seed)
     op = _split_dense_operator(system, kind, theta.entry_matrix, np.random.default_rng(seed))
     want = diagnostics(op)
-    shapes = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
-        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(args[0]))
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    solves = record_solves(monkeypatch)
     outcome = TASKS["theta_bounds"]({"system": "s", "operator": "t"}, {"s": system},
                                     {"t": op}, DEFAULT_TOL)
     got, route = outcome.results.operator, outcome.results.controlled.route
     assert route["name"] == "walnut" and route["blocks"] > 1
-    assert shapes and max(max(shape[-2:]) for shape in shapes) <= route["block_dim"]
+    assert solves and max(max(shape[-2:]) for _, shape in solves) <= route["block_dim"]
     scale = want.operator_norm
     assert got.operator_norm == pytest.approx(scale, rel=1e-12, abs=0.0)
     assert got.lower_bound == pytest.approx(want.lower_bound, rel=0.0, abs=1e-12 * scale)
@@ -1162,21 +1168,6 @@ def test_split_operator_diagnostics(monkeypatch, factors, seed, kind):
                                                         rel=0.0, abs=1e-12 * scale ** 2)
     assert (got.is_hyponormal, got.is_mv_adjointable) == \
         (want.is_hyponormal, want.is_mv_adjointable)
-
-
-def _record_solves(monkeypatch) -> list:
-    """(solver name, operand shape) of every numpy.linalg eigen or singular-value
-    solve; a 2-norm runs an SVD, so it is recorded as one."""
-    solves = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv", "norm"):
-        def recorded(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
-            if _name != "norm":
-                solves.append((_name, np.shape(a)))
-            elif kwargs.get("ord", args[0] if args else None) in (2, -2, "nuc"):
-                solves.append(("svd", np.shape(a)))
-            return _solve(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recorded)
-    return solves
 
 
 def _operator_facts(system, op):
@@ -1248,7 +1239,7 @@ def test_split_operator_facts_from_its_blocks(monkeypatch, factors, seed, kind):
     tight_op = _split_dense_operator(carrier, kind, theta.entry_matrix, rng)
     tight_route = _frame_blocks(carrier, tight_op).to_json_dict()
     assert tight_route["name"] == "walnut" and tight_route["blocks"] > 1
-    solves = _record_solves(monkeypatch)
+    solves = record_solves(monkeypatch)
     for call, block_dim in (
             (lambda: bounded_below_promotion(system, op), route["block_dim"]),
             (lambda: check_pert_hypothesis(system, system, op, 0.0, 0.1, 0.1, (1.0, 2.0)),
@@ -1367,7 +1358,7 @@ def test_route_is_reported():
     results = run_scenario(build_preset("remark-theta0", resolution=4))["results"]
     walnut = {"name": "walnut", "blocks": 32, "block_dim": 4, "zak": 8}
     assert results["controlled"]["route"] == {**walnut, "reason": "entry map"}
-    assert results["ordinary"]["route"] == walnut
+    assert results["ordinary"]["route"] == {**walnut, "eigensolver": "pencil_eigh"}
     # kron(I, M) as a dense matrix vanishes off the coset blocks, so it splits
     # over them, with H taken trivial
     system = swap_window_system()
@@ -1404,12 +1395,7 @@ def test_walnut_route_scales_to_4096(monkeypatch):
     system = swap_window_system(128)
     theta = pert_theta_op(system.space)
     assert system.space.dim == 4096
-    shapes = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv"):
-        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(args[0]))
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    solves = record_solves(monkeypatch)
     tracemalloc.start()
     try:
         rep = theta_bounds(system, theta)
@@ -1427,7 +1413,7 @@ def test_walnut_route_scales_to_4096(monkeypatch):
     assert omega.basis_condition
     assert omega.alpha == pytest.approx(2.5, rel=1e-9)
     assert omega.beta == pytest.approx(10.0, rel=1e-9)
-    assert shapes and max(max(shape[-2:]) for shape in shapes) <= 4
+    assert solves and max(max(shape[-2:]) for _, shape in solves) <= 4
     assert peak < 64 * 2**20
     assert omega_peak - held <= 1.1 * peak  # the omega checks cost less than the solve
 

@@ -26,6 +26,7 @@ from helpers import (
     projector_op,
     random_entry_op,
     random_signal,
+    record_solves,
     selector_op,
     torus_space,
 )
@@ -210,19 +211,6 @@ def test_hyponormal_on_range(space):
     assert ok_small  # zero range: vacuous
 
 
-def _solver_shapes(monkeypatch) -> list:
-    """Record the operand shape of every numpy.linalg eigen or singular-value
-    solve (a 2-norm is one; a Frobenius norm is not)."""
-    shapes = []
-    for name in ("eigh", "eigvalsh", "svd", "norm"):
-        def recorded(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
-            if _name != "norm" or kwargs.get("ord", args[0] if args else None) in (2, -2, "nuc"):
-                shapes.append(np.shape(a))
-            return _solve(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recorded)
-    return shapes
-
-
 def _as_dense(op: SpaceOperator) -> SpaceOperator:
     return SpaceOperator.from_dense(op.space, op.to_dense())
 
@@ -250,11 +238,11 @@ def test_hyponormal_on_range_entry_maps_match_dense(seed, op_kind, range_kind, o
 
 def test_hyponormal_on_range_entry_maps_stay_n2(space, monkeypatch):
     n2 = space.n * space.n
-    shapes = _solver_shapes(monkeypatch)
+    solves = record_solves(monkeypatch)
     for op, range_of in ((pert_theta_op(space), flip_op(space)),
                          (selector_op(space), projector_op(space))):
         is_hyponormal_on_range(op, range_of)
-    assert shapes and max(max(shape) for shape in shapes) <= n2
+    assert solves and max(max(shape) for _, shape in solves) <= n2
 
 
 def test_diagnostics_dense_operator_two_solves(monkeypatch, rng):
@@ -265,7 +253,7 @@ def test_diagnostics_dense_operator_two_solves(monkeypatch, rng):
     hypo, min_eig = is_hyponormal(op)
     want = OperatorDiagnostics(operator_norm(op), lower_bound_constant(op), hypo,
                                is_mv_adjointable(op), min_eig)
-    shapes = _solver_shapes(monkeypatch)
+    solves = record_solves(monkeypatch)
     got = diagnostics(op)
-    assert [shape for shape in shapes if d in shape] == [(d, d), (d, d)]
+    assert [shape for _, shape in solves if d in shape] == [(d, d), (d, d)]
     assert got == want

@@ -1,12 +1,14 @@
 """The closed-form pencil solver against the bisection oracle, certificates
 and kernel inclusion."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborop.pencil import solve_pencils
+from gaborop.pencil import _hermitian, _hermitian_eigvalsh, solve_pencils
 from helpers import bisect_max_alpha, bisect_min_beta, corrupt_constant, null_space
 
 
@@ -289,3 +291,38 @@ def test_both_sides_are_one_pencil_form(blocks, dim, contained, seed):
     if a.lower_exists:
         assert a.alpha * b.beta == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert a.certificates["alpha"] == b.certificates["beta"]
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]),
+       kind=st.sampled_from(["general", "scaled_identity", "rank_one", "zero"]),
+       exponent=st.integers(-250, 250), skew=st.sampled_from([0.0, 1e-3]))
+def test_closed_form_spectra_match_eigvalsh(seed, d, kind, exponent, skew):
+    # 1 x 1 and 2 x 2 blocks take the closed form: ascending, within 8 ulps of
+    # the block's top |eigenvalue| of LAPACK's spectrum of the Hermitian part,
+    # with no numpy warning, on PSD stacks that are exactly c I (as pertexa's
+    # K = 10 I), rank one or zero, plus a skew-Hermitian part that only the
+    # Hermitised off-diagonal entry drops; scales from 1e-250 to 1e250 square
+    # past the float range, so a sum of squares in place of hypot fails
+    rng = np.random.default_rng(seed)
+    count = 16
+    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    if kind == "rank_one":
+        g[..., 1:] = 0.0
+    psd = g @ np.swapaxes(g.conj(), -1, -2)
+    if kind == "scaled_identity":
+        c = rng.uniform(0.0, 10.0, count)
+        c[0] = 10.0
+        psd = c[:, None, None] * np.eye(d)
+    if kind == "zero":
+        psd = np.zeros((count, d, d), dtype=complex)
+    x = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    h = 10.0 ** exponent * (psd + skew * (x - np.swapaxes(x.conj(), -1, -2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _hermitian_eigvalsh(h)
+    want = np.linalg.eigvalsh(_hermitian(h))
+    assert got.shape == want.shape == (count, d)
+    assert np.all(np.diff(got, axis=-1) >= 0.0)
+    top = np.abs(want).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * top)

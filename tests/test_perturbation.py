@@ -30,6 +30,7 @@ from helpers import (
     pert_theta_op,
     perturbed_window_system,
     random_signal,
+    record_solves,
     selector_op,
     swap_window_system,
     torus_space,
@@ -317,14 +318,11 @@ def test_perturbation_builds_each_system_once(setup, monkeypatch):
 def test_domination_test_takes_one_eigvalsh(setup, monkeypatch):
     # the margin of rhs - D and the scale of rhs come from one eigvalsh over
     # both stacks; pinned bounds keep the source's pencil out of the count
-    stacks = []
-    eigvalsh = np.linalg.eigvalsh
-    counted = lambda a, *args, **kwargs: stacks.append(a.shape) or eigvalsh(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    solves = record_solves(monkeypatch)
     check = check_pert_hypothesis(setup["system"], setup["perturbed"], setup["theta"],
                                   0.0, 0.2, 0.2, bounds=(2.5, 10.0))
     assert check.holds and check.bounds_source == "paper_pinned"
-    assert len(stacks) == 1
+    assert [name for name, _ in solves].count("eigvalsh") == 1
 
 
 def test_sum_tests_the_operator_before_the_bounds(setup):
