@@ -48,7 +48,6 @@ from .frames import (
     VectorFamily,
     analysis,
     analysis_matrix,
-    batch_ordinary_bounds,
     bounded_below_promotion,
     frame_operator,
     image_system,
@@ -98,7 +97,7 @@ __all__ = [
     "GaborSystem", "VectorFamily", "CoefficientSequence", "BoundsReport",
     "image_system", "analysis", "synthesis", "omega_characterization", "OmegaReport",
     "analysis_matrix", "frame_operator",
-    "ordinary_bounds", "batch_ordinary_bounds", "theta_bounds", "bounded_below_promotion",
+    "ordinary_bounds", "theta_bounds", "bounded_below_promotion",
     # constructions
     "normalize_to_parseval", "scalar_parseval_system", "tight_theta_frame",
     "TightConstruction", "check_image_frame", "check_composed_image", "ImageFrameReport",

@@ -20,10 +20,8 @@ further into |H| blocks (the Zak or Zibulski-Zeevi representation), built
 from one lattice translate per coset of H.  Every block is I_n (x) K, and
 ordinary bounds take the eigenvalues of K alone: in closed form when K is
 1 x 1 or 2 x 2 (within a few ulps of the top eigenvalue, the order of
-LAPACK's own error), otherwise by ``eigvalsh``.  Each system takes its own
-build; the ordinary bounds of several systems take one ``eigvalsh`` per
-larger shape of their K blocks, whatever their lattices.  The
-operator-controlled two-sided bounds
+LAPACK's own error), otherwise by ``eigvalsh``.  The operator-controlled
+two-sided bounds
 
     alpha * ||adjoint(T) f||^2  <=  sum of squared coefficient norms
                                 <=  beta * ||T f||^2
@@ -80,7 +78,6 @@ __all__ = [
     "analysis_matrix",
     "frame_operator",
     "ordinary_bounds",
-    "batch_ordinary_bounds",
     "theta_bounds",
     "valid_bounds",
     "bounded_below_promotion",
@@ -359,12 +356,7 @@ class _Blocks(NamedTuple):
     def s(self) -> np.ndarray:
         """The blocks I_n (x) K of S, (B |H|, d, d) with d = J n^2, formed on
         each access."""
-        count, jn, _ = self.k.shape
-        j, n = jn // self.n, self.n
-        s = np.zeros((count, j, n, n, j, n, n), dtype=np.complex128)
-        for p in range(n):
-            s[:, :, p, :, :, p, :] = self.k.reshape(count, j, n, j, n)
-        return s.reshape(count, jn * n, jn * n)
+        return _on_diagonal(self.k, self.k.shape[-1] // self.n, self.n)
 
     def to_json_dict(self) -> dict:
         return {"name": self.route, "blocks": len(self.k),
@@ -508,25 +500,32 @@ def _coset_operator(system: GaborSystem, theta: SpaceOperator) -> Optional[np.nd
     return on_blocks if np.count_nonzero(on_blocks) == theta.nonzeros else None
 
 
+def _on_diagonal(x: np.ndarray, a: int, m: int) -> np.ndarray:
+    """The (c, a m b, a m b) stack whose entry ((i, p, r), (i', p', r')) is
+    delta(p, p') x[(i, r), (i', r')], for the (c, a b, a b) stack ``x`` and
+    i < a, p < m, r < b: each block of ``x`` repeated m times along a
+    diagonal, interleaved after its first index (kron(I_m, x) for a = 1).
+    A pure copy."""
+    c, d, _ = x.shape
+    b = d // a
+    out = np.zeros((c, a, m, b, a, m, b), dtype=x.dtype)
+    p = np.arange(m)
+    out[:, :, p, :, :, p, :] = x.reshape(c, a, b, a, b)
+    return out.reshape(c, a * m * b, a * m * b)
+
+
 def _operator_grams(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     """(T T*, T* T) as a (1, d, d) or (B, d, d) stack aligned with ``blocks.points``:
     the products of the operator's blocks, each repeated along the diagonal
-    of a block of S (an entry map M gives kron(I_j, M M*) and kron(I_j, M* M),
-    built by block assignment; with j = 1 the products are the grams)."""
+    of a block of S (an entry map M gives kron(I_j, M M*) and kron(I_j, M* M);
+    with j = 1 the products are the grams)."""
     t = blocks.op
     t_h = np.swapaxes(t.conj(), -1, -2)
     grams = t @ t_h, t_h @ t
-    e = t.shape[-1]
-    j = blocks.k.shape[-1] * blocks.n // e
+    j = blocks.k.shape[-1] * blocks.n // t.shape[-1]
     if j == 1:
         return grams
-    repeated = []
-    for gram in grams:
-        out = np.zeros((len(gram), j, e, j, e), dtype=gram.dtype)
-        for i in range(j):
-            out[:, i, :, i, :] = gram
-        repeated.append(out.reshape(len(gram), j * e, j * e))
-    return tuple(repeated)
+    return tuple(_on_diagonal(gram, 1, j) for gram in grams)
 
 
 @dataclass
@@ -568,34 +567,17 @@ def _tightness(alpha: Optional[float], beta: Optional[float], tol: float) -> boo
 def ordinary_bounds(system, tol: float = DEFAULT_TOL) -> BoundsReport:
     """Extreme eigenvalues of the frame operator; frame iff the least one is positive.
 
-    The one-system case of :func:`batch_ordinary_bounds`."""
-    return batch_ordinary_bounds([system], tol)[0]
-
-
-def batch_ordinary_bounds(systems: Sequence, tol: float = DEFAULT_TOL) -> list[BoundsReport]:
-    """The :func:`ordinary_bounds` report of each of ``systems``, in order.
-
-    Each system takes one build (see :func:`_frame_blocks`).  Each block of
-    S is I_n (x) K, so its spectrum is that of K, each eigenvalue n times.
-    K blocks of 1 x 1 and 2 x 2 take the closed form of
-    :func:`gaborop.pencil._hermitian_eigvalsh`, with no LAPACK call, within
-    a few ulps of the top eigenvalue of the block, the order of LAPACK's own
-    error; the larger K blocks of one shape, over all the systems, take one
-    ``eigvalsh``.  Each report's ``route`` names the ``eigensolver``:
+    One build (see :func:`_frame_blocks`).  Each block of S is I_n (x) K, so
+    its spectrum is that of K, each eigenvalue n times.  K blocks of 1 x 1
+    and 2 x 2 take the closed form of :func:`gaborop.pencil._hermitian_eigvalsh`,
+    with no LAPACK call, within a few ulps of the top eigenvalue of the
+    block, the order of LAPACK's own error; larger K blocks take one
+    ``eigvalsh``.  The report's ``route`` names the ``eigensolver``:
     ``closed_form`` or ``eigvalsh``."""
-    builds = [_frame_blocks(system) for system in systems]
-    shapes: dict = {}
-    for i, blocks in enumerate(builds):
-        shapes.setdefault(blocks.k.shape[1:], []).append(i)
-    reports: list = [None] * len(systems)
-    for shape, members in shapes.items():
-        eigs = _hermitian_eigvalsh(np.concatenate([builds[i].k for i in members]))
-        solver = "closed_form" if shape[-1] <= CLOSED_FORM_DIM else "eigvalsh"
-        ends = np.cumsum([len(builds[i].k) for i in members])
-        for i, system_eigs in zip(members, np.split(eigs, ends[:-1])):
-            route = {**builds[i].to_json_dict(), "eigensolver": solver}
-            reports[i] = _ordinary_report(np.repeat(system_eigs, builds[i].n, axis=-1), route, tol)
-    return reports
+    blocks = _frame_blocks(system)
+    solver = "closed_form" if blocks.k.shape[-1] <= CLOSED_FORM_DIM else "eigvalsh"
+    eigs = np.repeat(_hermitian_eigvalsh(blocks.k), blocks.n, axis=-1)
+    return _ordinary_report(eigs, {**blocks.to_json_dict(), "eigensolver": solver}, tol)
 
 
 def _ordinary_report(eigs, route: dict, tol: float) -> BoundsReport:

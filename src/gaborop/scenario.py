@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .constructions import check_composed_image, check_image_frame, tight_theta_frame
-from .frames import (GaborSystem, batch_ordinary_bounds, bounded_below_promotion,
-                     omega_characterization, valid_bounds)
+from .frames import (GaborSystem, bounded_below_promotion, omega_characterization,
+                     ordinary_bounds, valid_bounds)
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
@@ -416,15 +416,17 @@ def _build_scalar(group: FiniteAbelianGroup, spec, primal: np.ndarray, hat: np.n
             )
         primal[:] = vals
     elif kind == "delta":
-        primal[group.element(spec.get("at", [0] * group.rank)).index] = spec.get("scale", 1.0)
+        at = [int(c) for c in spec.get("at", [0] * group.rank)]
+        primal[group.element(at).index] = spec.get("scale", 1.0)
     elif kind == "fourier_indicator":
         order = group.order
-        for idx in _field(spec, "set", path):
+        indices = [int(idx) for idx in _field(spec, "set", path)]
+        for idx in indices:
             if not 0 <= idx < order:
                 raise ScenarioError(
                     [f"{path}.set: fourier_indicator index {idx} outside the dual group"]
                 )
-        hat[spec["set"]] = spec.get("scale", 1.0)
+        hat[indices] = spec.get("scale", 1.0)
     else:
         raise ScenarioError([f"{path}.window: unknown scalar window kind {kind!r}"])
     return 1.0
@@ -473,7 +475,8 @@ def _build_lattice(group: FiniteAbelianGroup, spec, dual: bool, built: dict) -> 
             built[key] = Subgroup.trivial(group, dual=dual)
         else:
             make = group.dual_element if dual else group.element
-            built[key] = Subgroup(group, [make(c) for c in spec["gens"]], dual=dual)
+            built[key] = Subgroup(group, [make([int(x) for x in c]) for c in spec["gens"]],
+                                  dual=dual)
     return built[key]
 
 
@@ -499,7 +502,7 @@ def _build_system(group, measure, spec: dict, path: str, lattices: dict) -> Gabo
     """The system at field path ``path``.  Its windows are built as one stack
     with one inverse transform (:func:`_build_windows`); its lattices come
     from ``lattices`` (see :func:`_build_lattice`)."""
-    space = SignalSpace(group, spec["n"], measure)
+    space = SignalSpace(group, int(spec["n"]), measure)
     windows = tuple(MatrixSignal(space, values)
                     for values in _build_windows(space, spec["windows"], f"{path}.windows"))
     # 'lattice_gens' is the flat generator-list spelling of {'gens': ...}
@@ -530,7 +533,7 @@ def _build_system(group, measure, spec: dict, path: str, lattices: dict) -> Gabo
 
 
 def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator:
-    space = SignalSpace(group, spec["n"], measure)
+    space = SignalSpace(group, int(spec["n"]), measure)
     kind = spec["kind"]
     if kind == "identity":
         return SpaceOperator.identity(space)
@@ -559,13 +562,14 @@ def _build_operator(group, measure, spec: dict, base_dir: Path) -> SpaceOperator
 
 
 def _built(path: str, build, *args):
-    """``build(*args)``, with a library ValueError or a file's OSError re-raised as a
+    """``build(*args)``, with a library ValueError, a file's OSError, or the
+    MemoryError or OverflowError of an absurd size or integer, re-raised as a
     ScenarioError at ``path``."""
     try:
         return build(*args)
     except ScenarioError:
         raise
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError, OverflowError) as e:
         raise ScenarioError([f"{path}: {e}"]) from e
 
 
@@ -681,12 +685,11 @@ def _prediction_findings(task: str, prediction) -> list[str]:
 
 
 def _ordinary_bounds(args, systems, operators, tol) -> _Outcome:
-    # each system takes one build, and the K blocks of one shape one eigensolve
     names = args["systems"] if "systems" in args else list(systems)
     for name in names:
         if name not in systems:
             raise ScenarioError([f"$.args.systems: unknown system {name!r}"])
-    reports = dict(zip(names, batch_ordinary_bounds([systems[name] for name in names], tol)))
+    reports = {name: ordinary_bounds(systems[name], tol) for name in names}
     return _Outcome(reports, reports)
 
 

@@ -1,5 +1,7 @@
 """Gabor families, analysis/synthesis, frame operators and bound reports."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -517,6 +519,25 @@ def test_ordinary_bounds_take_one_eigvalsh_for_k_above_2x2(monkeypatch):
     assert np.allclose(rep.spectra["frame_operator"], dense, rtol=0.0, atol=1e-12 * dense[-1])
 
 
+@pytest.mark.parametrize("a,m,b", [(1, 1, 4), (1, 3, 2), (2, 2, 2), (3, 2, 1), (2, 3, 3)])
+def test_on_diagonal_repeats_each_block(a, m, b):
+    # entry ((i, p, r), (i', p', r')) is delta(p, p') x[(i, r), (i', r')]: for
+    # a = 1 that is kron(I_m, x), and for b = 1 kron(x, I_m)
+    from gaborop.frames import _on_diagonal
+
+    rng = np.random.default_rng(a * 100 + m * 10 + b)
+    x = rng.normal(size=(3, a * b, a * b)) + 1j * rng.normal(size=(3, a * b, a * b))
+    out = _on_diagonal(x, a, m)
+    want = np.zeros_like(out)
+    for i, p, r, i2, r2 in product(range(a), range(m), range(b), range(a), range(b)):
+        want[:, (i * m + p) * b + r, (i2 * m + p) * b + r2] = x[:, i * b + r, i2 * b + r2]
+    assert np.array_equal(out, want)
+    if a == 1:
+        assert np.array_equal(out, np.stack([np.kron(np.eye(m), block) for block in x]))
+    if b == 1:
+        assert np.array_equal(out, np.stack([np.kron(block, np.eye(m)) for block in x]))
+
+
 def _variant(base: GaborSystem, kind: str, rng: np.random.Generator) -> GaborSystem:
     """A system on the group of ``base``: on its space and lattices with 0 to 3
     new windows, on another lattice pair, or with the other n."""
@@ -535,25 +556,20 @@ def _variant(base: GaborSystem, kind: str, rng: np.random.Generator) -> GaborSys
 def test_stacked_ordinary_bounds_match_lone_reports(seed, kinds):
     # the ordinary_bounds task builds each system alone and takes the
     # eigenvalues of K in closed form up to 2 x 2, with no LAPACK call, and by
-    # one eigvalsh per larger shape of K over all the systems, whatever their
-    # lattices; each report is the one the system gives alone, and its
-    # spectrum is the dense oracle's
+    # one eigvalsh per system with a larger K; each report is the one the
+    # system gives alone, and its spectrum is the dense oracle's
     from gaborop.frames import _frame_blocks
 
     rng = np.random.default_rng(seed)
     base = random_system(rng)
     systems = {f"s{i}": system for i, system in
                enumerate([base] + [_variant(base, kind, rng) for kind in kinds])}
-    shapes: dict = {}  # the block count of each shape of K, in order of first use
-    for system in systems.values():
-        k = _frame_blocks(system).k
-        shapes[k.shape[1:]] = shapes.get(k.shape[1:], 0) + len(k)
+    shapes = [_frame_blocks(system).k.shape for system in systems.values()]
     with pytest.MonkeyPatch.context() as patch:
         calls = record_solves(patch)
         reports = TASKS["ordinary_bounds"]({"systems": list(systems)}, systems, {},
                                            DEFAULT_TOL).results
-    assert calls == [("eigvalsh", (count, *shape)) for shape, count in shapes.items()
-                     if shape[-1] > 2]
+    assert calls == [("eigvalsh", shape) for shape in shapes if shape[-1] > 2]
     for name, system in systems.items():
         report, lone = reports[name], ordinary_bounds(system)
         assert report.to_json_dict() == lone.to_json_dict()
